@@ -387,69 +387,97 @@ def write_aiger(g: AigGraph, path) -> None:
 
 
 def read_aiger(path) -> AigGraph:
+    """Read a combinational ASCII AIGER file; bad input raises ValueError at ``path:line``.
+
+    An AND is built as soon as its line is read if both fanins are already
+    defined, which holds for every line `write_aiger` emits, so its files read
+    back in one pass with their node numbering.  The remaining ANDs are
+    resolved afterwards in ascending variable order.
+    """
     with open(path) as fh:
         lines = fh.read().splitlines()
-    if not lines or not lines[0].startswith("aag "):
-        raise ValueError(f"{path}: not an ASCII AIGER file")
-    fields = lines[0].split()
-    if len(fields) != 6:
-        raise ValueError(f"{path}: malformed header")
-    _m, n_in, n_latch, n_out, n_and = (int(v) for v in fields[1:])
-    if n_latch:
-        raise ValueError(f"{path}: latches are not supported")
-    g = AigGraph()
-    pos = 1
-    var_lit: dict[int, int] = {0: 0}
-    for _ in range(n_in):
-        declared = int(lines[pos])
-        pos += 1
-        if declared & 1 or declared == 0:
-            raise ValueError(f"{path}: invalid input literal {declared}")
-        var_lit[declared >> 1] = g.add_input()
-    out_specs = []
-    for _ in range(n_out):
-        out_specs.append(int(lines[pos]))
-        pos += 1
-    defs: dict[int, tuple[int, int]] = {}
-    for _ in range(n_and):
-        lhs, rhs0, rhs1 = (int(v) for v in lines[pos].split())
-        pos += 1
-        if lhs & 1:
-            raise ValueError(f"{path}: AND literal {lhs} must be even")
-        defs[lhs >> 1] = (rhs0, rhs1)
-
-    def resolve(literal: int) -> int:
-        todo = [literal >> 1]
-        while todo:
-            var = todo[-1]
-            if var in var_lit:
+    k = 0  # index of the line being read, for error messages
+    try:
+        if not lines or not lines[0].startswith("aag "):
+            raise ValueError("not an ASCII AIGER file")
+        fields = lines[0].split()
+        if len(fields) != 6:
+            raise ValueError("malformed header")
+        m, n_in, n_latch, n_out, n_and = (int(v) for v in fields[1:])
+        if n_latch:
+            raise ValueError("latches are not supported")
+        if min(n_in, n_out, n_and) < 0 or n_in + n_and > m:
+            raise ValueError(f"inconsistent header counts {lines[0]!r}")
+        end = 1 + n_in + n_out + n_and
+        if len(lines) < end:
+            k = len(lines)
+            raise ValueError(
+                f"file ends after {len(lines)} lines; the header declares {n_in} inputs, "
+                f"{n_out} outputs and {n_and} ANDs ({end} lines)"
+            )
+        max_lit = 2 * m + 1
+        g = AigGraph()
+        var_lit = {0: 0}  # AIGER variable -> literal in g
+        for k in range(1, 1 + n_in):
+            declared = int(lines[k])
+            if declared & 1 or not 0 < declared <= max_lit or declared >> 1 in var_lit:
+                raise ValueError(f"invalid input literal {declared}")
+            var_lit[declared >> 1] = g.add_input()
+        out_specs = []
+        for k in range(1 + n_in, 1 + n_in + n_out):
+            spec = int(lines[k])
+            if not 0 <= spec <= max_lit:
+                raise ValueError(f"output literal {spec} out of range 0..{max_lit}")
+            out_specs.append((k, spec))
+        and2 = g.and2
+        pending: dict[int, tuple[int, int, int]] = {}  # AND var -> (rhs0, rhs1, line)
+        for k in range(1 + n_in + n_out, end):
+            lhs, r0, r1 = map(int, lines[k].split())
+            var = lhs >> 1
+            if lhs & 1 or not 0 < lhs <= max_lit or var in var_lit or var in pending:
+                raise ValueError(f"AND literal {lhs} must be even, in range and new")
+            if not (0 <= r0 <= max_lit and 0 <= r1 <= max_lit):
+                raise ValueError(f"AND fanin out of range 0..{max_lit}")
+            try:
+                var_lit[var] = and2(var_lit[r0 >> 1] ^ (r0 & 1), var_lit[r1 >> 1] ^ (r1 & 1))
+            except KeyError:  # a fanin defined further down
+                pending[var] = (r0, r1, k)
+        expanded: set[int] = set()
+        for root in sorted(pending):
+            todo = [root]
+            while todo:
+                var = todo[-1]
+                if var in var_lit:
+                    todo.pop()
+                    continue
+                r0, r1, k = pending[var]
+                expanded.add(var)
+                missing = [x >> 1 for x in (r0, r1) if x >> 1 not in var_lit]
+                for x in missing:
+                    if x not in pending:
+                        raise ValueError(f"undefined variable {x}")
+                    if x in expanded:
+                        raise ValueError(f"combinational cycle through variable {x}")
+                if missing:
+                    todo.extend(missing)
+                    continue
+                var_lit[var] = and2(var_lit[r0 >> 1] ^ (r0 & 1), var_lit[r1 >> 1] ^ (r1 & 1))
                 todo.pop()
-                continue
-            if var not in defs:
-                raise ValueError(f"{path}: undefined variable {var}")
-            r0, r1 = defs[var]
-            missing = [x >> 1 for x in (r0, r1) if (x >> 1) not in var_lit]
-            if missing:
-                todo.extend(missing)
-                continue
-            a = var_lit[r0 >> 1] ^ (r0 & 1)
-            b = var_lit[r1 >> 1] ^ (r1 & 1)
-            var_lit[var] = g.and2(a, b)
-            todo.pop()
-        return var_lit[literal >> 1] ^ (literal & 1)
-
-    for var in sorted(defs):
-        resolve(var << 1)
-    for spec in out_specs:
-        g.add_output(resolve(spec))
-    for line in lines[pos:]:
-        if line == "c":
-            break
-        if line.startswith("i") or line.startswith("o"):
-            tag, _, name = line.partition(" ")
-            idx = int(tag[1:])
-            if tag[0] == "i" and idx < len(g.input_names):
-                g.input_names[idx] = name
-            elif tag[0] == "o" and idx < len(g.output_names):
-                g.output_names[idx] = name
+        for k, spec in out_specs:
+            if spec >> 1 not in var_lit:
+                raise ValueError(f"undefined variable {spec >> 1}")
+            g.add_output(var_lit[spec >> 1] ^ (spec & 1))
+        for k in range(end, len(lines)):
+            line = lines[k]
+            if line == "c":
+                break
+            if line.startswith("i") or line.startswith("o"):
+                tag, _, name = line.partition(" ")
+                idx = int(tag[1:])
+                if tag[0] == "i" and idx < len(g.input_names):
+                    g.input_names[idx] = name
+                elif tag[0] == "o" and idx < len(g.output_names):
+                    g.output_names[idx] = name
+    except ValueError as exc:
+        raise ValueError(f"{path}:{k + 1}: {exc}") from None
     return g

@@ -141,7 +141,11 @@ def cmd_report(args) -> int:
 
 def cmd_sat(args) -> int:
     graph = aig.read_aiger(args.aig)
-    vector = sat.find_onset_vector(graph, args.output_index)
+    last = len(graph.outputs) - 1
+    index = last if args.output_index is None else args.output_index
+    if not 0 <= index <= last:
+        raise ValueError(f"{args.aig}: output index {index} is not in 0..{last}")
+    vector = sat.find_onset_vector(graph, index)
     if vector is None:
         print("unsatisfiable")
     else:
@@ -212,7 +216,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sat", help="find an input vector driving an output to 1")
     p.add_argument("aig")
-    p.add_argument("--output-index", type=int, default=0)
+    p.add_argument(
+        "--output-index",
+        type=int,
+        help="output to drive to 1 (default: the last output, the argmax decision)",
+    )
     p.set_defaults(func=cmd_sat)
 
     p = sub.add_parser("equiv", help="check two AIGs for equivalence")

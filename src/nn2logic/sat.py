@@ -1,8 +1,9 @@
 """CNF engine: Tseitin encoding, CDCL solver, onset vectors, miter checks.
 
 Clauses use the DIMACS convention (signed 1-based variable indices).  The
-solver is deterministic: activity ties break toward the lowest variable
-index and saved phases start at False.
+solver is deterministic: it decides on the unassigned variable of highest
+activity, ties broken toward the lowest variable index, taken from a binary
+heap in O(log n), and saved phases start at False.
 """
 
 from __future__ import annotations
@@ -67,6 +68,15 @@ class _Cdcl:
 
     Internal literals are ``2*var + sign`` with 0-based vars; sign 1 means
     negated.  First-UIP learning, activity decay 0.95, geometric restarts.
+
+    Decisions come from an indexed binary max-heap of variables (VSIDS as in
+    MiniSat, Eén & Sörensson 2003): ``heap`` holds variables ordered by
+    activity descending, then variable index ascending, and ``pos[v]`` is the
+    slot of ``v`` in ``heap`` or -1.  That order is total, so the root is the
+    same variable a scan of all unassigned variables would pick.  Every
+    unassigned variable is in the heap; assigned ones leave it lazily when
+    ``decide`` pops them and return when ``backjump`` unassigns them.
+    ``decisions`` and ``conflicts`` count the search steps.
     """
 
     def __init__(self, num_vars: int, clauses: list[list[int]]):
@@ -82,6 +92,11 @@ class _Cdcl:
         self.activity = [0.0] * num_vars
         self.var_inc = 1.0
         self.phase = [False] * num_vars
+        # All activities are 0, so ascending index order is already a heap.
+        self.heap = list(range(num_vars))
+        self.pos = self.heap[:]
+        self.decisions = 0
+        self.conflicts = 0
         self.ok = True
         for cl in clauses:
             self._add_initial(cl)
@@ -164,12 +179,58 @@ class _Cdcl:
                 return conflict
         return -1
 
+    def _sift_up(self, i: int) -> None:
+        heap, pos, act = self.heap, self.pos, self.activity
+        v = heap[i]
+        a = act[v]
+        while i > 0:
+            parent = (i - 1) >> 1
+            p = heap[parent]
+            ap = act[p]
+            if ap > a or (ap == a and p < v):
+                break
+            heap[i] = p
+            pos[p] = i
+            i = parent
+        heap[i] = v
+        pos[v] = i
+
+    def _sift_down(self, i: int) -> None:
+        heap, pos, act = self.heap, self.pos, self.activity
+        n = len(heap)
+        v = heap[i]
+        a = act[v]
+        while True:
+            child = 2 * i + 1
+            if child >= n:
+                break
+            c = heap[child]
+            ac = act[c]
+            if child + 1 < n:
+                r = heap[child + 1]
+                ar = act[r]
+                if ar > ac or (ar == ac and r < c):
+                    child, c, ac = child + 1, r, ar
+            if a > ac or (a == ac and v < c):
+                break
+            heap[i] = c
+            pos[c] = i
+            i = child
+        heap[i] = v
+        pos[v] = i
+
     def bump(self, var: int) -> None:
         self.activity[var] += self.var_inc
         if self.activity[var] > 1e100:
             for v in range(self.nv):
                 self.activity[v] *= 1e-100
             self.var_inc *= 1e-100
+            # Rounding can make two activities equal, which may flip their
+            # order under the index tie-break: rebuild the heap.
+            for i in range(len(self.heap) // 2 - 1, -1, -1):
+                self._sift_down(i)
+        elif self.pos[var] >= 0:
+            self._sift_up(self.pos[var])
 
     def analyze(self, conflict: int) -> tuple[list[int], int]:
         current = len(self.trail_lim)
@@ -207,12 +268,17 @@ class _Cdcl:
 
     def backjump(self, level: int) -> None:
         limit = self.trail_lim[level] if level < len(self.trail_lim) else len(self.trail)
+        heap, pos = self.heap, self.pos
         while len(self.trail) > limit:
             e = self.trail.pop()
             var = e >> 1
             self.phase[var] = self.assigns[var] == 1
             self.assigns[var] = -1
             self.reason[var] = -1
+            if pos[var] < 0:
+                pos[var] = len(heap)
+                heap.append(var)
+                self._sift_up(pos[var])
         del self.trail_lim[level:]
         self.qhead = len(self.trail)
 
@@ -229,14 +295,20 @@ class _Cdcl:
         self.enqueue(learnt[0], ci)
 
     def decide(self) -> bool:
-        best = -1
-        best_act = -1.0
-        for v in range(self.nv):
-            if self.assigns[v] < 0 and self.activity[v] > best_act:
-                best = v
-                best_act = self.activity[v]
-        if best < 0:
+        heap, pos, assigns = self.heap, self.pos, self.assigns
+        while heap:
+            best = heap[0]
+            last = heap.pop()
+            pos[best] = -1
+            if heap:
+                heap[0] = last
+                pos[last] = 0
+                self._sift_down(0)
+            if assigns[best] < 0:
+                break
+        else:
             return False
+        self.decisions += 1
         self.trail_lim.append(len(self.trail))
         self.enqueue(2 * best + (0 if self.phase[best] else 1), -1)
         return True
@@ -249,6 +321,7 @@ class _Cdcl:
         while True:
             ci = self.propagate()
             if ci >= 0:
+                self.conflicts += 1
                 if not self.trail_lim:
                     return None
                 learnt, btlevel = self.analyze(ci)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -201,12 +203,15 @@ def test_import_graph_shares_structure():
     assert dst.and_count() == n
 
 
-def test_aiger_roundtrip(tmp_path):
-    fmt = FixedPointFormat(4, 2)
-    net = build_neuron(["0100", "1101"], True, fmt, bias_q="0010")
-    g = lower_netlist(net)
+def neuron_aiger(tmp_path):
+    g = lower_netlist(build_neuron(["0100", "1101"], True, FixedPointFormat(4, 2), bias_q="0010"))
     path = tmp_path / "n.aag"
     write_aiger(g, path)
+    return g, path, path.read_text().splitlines()
+
+
+def test_aiger_roundtrip(tmp_path):
+    g, path, _ = neuron_aiger(tmp_path)
     back = read_aiger(path)
     assert len(back.inputs) == len(g.inputs)
     assert len(back.outputs) == len(g.outputs)
@@ -222,4 +227,47 @@ def test_aiger_rejects_latches(tmp_path):
     path = tmp_path / "bad.aag"
     path.write_text("aag 1 0 1 0 0\n2 3\n")
     with pytest.raises(ValueError):
+        read_aiger(path)
+
+
+def test_aiger_truncated_file_names_the_line(tmp_path):
+    _, path, lines = neuron_aiger(tmp_path)
+    n_and = int(lines[0].split()[5])
+    cut = lines[: len(lines) - n_and // 2 - 2]  # drop the symbols and half the ANDs
+    path.write_text("\n".join(cut) + "\n")
+    where = rf"^{re.escape(str(path))}:{len(cut) + 1}: "
+    with pytest.raises(ValueError, match=where + f"file ends after {len(cut)} lines"):
+        read_aiger(path)
+
+
+def test_aiger_out_of_order_ands(tmp_path):
+    g, path, lines = neuron_aiger(tmp_path)
+    _, _, n_in, _, n_out, n_and = lines[0].split()
+    first = 1 + int(n_in) + int(n_out)
+    last = first + int(n_and)
+    path.write_text("\n".join(lines[:first] + lines[first:last][::-1] + lines[last:]) + "\n")
+    back = read_aiger(path)
+    assert back.and_count() == g.and_count()
+    assert back.input_names == g.input_names
+    rng = np.random.default_rng(4)
+    words = [int(w) for w in rng.integers(0, 2**62, size=len(g.inputs))]
+    assert simulate_batch(back, words, 62) == simulate_batch(g, words, 62)
+
+
+@pytest.mark.parametrize(
+    "body, line, message",
+    [
+        ("aag 3 2 0 1 1\n2\n4\n6\n6 2 x\n", 5, "invalid literal"),
+        ("aag 3 2 0 1 1\n2\n4\n6\n7 2 4\n", 5, "AND literal 7"),
+        ("aag 3 2 0 1 1\n2\n4\n6\n6 2 9\n", 5, "out of range"),
+        ("aag 4 1 0 1 2\n2\n8\n6 2 8\n8 6 2\n", 5, "cycle"),
+        ("aag 4 1 0 1 2\n2\n6\n6 2 8\n4 2 3\n", 4, "undefined variable 4"),
+        ("aag 4 2 0 1 1\n2\n4\n8\n6 2 4\n", 4, "undefined variable 4"),
+        ("aag 2 2 0 1 1\n2\n4\n6\n6 2 4\n", 1, "inconsistent header"),
+    ],
+)
+def test_aiger_malformed_body_names_the_line(tmp_path, body, line, message):
+    path = tmp_path / "bad.aag"
+    path.write_text(body)
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:{line}: .*{message}"):
         read_aiger(path)

@@ -3,11 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nn2logic.aig import AigGraph, lower_netlist, simulate_aig
+from nn2logic.aig import AigGraph, import_graph, lower_netlist, simulate_aig
 from nn2logic.fixedpoint import FixedPointFormat, from_int
 from nn2logic.netlist import Netlist, build_neuron
 from nn2logic.sat import (
     CnfFormula,
+    _Cdcl,
     check_equivalence,
     find_onset_vector,
     solve,
@@ -29,6 +30,16 @@ def brute_force_sat(num_vars: int, clauses) -> bool:
             cl_sat |= bits if d > 0 else ~bits
         ok &= cl_sat
     return bool(ok.any())
+
+
+def random_3cnf(num_vars: int, num_clauses: int, seed: int) -> list[list[int]]:
+    rng = np.random.default_rng(seed)
+    clauses = []
+    for _ in range(num_clauses):
+        vs = rng.choice(num_vars, size=3, replace=False) + 1
+        signs = rng.integers(0, 2, size=3) * 2 - 1
+        clauses.append([int(v * s) for v, s in zip(vs, signs)])
+    return clauses
 
 
 def test_simple_sat():
@@ -67,13 +78,7 @@ def test_to_dimacs():
 def test_random_3cnf_matches_brute_force(data):
     num_vars = data.draw(st.integers(3, 12))
     num_clauses = data.draw(st.integers(1, 5 * num_vars))
-    rng_seed = data.draw(st.integers(0, 2**31))
-    rng = np.random.default_rng(rng_seed)
-    clauses = []
-    for _ in range(num_clauses):
-        vs = rng.choice(num_vars, size=3, replace=False) + 1
-        signs = rng.integers(0, 2, size=3) * 2 - 1
-        clauses.append([int(v * s) for v, s in zip(vs, signs)])
+    clauses = random_3cnf(num_vars, num_clauses, data.draw(st.integers(0, 2**31)))
     f = CnfFormula(num_vars, clauses)
     model = solve(f)
     assert (model is not None) == brute_force_sat(num_vars, clauses)
@@ -168,3 +173,118 @@ def test_mismatched_interfaces_rejected():
     h.add_output(0)
     with pytest.raises(ValueError):
         check_equivalence(g, h)
+
+
+class ScanCdcl(_Cdcl):
+    """Oracle: the solver with a linear scan over all variables in ``decide``."""
+
+    def decide(self) -> bool:
+        best = -1
+        best_act = -1.0
+        for v in range(self.nv):
+            if self.assigns[v] < 0 and self.activity[v] > best_act:
+                best = v
+                best_act = self.activity[v]
+        if best < 0:
+            return False
+        self.decisions += 1
+        self.trail_lim.append(len(self.trail))
+        self.enqueue(2 * best + (0 if self.phase[best] else 1), -1)
+        return True
+
+
+def assert_heap_valid(s: _Cdcl) -> None:
+    """Heap order (activity descending, index ascending), ``pos`` and membership."""
+    def key(v):
+        return (-s.activity[v], v)
+
+    for i, v in enumerate(s.heap):
+        assert s.pos[v] == i
+        if i:
+            assert key(s.heap[(i - 1) >> 1]) < key(v)
+    in_heap = set(s.heap)
+    for v in range(s.nv):
+        if v not in in_heap:
+            assert s.pos[v] == -1
+            assert s.assigns[v] >= 0, f"unassigned variable {v} missing from the heap"
+
+
+def assert_same_search(num_vars: int, clauses, var_inc: float = 1.0, solver=_Cdcl) -> _Cdcl:
+    heap_solver = solver(num_vars, clauses)
+    scan_solver = ScanCdcl(num_vars, clauses)
+    heap_solver.var_inc = scan_solver.var_inc = var_inc
+    model = heap_solver.solve()
+    assert model == scan_solver.solve()
+    assert heap_solver.decisions == scan_solver.decisions
+    assert heap_solver.conflicts == scan_solver.conflicts
+    assert heap_solver.activity == scan_solver.activity
+    assert_heap_valid(heap_solver)
+    return heap_solver
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(80, 110), st.floats(4.0, 4.5), st.integers(0, 2**31))
+def test_heap_search_matches_scan_on_random_3cnf(num_vars, ratio, seed):
+    # Near the 3-SAT threshold most of these take over 100 conflicts, the
+    # first restart.
+    assert_same_search(num_vars, random_3cnf(num_vars, int(ratio * num_vars), seed))
+
+
+def test_random_3cnf_at_threshold_restarts():
+    s = assert_same_search(100, random_3cnf(100, 426, 7))
+    assert s.conflicts > 250  # past the first two restarts (100, then 150)
+
+
+def test_heap_search_matches_scan_on_neuron_queries():
+    fmt = FixedPointFormat(4, 2)
+    rng = np.random.default_rng(11)
+    graphs = []
+    for _ in range(4):
+        weights = [from_int(int(w), 4) for w in rng.integers(-8, 8, size=3)]
+        g = lower_netlist(build_neuron(weights, True, fmt))
+        graphs.append(g)
+        for out_idx in range(len(g.outputs)):
+            formula, _ = tseitin(g, out_idx)
+            assert_same_search(formula.num_vars, formula.clauses)
+    for g1, g2 in zip(graphs, graphs[1:]):
+        miter = AigGraph()
+        ins = [miter.add_input() for _ in g1.inputs]
+        diff = 0
+        for a, b in zip(import_graph(miter, g1, ins), import_graph(miter, g2, ins)):
+            diff = miter.or2(diff, miter.xor2(a, b))
+        miter.add_output(diff)
+        formula, _ = tseitin(miter, 0)
+        assert_same_search(formula.num_vars, formula.clauses)
+
+
+class RescaleCheckedCdcl(_Cdcl):
+    """Checks the heap right after each activity rescale."""
+
+    rescales = 0
+
+    def bump(self, var: int) -> None:
+        before = self.var_inc
+        super().bump(var)
+        if self.var_inc < before:
+            self.rescales += 1
+            assert_heap_valid(self)
+
+
+def test_heap_survives_activity_rescale_mid_search():
+    s = assert_same_search(100, random_3cnf(100, 426, 7), var_inc=1e99, solver=RescaleCheckedCdcl)
+    assert s.rescales >= 1 and s.conflicts > s.rescales
+
+
+def test_rescale_rounding_tie_reorders_heap():
+    # Two activities one ulp apart that the 1e-100 rescale rounds to the same
+    # value: the lower index must then come first.
+    low, high = 7.493860291067043e99, 7.493860291067044e99
+    assert low < high and low * 1e-100 == high * 1e-100
+    s = _Cdcl(3, [])
+    s.activity[:2] = [low, high]
+    s._sift_up(s.pos[1])
+    assert s.heap[0] == 1
+    s.var_inc = 1.5e100
+    s.bump(2)
+    assert s.heap == [2, 0, 1]
+    assert_heap_valid(s)
