@@ -11,22 +11,8 @@ from __future__ import annotations
 
 from nn2logic.netlist import Netlist
 
-CONST_FALSE = 0
-CONST_TRUE = 1
 _INPUT = -1
 _CONST = -2
-
-
-def lit(node: int, complemented: bool = False) -> int:
-    return (node << 1) | int(complemented)
-
-
-def lit_node(literal: int) -> int:
-    return literal >> 1
-
-
-def lit_comp(literal: int) -> bool:
-    return bool(literal & 1)
 
 
 class AigGraph:
@@ -75,9 +61,6 @@ class AigGraph:
             self._strash[key] = node
         return node << 1
 
-    def not_(self, a: int) -> int:
-        return a ^ 1
-
     def or2(self, a: int, b: int) -> int:
         return self.and2(a ^ 1, b ^ 1) ^ 1
 
@@ -93,9 +76,6 @@ class AigGraph:
     @property
     def num_nodes(self) -> int:
         return len(self.fanin0)
-
-    def is_and(self, node: int) -> bool:
-        return self.fanin0[node] >= 0
 
     def and_count(self) -> int:
         return sum(1 for f in self.fanin0 if f >= 0)
@@ -264,31 +244,17 @@ def _lut_cofactor(g: AigGraph, table: int, sels: list[int], memo: dict) -> int:
     return res
 
 
-def lower_netlist(net: Netlist, graph: AigGraph | None = None) -> AigGraph:
+def lower_netlist(net: Netlist) -> AigGraph:
     """Bit-blast a word-level netlist into AND/NOT structure.
 
     Output literals correspond positionally to the netlist outputs, each word
-    expanded least significant bit first.  When ``graph`` is supplied the
-    netlist is lowered into it, reusing its existing primary inputs in order;
-    lowering the same netlist twice therefore adds no new nodes.
+    expanded least significant bit first.
     """
-    g = graph if graph is not None else AigGraph()
+    g = AigGraph()
     bits: dict[int, list[int]] = {}
-    existing = list(g.inputs)
-    taken = 0
     for sid in net.inputs:
-        w = net.widths[sid]
         name = net.names[sid] or f"x{sid}"
-        word = []
-        for j in range(w):
-            if taken < len(existing):
-                word.append(existing[taken] << 1)
-                taken += 1
-            else:
-                word.append(g.add_input(f"{name}[{j}]"))
-        bits[sid] = word
-    if graph is not None and taken != len(existing):
-        raise ValueError("existing graph inputs do not match the netlist inputs")
+        bits[sid] = [g.add_input(f"{name}[{j}]") for j in range(net.widths[sid])]
 
     for gate in net.gates:
         ops = [bits[o] for o in gate.operands]
@@ -299,8 +265,6 @@ def lower_netlist(net: Netlist, graph: AigGraph | None = None) -> AigGraph:
             word = _multiply(g, ops[0], ops[1])
         elif kind == "ADD":
             word = _ripple_add(g, ops[0], ops[1])
-        elif kind == "SUB":
-            word = _ripple_add(g, ops[0], [x ^ 1 for x in ops[1]], 1)
         elif kind == "GT":
             word = [_is_positive(g, ops[0], ops[1], signed=True)]
         elif kind == "GTU":
@@ -334,14 +298,6 @@ def lower_netlist(net: Netlist, graph: AigGraph | None = None) -> AigGraph:
         elif kind == "LUT":
             table, _k = gate.params
             word = [_lut_cofactor(g, table, [op[0] for op in ops], {})]
-        elif kind == "NOT":
-            word = [x ^ 1 for x in ops[0]]
-        elif kind == "AND":
-            word = [g.and2(x, y) for x, y in zip(ops[0], ops[1])]
-        elif kind == "OR":
-            word = [g.or2(x, y) for x, y in zip(ops[0], ops[1])]
-        elif kind == "XOR":
-            word = [g.xor2(x, y) for x, y in zip(ops[0], ops[1])]
         else:
             raise ValueError(f"cannot lower gate kind {kind!r}")
         bits[gate.output] = word

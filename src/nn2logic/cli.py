@@ -8,7 +8,7 @@ import sys
 
 import numpy as np
 
-from nn2logic import aig, analysis, forest, lutnet, mlp, pipeline, sat
+from nn2logic import aig, analysis, mlp, pipeline, sat
 from nn2logic.datasets import read_dataset
 from nn2logic.fixedpoint import FixedPointFormat
 
@@ -18,7 +18,7 @@ def _common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--bits", type=int, default=None, help="total quantization bits")
     p.add_argument("--frac", type=int, default=None, help="fractional quantization bits")
-    p.add_argument("--pipeline", choices=["direct", "rf", "logicnet"], default=None)
+    p.add_argument("--pipeline", choices=pipeline.PIPELINES, default=None)
     p.add_argument("--out", default=None, help="output directory")
 
 
@@ -69,29 +69,15 @@ def cmd_compile(args) -> int:
         graph = pipeline.compile_direct(net, fmt, names)
     else:
         sets = mlp.extract_distillation_sets(net, data.subset(train_idx), fmt)
-        if cfg.pipeline == "rf":
-            graph, modules = pipeline.compile_rf(
-                net, sets, fmt, cfg.rf_estimators, cfg.rf_max_depth, cfg.seed, names
-            )
-            dump = "\n".join(
-                f"module {l} {n}\n" + "".join(forest.forest_to_text(m) for m in models)
-                for (l, n), models in sorted(modules.items())
-            )
-        else:
-            graph, modules = pipeline.compile_logicnet(
-                net,
-                sets,
-                fmt,
-                cfg.lgn_depth,
-                cfg.lgn_width,
-                cfg.lgn_lut_size,
-                cfg.seed,
-                names,
-            )
-            dump = "\n".join(
-                f"module {l} {n}\n" + "".join(lutnet.logicnet_to_text(m) for m in models)
-                for (l, n), models in sorted(modules.items())
-            )
+        distiller = pipeline.DISTILLERS[cfg.pipeline]
+        params = {label: getattr(cfg, key) for key, label in distiller.params}
+        graph, modules = pipeline.compile_distilled(
+            cfg.pipeline, net, sets, fmt, params, cfg.seed, names
+        )
+        dump = "\n".join(
+            f"module {l} {n}\n" + "".join(distiller.to_text(m) for m in models)
+            for (l, n), models in sorted(modules.items())
+        )
         with open(os.path.join(cfg.out_dir, f"{cfg.pipeline}_models.txt"), "w") as fh:
             fh.write(dump + "\n")
     aig_path = os.path.join(cfg.out_dir, f"{cfg.pipeline}.aag")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,13 +56,17 @@ def read_dataset(path) -> LabeledDataset:
                 continue
             if len(row) != len(header):
                 raise ValueError(
-                    f"{path}: line {lineno}: expected {len(header)} columns, got {len(row)}"
+                    f"{path}:{lineno}: expected {len(header)} columns, got {len(row)}"
                 )
             try:
-                feats.append([float(v) for v in row[:-1]])
+                values = [float(v) for v in row[:-1]]
                 labels.append(int(row[-1]))
             except ValueError as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from None
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+            bad = [h for h, v in zip(names, values) if not math.isfinite(v)]
+            if bad:
+                raise ValueError(f"{path}:{lineno}: non-finite value in column {bad[0]!r}")
+            feats.append(values)
     if not feats:
         raise ValueError(f"{path}: dataset has no rows")
     return LabeledDataset(np.array(feats), np.array(labels), names)

@@ -43,15 +43,8 @@ class FixedPointFormat:
         return 1.0 / (1 << self.fractional_bits)
 
 
-def to_unsigned(bits: str) -> int:
-    return int(bits, 2)
-
-
 def to_signed(bits: str) -> int:
-    v = int(bits, 2)
-    if v >= 1 << (len(bits) - 1):
-        v -= 1 << len(bits)
-    return v
+    return signed_value(int(bits, 2), len(bits))
 
 
 def from_int(value: int, width: int) -> str:
@@ -88,8 +81,7 @@ def quantize_int(x: float, fmt: FixedPointFormat) -> int:
 
 def quantize(x: float, fmt: FixedPointFormat) -> str:
     """Quantize a real number to a width-m two's-complement bit string."""
-    v = quantize_int(x, fmt)
-    return format(v & ((1 << fmt.total_bits) - 1), "b").zfill(fmt.total_bits)
+    return from_int(quantize_int(x, fmt), fmt.total_bits)
 
 
 def dequantize(bits: str, fmt: FixedPointFormat) -> float:
@@ -100,16 +92,3 @@ def dequantize(bits: str, fmt: FixedPointFormat) -> float:
         )
     return to_signed(bits) / (1 << fmt.fractional_bits)
 
-
-def quantize_matrix(values, fmt: FixedPointFormat) -> list[list[str]]:
-    """Elementwise quantization of a 2-D array-like; shape is preserved."""
-    out = []
-    for r, row in enumerate(values):
-        out_row = []
-        for c, v in enumerate(row):
-            try:
-                out_row.append(quantize(float(v), fmt))
-            except ValueError as exc:
-                raise ValueError(f"element ({r}, {c}): {exc}") from exc
-        out.append(out_row)
-    return out

@@ -14,8 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from nn2logic import netlist as nl
+from nn2logic.fixedpoint import from_int
 
-THRESHOLD = 0.5
+PROB_FRAC_BITS = 8  # leaf class probabilities as unsigned fixed point
 
 
 @dataclass
@@ -133,6 +134,11 @@ def train_forest(
     return RandomForestModel(trees, n_estimators, max_depth, seed, f)
 
 
+def quantize_prob(p: float) -> int:
+    """Unsigned integer vote weight of a leaf probability."""
+    return min(1 << PROB_FRAC_BITS, int(round(p * (1 << PROB_FRAC_BITS))))
+
+
 def predict_forest(model: RandomForestModel, feature_row) -> int:
     """Argmax of the quantized vote sums, mirroring the lowered comparator.
 
@@ -143,48 +149,49 @@ def predict_forest(model: RandomForestModel, feature_row) -> int:
     s0 = s1 = 0
     for tree in model.trees:
         leaf = tree.leaf_for(row)
-        s0 += nl.quantize_prob(leaf.p0)
-        s1 += nl.quantize_prob(leaf.p1)
+        s0 += quantize_prob(leaf.p0)
+        s1 += quantize_prob(leaf.p1)
     return int(s1 > s0)
 
 
-def exact_vote_sums(model: RandomForestModel, feature_row) -> tuple[float, float]:
-    row = np.asarray(feature_row).astype(np.uint8)
-    s0 = s1 = 0.0
-    for tree in model.trees:
-        leaf = tree.leaf_for(row)
-        s0 += leaf.p0
-        s1 += leaf.p1
-    return s0, s1
+def _emit_tree(net: nl.Netlist, feature_sids: list[int], node, width: int) -> tuple[int, int]:
+    """Comparator/mux cascade for one tree; returns (p0, p1) word signals.
+
+    Each internal node is emitted as a literal unsigned comparator of its
+    feature bit against zero, which the AIG folding later collapses to the
+    bit itself.
+    """
+    if node.feature is None:
+        return (
+            net.add_const(from_int(quantize_prob(node.p0), width)),
+            net.add_const(from_int(quantize_prob(node.p1), width)),
+        )
+    zero = net.add_const("0")
+    sel = net.add_gate("GTU", (feature_sids[node.feature], zero))
+    l0, l1 = _emit_tree(net, feature_sids, node.left, width)
+    r0, r1 = _emit_tree(net, feature_sids, node.right, width)
+    return (
+        net.add_gate("MUX", (sel, r0, l0)),
+        net.add_gate("MUX", (sel, r1, l1)),
+    )
+
+
+def _emit_forest_bit(net: nl.Netlist, feature_sids: list[int], model: RandomForestModel) -> int:
+    """Vote circuit: per-tree probability pairs summed, then compared."""
+    width = PROB_FRAC_BITS + 1 + math.ceil(math.log2(model.n_estimators))
+    s0, s1 = _emit_tree(net, feature_sids, model.trees[0].root, width)
+    for tree in model.trees[1:]:
+        p0, p1 = _emit_tree(net, feature_sids, tree.root, width)
+        s0, s1 = net.add_gate("ADD", (s0, p0)), net.add_gate("ADD", (s1, p1))
+    return net.add_gate("GTU", (s1, s0))
 
 
 def forest_module(models: list[RandomForestModel], word_width: int | None = None):
     """Concatenate per-bit forests into one module with word-level I/O.
 
-    ``models[j]`` predicts bit j of the output word, most significant first.
-    Inputs are the previous layer's m-bit words; feature column k*m + j is
-    the j-th most significant bit of word k.
+    ``models[j]`` predicts bit j of the output word; see ``netlist.bit_module``.
     """
-    m = word_width if word_width is not None else len(models)
-    total = models[0].n_features
-    if any(mod.n_features != total for mod in models):
-        raise ValueError("per-bit forests must share one feature space")
-    if total % m:
-        raise ValueError("feature count is not a whole number of words")
-    net = nl.Netlist()
-    words = [net.add_input(m, f"x{k}") for k in range(total // m)]
-    feature_sids = []
-    for word in words:
-        for j in range(m):
-            feature_sids.append(net.add_gate("SLICE", (word,), (m - 1 - j, m - 1 - j)))
-    bit_outs = []
-    for model in models:
-        module = nl.build_forest_bit(model)
-        mapping = nl.merge_into(net, module, dict(zip(module.inputs, feature_sids)))
-        bit_outs.append(mapping[module.outputs[0]])
-    out = bit_outs[0] if len(bit_outs) == 1 else net.add_gate("CONCAT", tuple(bit_outs))
-    net.set_output(out)
-    return net
+    return nl.bit_module(models, word_width, _emit_forest_bit)
 
 
 def forest_to_text(model: RandomForestModel) -> str:

@@ -125,51 +125,27 @@ def _live_cone(net: LutNetwork) -> list[set[int]]:
     return live
 
 
+def _emit_lut(net: nl.Netlist, lut: Lut, prev) -> int:
+    """One LUT gate; ``prev[q]`` is the signal of the previous layer's q-th bit."""
+    return net.add_gate("LUT", [prev[q] for q in lut.inputs], (lut.table_int(), len(lut.inputs)))
+
+
+def _emit_logicnet_bit(net: nl.Netlist, feature_sids: list[int], lgn: LutNetwork) -> int:
+    """LUT gates of the output cone, layer by layer, then the output LUT."""
+    prev = feature_sids
+    for luts, live in zip(lgn.layers, _live_cone(lgn)):
+        prev = {j: _emit_lut(net, luts[j], prev) for j in sorted(live)}
+    return _emit_lut(net, lgn.output, prev)
+
+
 def logicnet_module(nets: list[LutNetwork], word_width: int | None = None):
     """Concatenate per-bit LUT networks into one word-level module.
 
-    ``nets[j]`` yields bit j of the output word, most significant first.
+    ``nets[j]`` yields bit j of the output word; see ``netlist.bit_module``.
     Only LUTs inside the output cone are emitted; dropped LUTs cannot affect
     the module's function.
     """
-    m = word_width if word_width is not None else len(nets)
-    total = nets[0].n_features
-    if any(n.n_features != total for n in nets):
-        raise ValueError("per-bit networks must share one feature space")
-    if total % m:
-        raise ValueError("feature count is not a whole number of words")
-    netl = nl.Netlist()
-    words = [netl.add_input(m, f"x{k}") for k in range(total // m)]
-    feature_sids = []
-    for word in words:
-        for j in range(m):
-            feature_sids.append(netl.add_gate("SLICE", (word,), (m - 1 - j, m - 1 - j)))
-    bit_outs = []
-    for lgn in nets:
-        live = _live_cone(lgn)
-        sig: dict[tuple[int, int], int] = {}
-        for layer, luts in enumerate(lgn.layers):
-            prev = feature_sids if layer == 0 else None
-            for j in sorted(live[layer]):
-                lut = luts[j]
-                sels = [
-                    prev[q] if prev is not None else sig[(layer - 1, q)]
-                    for q in lut.inputs
-                ]
-                sig[(layer, j)] = netl.add_gate(
-                    "LUT", sels, (lut.table_int(), len(lut.inputs))
-                )
-        last = len(lgn.layers) - 1
-        sels = [
-            sig[(last, q)] if last >= 0 else feature_sids[q]
-            for q in lgn.output.inputs
-        ]
-        bit_outs.append(
-            netl.add_gate("LUT", sels, (lgn.output.table_int(), len(lgn.output.inputs)))
-        )
-    out = bit_outs[0] if len(bit_outs) == 1 else netl.add_gate("CONCAT", tuple(bit_outs))
-    netl.set_output(out)
-    return netl
+    return nl.bit_module(nets, word_width, _emit_logicnet_bit)
 
 
 def logicnet_to_text(net: LutNetwork) -> str:

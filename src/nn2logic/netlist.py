@@ -1,8 +1,8 @@
-"""Word-level combinational IR and the three circuit builders.
+"""Word-level combinational IR, the direct builder and the module scaffolding.
 
 Gates are appended in topological order by construction; a completed netlist
 is treated as immutable.  Values are unsigned words at the declared widths;
-MUL/ADD/SUB/GT follow two's-complement semantics.  Conventions:
+MUL/ADD/GT follow two's-complement semantics.  Conventions:
 
 * bit 0 of a word is the least significant bit,
 * CONCAT lists its operands most significant first,
@@ -12,23 +12,9 @@ MUL/ADD/SUB/GT follow two's-complement semantics.  Conventions:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from nn2logic.fixedpoint import FixedPointFormat, from_int, quantize, signed_value
-
-PROB_FRAC_BITS = 8  # leaf class probabilities as unsigned fixed point
-
-
-def quantize_prob(p: float) -> int:
-    """Unsigned integer vote weight of a leaf probability."""
-    return min(1 << PROB_FRAC_BITS, int(round(p * (1 << PROB_FRAC_BITS))))
-
-
-GATE_KINDS = (
-    "CONST", "MUL", "ADD", "SUB", "GT", "GTU", "MUX", "SHR",
-    "SEXT", "SLICE", "CONCAT", "CLIP", "LUT", "NOT", "AND", "OR", "XOR",
-)
 
 
 @dataclass(frozen=True)
@@ -67,9 +53,6 @@ class Netlist:
     def set_output(self, sid: int) -> None:
         self.outputs.append(sid)
 
-    def width(self, sid: int) -> int:
-        return self.widths[sid]
-
     def add_gate(self, kind: str, operands, params=(), name=None) -> int:
         operands = tuple(operands)
         for op in operands:
@@ -85,8 +68,8 @@ class Netlist:
         if kind == "MUL":
             self._need(len(w) == 2 and w[0] == w[1], "MUL needs two equal-width operands")
             return 2 * w[0]
-        if kind in ("ADD", "SUB"):
-            self._need(len(w) == 2 and w[0] == w[1], f"{kind} needs two equal-width operands")
+        if kind == "ADD":
+            self._need(len(w) == 2 and w[0] == w[1], "ADD needs two equal-width operands")
             return w[0]
         if kind in ("GT", "GTU"):
             self._need(len(w) == 2 and w[0] == w[1], f"{kind} needs two equal-width operands")
@@ -123,12 +106,6 @@ class Netlist:
                 "LUT needs k 1-bit selects and a 2**k-entry table",
             )
             return 1
-        if kind == "NOT":
-            self._need(len(w) == 1, "NOT takes one operand")
-            return w[0]
-        if kind in ("AND", "OR", "XOR"):
-            self._need(len(w) == 2 and w[0] == w[1], f"{kind} needs two equal-width operands")
-            return w[0]
         raise ValueError(f"unknown gate kind {kind!r}")
 
     @staticmethod
@@ -189,8 +166,6 @@ def _eval_gate(net: Netlist, g: Gate, values: dict[int, int]) -> int:
         return prod & ((1 << (2 * w[0])) - 1)
     if kind == "ADD":
         return (ops[0] + ops[1]) & ((1 << w[0]) - 1)
-    if kind == "SUB":
-        return (ops[0] - ops[1]) & ((1 << w[0]) - 1)
     if kind == "GT":
         return int(signed_value(ops[0], w[0]) > signed_value(ops[1], w[1]))
     if kind == "GTU":
@@ -226,14 +201,6 @@ def _eval_gate(net: Netlist, g: Gate, values: dict[int, int]) -> int:
         for q, v in enumerate(ops):
             pattern |= (v & 1) << q
         return (table >> pattern) & 1
-    if kind == "NOT":
-        return ~ops[0] & ((1 << w[0]) - 1)
-    if kind == "AND":
-        return ops[0] & ops[1]
-    if kind == "OR":
-        return ops[0] | ops[1]
-    if kind == "XOR":
-        return ops[0] ^ ops[1]
     raise ValueError(f"unknown gate kind {kind!r}")
 
 
@@ -244,8 +211,6 @@ def merge_into(dst: Netlist, src: Netlist, input_map: dict[int, int]) -> dict[in
     """
     mapping = dict(input_map)
     for sid in src.inputs:
-        if sid not in mapping:
-            raise ValueError(f"unbound module input signal {sid}")
         if dst.widths[mapping[sid]] != src.widths[sid]:
             raise ValueError(f"width mismatch binding module input {sid}")
     for g in src.gates:
@@ -371,77 +336,26 @@ def build_network_direct(net_mlp, fmt: FixedPointFormat, input_names=None) -> Ne
     return cascade_modules(modules, net_mlp.layer_sizes, fmt, input_names)
 
 
-def _emit_tree(net: Netlist, feature_sids: list[int], node, width: int) -> tuple[int, int]:
-    """Comparator/mux cascade for one tree; returns (p0, p1) word signals."""
-    if node.feature is None:
-        return (
-            net.add_const(from_int(quantize_prob(node.p0), width)),
-            net.add_const(from_int(quantize_prob(node.p1), width)),
-        )
-    zero = net.add_const("0")
-    sel = net.add_gate("GTU", (feature_sids[node.feature], zero))
-    l0, l1 = _emit_tree(net, feature_sids, node.left, width)
-    r0, r1 = _emit_tree(net, feature_sids, node.right, width)
-    return (
-        net.add_gate("MUX", (sel, r0, l0)),
-        net.add_gate("MUX", (sel, r1, l1)),
-    )
+def bit_module(models, word_width: int | None, emit_bit) -> Netlist:
+    """One word-level module from per-bit models over the previous layer's bits.
 
-
-def build_tree(tree, width: int = PROB_FRAC_BITS + 1) -> Netlist:
-    """Single decision tree over 1-bit features; outputs the (p0, p1) pair.
-
-    Each internal node is emitted as a literal unsigned comparator of its
-    feature bit against zero, which the AIG folding later collapses to the
-    bit itself.
+    ``models[j]`` predicts bit j of the output word, most significant first,
+    and ``emit_bit(net, feature_sids, model)`` emits one of them into ``net``,
+    returning its 1-bit signal.  Inputs are the previous layer's m-bit words;
+    feature column k*m + j is the j-th most significant bit of word k.
     """
+    m = word_width if word_width is not None else len(models)
+    total = models[0].n_features
+    if any(model.n_features != total for model in models):
+        raise ValueError("per-bit models must share one feature space")
+    if total % m:
+        raise ValueError("feature count is not a whole number of words")
     net = Netlist()
-    sids = [net.add_input(1, f"f{k}") for k in range(tree.n_features)]
-    p0, p1 = _emit_tree(net, sids, tree.root, width)
-    net.set_output(p0)
-    net.set_output(p1)
-    return net
-
-
-def _emit_forest_bit(net: Netlist, feature_sids: list[int], model) -> int:
-    width = PROB_FRAC_BITS + 1 + math.ceil(math.log2(model.n_estimators))
-    sums = None
-    for tree in model.trees:
-        p0, p1 = _emit_tree(net, feature_sids, tree.root, width)
-        if sums is None:
-            sums = (p0, p1)
-        else:
-            sums = (
-                net.add_gate("ADD", (sums[0], p0)),
-                net.add_gate("ADD", (sums[1], p1)),
-            )
-    return net.add_gate("GTU", (sums[1], sums[0]))
-
-
-def build_forest_bit(model) -> Netlist:
-    """Forest vote circuit: per-tree probability pairs summed, then compared."""
-    net = Netlist()
-    sids = [net.add_input(1, f"f{k}") for k in range(model.n_features)]
-    net.set_output(_emit_forest_bit(net, sids, model))
-    return net
-
-
-def _emit_lut_mux(net: Netlist, entries, select_sids: list[int]) -> int:
-    if len(entries) == 1:
-        return net.add_const(str(int(entries[0])))
-    half = len(entries) // 2
-    lo = _emit_lut_mux(net, entries[:half], select_sids[:-1])
-    hi = _emit_lut_mux(net, entries[half:], select_sids[:-1])
-    return net.add_gate("MUX", (select_sids[-1], hi, lo))
-
-
-def build_lut(truth_entries) -> Netlist:
-    """Mux tree over constant entries; select line q carries weight 2**q."""
-    n = len(truth_entries)
-    k = n.bit_length() - 1
-    if n != 1 << k or k < 1:
-        raise ValueError("truth table must have 2**k entries for k >= 1")
-    net = Netlist()
-    sids = [net.add_input(1, f"s{q}") for q in range(k)]
-    net.set_output(_emit_lut_mux(net, list(truth_entries), sids))
+    words = [net.add_input(m, f"x{k}") for k in range(total // m)]
+    feature_sids = [
+        net.add_gate("SLICE", (word,), (m - 1 - j, m - 1 - j)) for word in words for j in range(m)
+    ]
+    bit_outs = [emit_bit(net, feature_sids, model) for model in models]
+    out = bit_outs[0] if len(bit_outs) == 1 else net.add_gate("CONCAT", tuple(bit_outs))
+    net.set_output(out)
     return net

@@ -1,13 +1,19 @@
 """End-to-end pipeline orchestration: train, distill, compile, sweep.
 
+``DISTILLERS`` is the one place a per-bit distiller is registered: its
+per-bit training, its word-level module, its model dump and its parameters.
+Compiling, sweeping and the CLI all dispatch through it.
 Grid sweeps fan out over processes; NN2LOGIC_THREADS caps the worker count.
 All randomness is derived from the config seeds, so reruns are byte-stable.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 from dataclasses import dataclass, field, fields
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -40,28 +46,50 @@ class PipelineConfig:
         return FixedPointFormat(self.total_bits, self.fractional_bits)
 
 
+def _error(where: str, msg: str) -> ValueError:
+    """``msg`` prefixed with the ``path:line`` it comes from, if it has one."""
+    return ValueError(f"{where}: {msg}" if where else msg)
+
+
+def _read_key_values(path) -> list[tuple[str, str, str]]:
+    """``(key, value, "path:line")`` per ``key=value`` line; ``#`` starts a comment."""
+    entries = []
+    with open(path) as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.split("#")[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ValueError(f"{path}:{lineno}: expected key=value")
+            key, _, val = line.partition("=")
+            entries.append((key.strip(), val.strip(), f"{path}:{lineno}"))
+    return entries
+
+
+def _convert(cast, key: str, val, where: str):
+    try:
+        return cast(val)
+    except ValueError:
+        raise _error(where, f"{key}: expected {cast.__name__}, got {val!r}") from None
+
+
+def _check_pipeline(name: str, where: str) -> None:
+    if name not in PIPELINES:
+        raise _error(where, f"unknown pipeline {name!r}")
+
+
 def parse_config(path=None, overrides: dict | None = None) -> PipelineConfig:
     """Flat key=value config file, then flag overrides on top."""
-    values: dict = {}
-    if path:
-        with open(path) as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.split("#")[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ValueError(f"{path}: line {lineno}: expected key=value")
-                key, _, val = line.partition("=")
-                values[key.strip()] = val.strip()
-    values.update({k: v for k, v in (overrides or {}).items() if v is not None})
+    entries = _read_key_values(path) if path else []
+    entries += [(k, v, "") for k, v in (overrides or {}).items() if v is not None]
     cfg = PipelineConfig()
     casts = {f.name: type(getattr(cfg, f.name)) for f in fields(PipelineConfig)}
-    for key, val in values.items():
+    for key, val, where in entries:
         if key not in casts:
-            raise ValueError(f"unknown config key {key!r}")
-        setattr(cfg, key, casts[key](val))
-    if cfg.pipeline not in ("direct", "rf", "logicnet"):
-        raise ValueError(f"unknown pipeline {cfg.pipeline!r}")
+            raise _error(where, f"unknown config key {key!r}")
+        if key == "pipeline":
+            _check_pipeline(val, where)
+        setattr(cfg, key, _convert(casts[key], key, val, where))
     return cfg
 
 
@@ -95,28 +123,32 @@ def compile_direct(net_mlp: mlp.Mlp, fmt: FixedPointFormat, input_names=None) ->
     return aig.sweep(aig.lower_netlist(word_net))
 
 
+def _train_modules(sets: list[mlp.QuantizedActivationDataset], train_bit, seed: int) -> dict:
+    """One model per (layer, node, bit), keyed by (layer, node).
+
+    ``train_bit(features, labels, seed=bit_seed)`` trains the model of one bit.
+    """
+    modules = {}
+    for z in sets:
+        modules[(z.layer_index, z.node_index)] = [
+            train_bit(
+                z.feature_bits,
+                z.label_bits[:, j],
+                seed=_bit_seed(seed, z.layer_index, z.node_index, j),
+            )
+            for j in range(z.fmt.total_bits)
+        ]
+    return modules
+
+
 def train_rf_modules(
     sets: list[mlp.QuantizedActivationDataset],
     n_estimators: int,
     max_depth: int,
     seed: int,
 ) -> dict[tuple[int, int], list[forest.RandomForestModel]]:
-    """One forest per (layer, node, bit), keyed by (layer, node)."""
-    modules: dict[tuple[int, int], list[forest.RandomForestModel]] = {}
-    for z in sets:
-        m = z.fmt.total_bits
-        models = [
-            forest.train_forest(
-                z.feature_bits,
-                z.label_bits[:, j],
-                n_estimators,
-                max_depth,
-                seed=_bit_seed(seed, z.layer_index, z.node_index, j),
-            )
-            for j in range(m)
-        ]
-        modules[(z.layer_index, z.node_index)] = models
-    return modules
+    train_bit = partial(forest.train_forest, n_estimators=n_estimators, max_depth=max_depth)
+    return _train_modules(sets, train_bit, seed)
 
 
 def train_lgn_modules(
@@ -126,32 +158,60 @@ def train_lgn_modules(
     lut_size: int,
     seed: int,
 ) -> dict[tuple[int, int], list[lutnet.LutNetwork]]:
-    modules: dict[tuple[int, int], list[lutnet.LutNetwork]] = {}
-    for z in sets:
-        m = z.fmt.total_bits
-        nets = [
-            lutnet.train_logicnet(
-                z.feature_bits,
-                z.label_bits[:, j],
-                depth,
-                width,
-                lut_size,
-                seed=_bit_seed(seed, z.layer_index, z.node_index, j),
-            )
-            for j in range(m)
-        ]
-        modules[(z.layer_index, z.node_index)] = nets
-    return modules
+    train_bit = partial(lutnet.train_logicnet, depth=depth, width=width, lut_size=lut_size)
+    return _train_modules(sets, train_bit, seed)
 
 
-def _cascade_distilled(
-    per_node, layer_sizes: list[int], fmt: FixedPointFormat, build, input_names=None
-) -> aig.AigGraph:
-    rows = []
-    for l in range(1, len(layer_sizes)):
-        rows.append([build(per_node[(l, n)]) for n in range(layer_sizes[l])])
-    word_net = netlist.cascade_modules(rows, layer_sizes, fmt, input_names)
-    return aig.sweep(aig.lower_netlist(word_net))
+@dataclass(frozen=True)
+class Distiller:
+    """A per-bit model family that stands in for each MLP neuron."""
+
+    train: Callable  # (sets, *parameter values, seed) -> models keyed by (layer, node)
+    module: Callable  # (per-bit models, word width) -> word-level Netlist
+    to_text: Callable  # one model -> its text dump
+    params: tuple[tuple[str, str], ...]  # (config and grid key, report label)
+
+
+DISTILLERS = {
+    "rf": Distiller(
+        train_rf_modules,
+        forest.forest_module,
+        forest.forest_to_text,
+        (("rf_estimators", "estimators"), ("rf_max_depth", "max_depth")),
+    ),
+    "logicnet": Distiller(
+        train_lgn_modules,
+        lutnet.logicnet_module,
+        lutnet.logicnet_to_text,
+        (("lgn_depth", "depth"), ("lgn_width", "width"), ("lgn_lut_size", "lut_size")),
+    ),
+}
+PIPELINES = ("direct", *DISTILLERS)
+
+
+def compile_distilled(
+    name: str,
+    net_mlp: mlp.Mlp,
+    sets,
+    fmt: FixedPointFormat,
+    params: dict,
+    seed: int,
+    input_names=None,
+):
+    """Distil every neuron with ``DISTILLERS[name]``, cascade, lower and sweep.
+
+    ``params`` maps each of the distiller's report labels to its value.
+    Returns the swept AIG and the trained models keyed by (layer, node).
+    """
+    distiller = DISTILLERS[name]
+    modules = distiller.train(sets, *(params[label] for _, label in distiller.params), seed)
+    sizes = net_mlp.layer_sizes
+    rows = [
+        [distiller.module(modules[(l, n)], fmt.total_bits) for n in range(sizes[l])]
+        for l in range(1, len(sizes))
+    ]
+    word_net = netlist.cascade_modules(rows, sizes, fmt, input_names)
+    return aig.sweep(aig.lower_netlist(word_net)), modules
 
 
 def compile_rf(
@@ -163,15 +223,9 @@ def compile_rf(
     seed: int,
     input_names=None,
 ):
-    modules = train_rf_modules(sets, n_estimators, max_depth, seed)
-    graph = _cascade_distilled(
-        modules,
-        net_mlp.layer_sizes,
-        fmt,
-        lambda models: forest.forest_module(models, fmt.total_bits),
-        input_names,
-    )
-    return graph, modules
+    """``compile_distilled("rf", ...)``; only the benchmark and tests call it."""
+    params = {"estimators": n_estimators, "max_depth": max_depth}
+    return compile_distilled("rf", net_mlp, sets, fmt, params, seed, input_names)
 
 
 def compile_logicnet(
@@ -184,27 +238,21 @@ def compile_logicnet(
     seed: int,
     input_names=None,
 ):
-    modules = train_lgn_modules(sets, depth, width, lut_size, seed)
-    graph = _cascade_distilled(
-        modules,
-        net_mlp.layer_sizes,
-        fmt,
-        lambda nets: lutnet.logicnet_module(nets, fmt.total_bits),
-        input_names,
-    )
-    return graph, modules
+    """``compile_distilled("logicnet", ...)``; only the benchmark and tests call it."""
+    params = {"depth": depth, "width": width, "lut_size": lut_size}
+    return compile_distilled("logicnet", net_mlp, sets, fmt, params, seed, input_names)
 
 
 def worker_count() -> int:
     cap = os.environ.get("NN2LOGIC_THREADS")
     if cap:
-        return max(1, int(cap))
+        return max(1, _convert(int, "NN2LOGIC_THREADS", cap, ""))
     return max(1, os.cpu_count() or 1)
 
 
 @dataclass
 class SweepGrid:
-    pipelines: list[str] = field(default_factory=lambda: ["direct", "rf", "logicnet"])
+    pipelines: list[str] = field(default_factory=lambda: list(PIPELINES))
     rf_estimators: list[int] = field(default_factory=lambda: [2, 3, 4])
     rf_max_depth: list[int] = field(default_factory=lambda: [5, 10, 15])
     lgn_depth: list[int] = field(default_factory=lambda: [2, 3, 4])
@@ -212,41 +260,31 @@ class SweepGrid:
     lgn_lut_size: list[int] = field(default_factory=lambda: [4, 6, 8])
 
     def points(self) -> list[tuple[str, dict]]:
-        pts: list[tuple[str, dict]] = []
-        if "direct" in self.pipelines:
-            pts.append(("direct", {}))
-        if "rf" in self.pipelines:
-            for t in self.rf_estimators:
-                for d in self.rf_max_depth:
-                    pts.append(("rf", {"estimators": t, "max_depth": d}))
-        if "logicnet" in self.pipelines:
-            for d in self.lgn_depth:
-                for w in self.lgn_width:
-                    for k in self.lgn_lut_size:
-                        pts.append(
-                            ("logicnet", {"depth": d, "width": w, "lut_size": k})
-                        )
+        """Direct first, then each distiller's parameter product in table order."""
+        pts: list[tuple[str, dict]] = [("direct", {})] if "direct" in self.pipelines else []
+        for name, distiller in DISTILLERS.items():
+            if name not in self.pipelines:
+                continue
+            labels = [label for _, label in distiller.params]
+            axes = [getattr(self, key) for key, _ in distiller.params]
+            pts += [(name, dict(zip(labels, values))) for values in itertools.product(*axes)]
         return pts
 
 
 def parse_grid(path) -> SweepGrid:
+    """key=value lines of comma-separated values, one line per grid axis."""
     grid = SweepGrid()
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#")[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}: line {lineno}: expected key=value")
-            key, _, val = line.partition("=")
-            key = key.strip()
-            items = [v.strip() for v in val.split(",") if v.strip()]
-            if key == "pipelines":
-                grid.pipelines = items
-            elif hasattr(grid, key):
-                setattr(grid, key, [int(v) for v in items])
-            else:
-                raise ValueError(f"{path}: line {lineno}: unknown grid key {key!r}")
+    axes = {f.name for f in fields(SweepGrid)}
+    for key, val, where in _read_key_values(path):
+        items = [v.strip() for v in val.split(",") if v.strip()]
+        if key not in axes:
+            raise _error(where, f"unknown grid key {key!r}")
+        if key == "pipelines":
+            for name in items:
+                _check_pipeline(name, where)
+            grid.pipelines = items
+        else:
+            setattr(grid, key, [_convert(int, key, v, where) for v in items])
     return grid
 
 
@@ -260,14 +298,8 @@ def _sweep_point(task):
     fmt, net_mlp, sets, seed = st["fmt"], st["mlp"], st["sets"], st["seed"]
     if pipeline == "direct":
         graph = compile_direct(net_mlp, fmt)
-    elif pipeline == "rf":
-        graph, _ = compile_rf(
-            net_mlp, sets, fmt, params["estimators"], params["max_depth"], seed
-        )
     else:
-        graph, _ = compile_logicnet(
-            net_mlp, sets, fmt, params["depth"], params["width"], params["lut_size"], seed
-        )
+        graph, _ = compile_distilled(pipeline, net_mlp, sets, fmt, params, seed)
     report = analysis.evaluate_packed(
         graph,
         st["words"],

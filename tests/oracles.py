@@ -50,3 +50,13 @@ def neuron_reference(weights: list[int], x: list[int], bias: int | None,
     lo = -(1 << (m - 1))
     v = max(lo, min(hi, v))
     return v & ((1 << m) - 1)
+
+
+def exact_vote_sums(model, feature_row) -> tuple[float, float]:
+    """Unquantized per-class leaf-probability sums of a random forest."""
+    s0 = s1 = 0.0
+    for tree in model.trees:
+        leaf = tree.leaf_for([int(b) for b in feature_row])
+        s0 += leaf.p0
+        s1 += leaf.p1
+    return s0, s1

@@ -88,7 +88,7 @@ def test_mux_lowering_exhaustive_and_small():
                 assert simulate_aig(g, [sv, av, bv]) == [want]
 
 
-@pytest.mark.parametrize("kind", ["ADD", "SUB", "MUL", "GT", "GTU"])
+@pytest.mark.parametrize("kind", ["ADD", "MUL", "GT", "GTU"])
 def test_lowering_exhaustive_width4(kind):
     net = two_input_netlist(kind)
     g = lower_netlist(net)
@@ -100,8 +100,6 @@ def test_lowering_exhaustive_width4(kind):
             sa, sb = to_signed(from_int(a, 4)), to_signed(from_int(b, 4))
             if kind == "ADD":
                 want = (a + b) % 16
-            elif kind == "SUB":
-                want = (a - b) % 16
             elif kind == "MUL":
                 want = (sa * sb) % 256
             elif kind == "GT":
@@ -156,7 +154,7 @@ def test_strash_idempotent_double_lowering():
     net = build_neuron(["0100", "1110"], True, fmt)
     g = lower_netlist(net)
     before = g.num_nodes
-    lower_netlist(net, graph=g)
+    import_graph(g, lower_netlist(net), [node << 1 for node in g.inputs])
     assert g.num_nodes == before
 
 

@@ -8,7 +8,6 @@ from nn2logic.fixedpoint import (
     FixedPointFormat,
     dequantize,
     quantize,
-    quantize_matrix,
 )
 
 from oracles import quantize_reference
@@ -52,20 +51,6 @@ def test_dequantize_examples():
 def test_dequantize_width_mismatch():
     with pytest.raises(ValueError):
         dequantize("010", FMT42)
-
-
-def test_quantize_matrix():
-    zero = quantize_matrix([[0.0, 0.0], [0.0, 0.0]], FMT42)
-    assert zero == [["0000", "0000"], ["0000", "0000"]]
-    eye = quantize_matrix([[1.0, 0.0], [0.0, 1.0]], FMT42)
-    assert eye == [["0100", "0000"], ["0000", "0100"]]
-    clipped = quantize_matrix([[10.0]], FMT42)
-    assert clipped == [["0111"]]
-
-
-def test_quantize_matrix_error_carries_index():
-    with pytest.raises(ValueError, match=r"\(1, 0\)"):
-        quantize_matrix([[0.0], [float("nan")]], FMT42)
 
 
 @st.composite

@@ -3,15 +3,17 @@ import pytest
 
 from nn2logic.aig import lower_netlist, simulate_batch
 from nn2logic.forest import (
+    PROB_FRAC_BITS,
     RandomForestModel,
-    exact_vote_sums,
     forest_from_text,
     forest_module,
     forest_to_text,
     predict_forest,
     train_forest,
 )
-from nn2logic.netlist import PROB_FRAC_BITS, build_forest_bit, simulate_netlist
+from nn2logic.netlist import simulate_netlist
+
+from oracles import exact_vote_sums
 
 
 def rows_to_words(rows: np.ndarray, m: int) -> list[int]:
@@ -91,12 +93,10 @@ def test_tree_circuit_shape_depth2():
     model = train_forest(x, y, 1, 2, seed=1, bootstrap=False, feature_subsample=False)
     tree = model.trees[0]
     assert tree.depth() == 2
-    from nn2logic.netlist import build_tree
-
-    net = build_tree(tree)
+    net = forest_module([model], word_width=1)
     comparators = sum(1 for g in net.gates if g.kind == "GTU")
     muxes = sum(1 for g in net.gates if g.kind == "MUX")
-    assert comparators == 3  # one per internal node
+    assert comparators == 3 + 1  # one per internal node, plus the vote
     assert muxes == 6  # three mux levels per probability word
 
 
@@ -104,7 +104,7 @@ def test_stump_selects_right_leaf():
     x = np.array([[0], [1]] * 10, dtype=np.uint8)
     y = np.array([0, 1] * 10)
     model = train_forest(x, y, 1, 1, seed=0, bootstrap=False)
-    net = build_forest_bit(model)
+    net = forest_module([model], word_width=1)
     assert simulate_netlist(net, ["1"]) == ["1"]
     assert simulate_netlist(net, ["0"]) == ["0"]
 
@@ -114,7 +114,7 @@ def test_forest_bit_netlist_matches_software():
     x = rng.integers(0, 2, size=(100, 6)).astype(np.uint8)
     y = rng.integers(0, 2, size=100)
     model = train_forest(x, y, 3, 3, seed=8)
-    net = build_forest_bit(model)
+    net = forest_module([model], word_width=1)
     for row in x[:50]:
         got = simulate_netlist(net, [str(int(b)) for b in row])[0]
         assert int(got) == predict_forest(model, row)

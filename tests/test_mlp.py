@@ -246,6 +246,14 @@ def test_dataset_csv_roundtrip(tmp_path):
     assert back.feature_names == data.feature_names
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_read_dataset_rejects_non_finite_cells(tmp_path, cell):
+    path = tmp_path / "d.csv"
+    path.write_text(f"a,b,label\n0.5,1.0,0\n0.25,{cell},1\n")
+    with pytest.raises(ValueError, match=rf"d\.csv:3: non-finite value in column 'b'"):
+        read_dataset(path)
+
+
 def test_stratified_split_deterministic_and_disjoint():
     data = make_overlapping_gaussians(100, 3, seed=7)
     tr1, te1 = stratified_split(data, 0.2, seed=11)
