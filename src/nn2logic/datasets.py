@@ -41,6 +41,31 @@ class LabeledDataset:
         )
 
 
+def bit_training_set(features, labels) -> tuple[np.ndarray, np.ndarray]:
+    """Check a distiller's training input; return uint8 features and int64 labels.
+
+    ``features`` is an (n, F) matrix and ``labels`` an (n,) vector, all
+    values 0 or 1.  Anything else raises ``ValueError`` naming the first
+    offending value, so no distiller trains on a value its counters or
+    splits would misread.
+    """
+    x = np.asarray(features)
+    y = np.asarray(labels)
+    if x.ndim != 2 or len(x) == 0:
+        raise ValueError("features must be a non-empty bit matrix")
+    if y.shape != (len(x),):
+        raise ValueError(
+            f"row mismatch: {len(x)} feature rows, labels of shape {y.shape}"
+        )
+    for name, values in (("feature", x), ("label", y)):
+        bad = (values != 0) & (values != 1)
+        if bad.any():
+            at = tuple(np.argwhere(bad)[0])
+            place = f"row {at[0]}" + (f", column {at[1]}" if len(at) > 1 else "")
+            raise ValueError(f"{name} value {values[at].item()!r} at {place} is not 0 or 1")
+    return x.astype(np.uint8, copy=False), y.astype(np.int64, copy=False)
+
+
 def read_dataset(path) -> LabeledDataset:
     """Read a comma-separated file: header row, last column integer label."""
     with open(path, newline="") as fh:

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from nn2logic import netlist as nl
+from nn2logic.datasets import bit_training_set
 from nn2logic.fixedpoint import from_int
 
 PROB_FRAC_BITS = 8  # leaf class probabilities as unsigned fixed point
@@ -117,10 +118,7 @@ def train_forest(
     bootstrap: bool = True,
     feature_subsample: bool = True,
 ) -> RandomForestModel:
-    x = np.asarray(features, dtype=np.uint8)
-    y = np.asarray(labels, dtype=np.int64)
-    if x.ndim != 2 or len(x) == 0:
-        raise ValueError("features must be a non-empty bit matrix")
+    x, y = bit_training_set(features, labels)
     if n_estimators < 1:
         raise ValueError("need at least one estimator")
     n, f = x.shape

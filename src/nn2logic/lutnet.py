@@ -1,11 +1,23 @@
 """Randomly wired LUT networks trained by pattern counting, plus lowering.
 
 Each LUT draws K distinct inputs from the previous layer (raw feature bits
-for the first layer).  Training is one counting sweep per layer: every
-sample bumps counter[pattern][label], after which the LUT freezes to the
-majority label per pattern; ties and never-seen patterns freeze to 0.
-Later layers train on the frozen outputs of earlier ones, and a final
-K-input LUT wired into the last hidden layer emits the bit.
+for the first layer); input j is bit j of the LUT's pattern index.
+Training is one counting sweep per layer: every sample bumps
+counter[pattern][label], after which the LUT freezes to the majority label
+per pattern; ties and never-seen patterns freeze to 0.  Later layers train
+on the frozen outputs of earlier ones, and a final K-input LUT wired into
+the last hidden layer emits the bit.
+
+Training counts on sample-packed columns.  Every feature bit, label and LUT
+output is a row of uint64 words in which sample i is bit i % 64 of word
+i // 64.  A layer expands each LUT's K input columns into its 2**K minterm
+masks, one per pattern, by K AND / AND-NOT steps; counter[p][1] is the
+popcount of minterm p ANDed with the ``ones`` mask of the labels, and
+counter[p][0] with ``zeros = valid & ~ones``.  The padding bits past sample
+n - 1 in the last word are set in some minterms, but ``valid`` keeps them
+out of both masks, so they never reach a counter.  A LUT's output column
+is the OR of the minterms its table maps to 1, so each layer forms its
+patterns once.
 """
 
 from __future__ import annotations
@@ -15,6 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from nn2logic import netlist as nl
+from nn2logic.datasets import bit_training_set
 
 
 @dataclass
@@ -42,22 +55,35 @@ class LutNetwork:
 
 
 def _sample_wiring(rng, pool: int, k: int) -> tuple[int, ...]:
-    return tuple(int(v) for v in np.sort(rng.choice(pool, size=k, replace=False)))
+    return tuple(np.sort(rng.choice(pool, size=k, replace=False)).tolist())
 
 
-def _freeze(counts: np.ndarray) -> np.ndarray:
-    return (counts[:, 1] > counts[:, 0]).astype(np.uint8)
+def _pack(bits: np.ndarray) -> np.ndarray:
+    """(..., n) 0/1 array to (..., ceil(n / 64)) words; sample i is bit i % 64 of word i // 64."""
+    packed = np.packbits(np.ascontiguousarray(bits), axis=-1, bitorder="little")
+    pad = [(0, 0)] * (packed.ndim - 1) + [(0, -packed.shape[-1] % 8)]
+    return np.pad(packed, pad).view("<u8")
 
 
-def _count_layer(prev_bits: np.ndarray, wirings, k: int, labels: np.ndarray):
-    """Counters and frozen tables for one layer, all LUTs at once."""
-    pow2 = 1 << np.arange(k, dtype=np.int64)
-    gathered = prev_bits[:, np.asarray(wirings)]  # (n, W, K)
-    patterns = gathered.astype(np.int64) @ pow2  # (n, W)
-    w = len(wirings)
-    flat = (np.arange(w, dtype=np.int64) << (k + 1)) + patterns * 2 + labels[:, None]
-    counts = np.bincount(flat.ravel(), minlength=w << (k + 1)).reshape(w, 1 << k, 2)
-    return counts
+def _popcount(words: np.ndarray) -> np.ndarray:
+    return np.bitwise_count(words).sum(axis=-1, dtype=np.int64)
+
+
+def _train_layer(cols: np.ndarray, wirings, ones: np.ndarray, zeros: np.ndarray):
+    """Counters (W, 2**K, 2), tables (W, 2**K) and packed outputs of one layer."""
+    inputs = cols[np.asarray(wirings)]  # (W, K, words)
+    w, k, n_words = inputs.shape
+    minterms = np.empty((w, 1 << k, n_words), dtype=cols.dtype)
+    minterms[:, 0] = ~np.uint64(0)
+    for j in range(k):  # minterm p + 2**j is minterm p with input j at 1
+        col = inputs[:, j, None, :]
+        low = minterms[:, : 1 << j]
+        np.bitwise_and(low, col, out=minterms[:, 1 << j : 2 << j])
+        low &= ~col
+    counts = np.stack([_popcount(minterms & zeros), _popcount(minterms & ones)], axis=-1)
+    tables = (counts[..., 1] > counts[..., 0]).astype(np.uint8)
+    minterms[tables == 0] = 0
+    return counts, tables, np.bitwise_or.reduce(minterms, axis=1)
 
 
 def _layer_outputs(prev_bits: np.ndarray, luts: list[Lut]) -> np.ndarray:
@@ -71,10 +97,7 @@ def _layer_outputs(prev_bits: np.ndarray, luts: list[Lut]) -> np.ndarray:
 def train_logicnet(
     features, labels, depth: int, width: int, lut_size: int, seed: int = 0
 ) -> LutNetwork:
-    x = np.asarray(features, dtype=np.uint8)
-    y = np.asarray(labels, dtype=np.int64)
-    if x.ndim != 2 or len(x) == 0:
-        raise ValueError("features must be a non-empty bit matrix")
+    x, y = bit_training_set(features, labels)
     n_features = x.shape[1]
     if lut_size > n_features:
         raise ValueError(f"lut_size {lut_size} exceeds the {n_features} feature bits")
@@ -90,14 +113,15 @@ def train_logicnet(
     out_pool = width if depth else n_features
     out_wiring = _sample_wiring(rng, out_pool, min(lut_size, out_pool))
 
-    prev = x
+    ones = _pack(y)
+    valid = _pack(np.ones_like(y))
+    zeros = valid & ~ones
+    cols = _pack(x.T)
     for wirings in layer_wirings:
-        counts = _count_layer(prev, wirings, lut_size, y)
-        luts = [Lut(wire, counts[j], _freeze(counts[j])) for j, wire in enumerate(wirings)]
-        net.layers.append(luts)
-        prev = _layer_outputs(prev, luts)
-    counts = _count_layer(prev, [out_wiring], len(out_wiring), y)
-    net.output = Lut(out_wiring, counts[0], _freeze(counts[0]))
+        counts, tables, cols = _train_layer(cols, wirings, ones, zeros)
+        net.layers.append([Lut(wire, counts[j], tables[j]) for j, wire in enumerate(wirings)])
+    counts, tables, _ = _train_layer(cols, [out_wiring], ones, zeros)
+    net.output = Lut(out_wiring, counts[0], tables[0])
     return net
 
 

@@ -262,6 +262,8 @@ def load_weights(path) -> Mlp:
                 bias[r] = float(vals[-1])
             except ValueError:
                 raise WeightsParseError(f"line {no}: non-numeric weight") from None
+            if not (np.isfinite(weights[r]).all() and np.isfinite(bias[r])):
+                raise WeightsParseError(f"{path}:{no}: non-finite weight")
         layers.append(DenseLayer(weights, bias, act))
 
     scaler = None
@@ -276,6 +278,8 @@ def load_weights(path) -> Mlp:
             flat = np.array([float(v) for v in nums])
         except ValueError:
             raise WeightsParseError(f"line {no}: non-numeric scaler value") from None
+        if not np.isfinite(flat).all():
+            raise WeightsParseError(f"{path}:{no}: non-finite scaler value")
         scaler = FeatureScaler(flat[0::2], flat[1::2])
     if pos < len(lines):
         no, _ = lines[pos]
@@ -346,7 +350,14 @@ class QuantizedActivationDataset:
 def quantize_to_bits(values: np.ndarray, fmt: FixedPointFormat) -> np.ndarray:
     """Vectorized quantization of (n, k) floats to (n, k*m) bit columns."""
     m, i = fmt.total_bits, fmt.fractional_bits
-    scaled = np.trunc(np.asarray(values, dtype=float) * float(1 << i))
+    values = np.asarray(values, dtype=float)
+    bad = ~np.isfinite(values)
+    if bad.any():
+        r, c = np.argwhere(bad)[0]
+        raise ValueError(
+            f"cannot quantize non-finite value {values[r, c].item()!r} at row {r}, column {c}"
+        )
+    scaled = np.trunc(values * float(1 << i))
     ints = np.clip(scaled, fmt.min_int, fmt.max_int).astype(np.int64)
     words = ints & ((1 << m) - 1)
     n, k = words.shape

@@ -60,3 +60,29 @@ def exact_vote_sums(model, feature_row) -> tuple[float, float]:
         s0 += leaf.p0
         s1 += leaf.p1
     return s0, s1
+
+
+def lut_counts_reference(rows, inputs, labels) -> list[list[int]]:
+    """counts[pattern][label] of one LUT, bumped one sample at a time.
+
+    ``rows[s][q]`` is bit q of the LUT's input layer for sample s; input j
+    of the LUT (``inputs[j]``) is bit j of the pattern.
+    """
+    counts = [[0, 0] for _ in range(1 << len(inputs))]
+    for row, label in zip(rows, labels):
+        pattern = 0
+        for j, q in enumerate(inputs):
+            pattern |= int(row[q]) << j
+        counts[pattern][int(label)] += 1
+    return counts
+
+
+def lut_output_reference(rows, inputs, table) -> list[int]:
+    """Per-sample output bit of one LUT with the given truth table."""
+    out = []
+    for row in rows:
+        pattern = 0
+        for j, q in enumerate(inputs):
+            pattern |= int(row[q]) << j
+        out.append(int(table[pattern]))
+    return out

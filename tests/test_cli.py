@@ -211,3 +211,24 @@ def test_sweep_rejects_an_unknown_pipeline_at_its_line(tmp_path, capsys):
     grid_path.write_text("pipelines=direct,rff\n")
     assert cli.main(["sweep", str(tmp_path / "absent.csv"), "--grid", str(grid_path)]) == 2
     assert f"{grid_path}:1: unknown pipeline 'rff'" in capsys.readouterr().err
+
+
+def test_compile_rejects_a_nan_weight_at_its_line(tmp_path, capsys):
+    csv = str(tmp_path / "data.csv")
+    write_dataset(make_overlapping_gaussians(40, 5, seed=2), csv)
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(TINY_CONFIG)
+    rows = [" ".join(["0.5"] * 5 + ["0.0"])] * 5 + [" ".join(["0.25"] * 5 + ["0.0"])] * 2
+    good = ["mlp 2", "layer 5 5 relu", *rows[:5], "layer 5 2 identity", *rows[5:]]
+    bad = list(good)
+    bad[3] = "0.5 0.5 nan 0.5 0.5 0.0"
+    out = str(tmp_path / "out")
+    common = ["--config", str(cfg), "--pipeline", "logicnet", "--out", out]
+    for name, lines in (("good.txt", good), ("bad.txt", bad)):
+        (tmp_path / name).write_text("\n".join(lines) + "\n")
+    assert cli.main(["compile", csv, str(tmp_path / "good.txt"), *common]) == 0
+    os.remove(os.path.join(out, "logicnet.aag"))
+    capsys.readouterr()
+    assert cli.main(["compile", csv, str(tmp_path / "bad.txt"), *common]) == 2
+    assert f"{tmp_path / 'bad.txt'}:4: non-finite weight" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "logicnet.aag"))

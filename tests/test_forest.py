@@ -157,3 +157,17 @@ def test_probability_quantization_soundness():
             s0, s1 = exact_vote_sums(model, row)
             if abs(s1 - s0) > margin:
                 assert predict_forest(model, row) == int(s1 > s0)
+
+
+@pytest.mark.parametrize(
+    "x, y, match",
+    [
+        ([[0, 1], [2, 0]], [0, 1], "feature value 2 at row 1, column 0"),
+        ([[0, 1], [1, 0]], [0, 2], "label value 2 at row 1"),
+        ([[0, 1], [1, 0]], [0, 1, 1], "row mismatch: 2 feature rows"),
+    ],
+    ids=["feature-2", "label-2", "row-mismatch"],
+)
+def test_rejects_bad_training_input(x, y, match):
+    with pytest.raises(ValueError, match=match):
+        train_forest(np.array(x), np.array(y), 1, 2)

@@ -1,6 +1,12 @@
+import hashlib
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from nn2logic import lutnet
 from nn2logic.aig import lower_netlist, simulate_batch
 from nn2logic.lutnet import (
     eval_logicnet,
@@ -11,6 +17,8 @@ from nn2logic.lutnet import (
     train_logicnet,
 )
 from nn2logic.netlist import simulate_netlist
+
+from oracles import lut_counts_reference, lut_output_reference
 
 
 def rows_to_words(rows: np.ndarray, m: int) -> list[int]:
@@ -129,3 +137,86 @@ def test_output_stage_shrinks_to_pool():
     net = train_logicnet(x, y, depth=1, width=1, lut_size=2, seed=0)
     assert len(net.output.inputs) == 1
     assert all(eval_logicnet(net, row) == (row[0] & row[1]) for row in x)
+
+
+@pytest.mark.parametrize(
+    "x, y, match",
+    [
+        ([[0, 1], [2, 0]], [0, 1], "feature value 2 at row 1, column 0"),
+        ([[0, 1], [1, 0]], [0, 2], "label value 2 at row 1"),
+        ([[0, 1], [1, 0]], [0, 1, 1], "row mismatch: 2 feature rows"),
+    ],
+    ids=["feature-2", "label-2", "row-mismatch"],
+)
+def test_rejects_bad_training_input(x, y, match):
+    with pytest.raises(ValueError, match=match):
+        train_logicnet(np.array(x), np.array(y), depth=1, width=2, lut_size=2)
+
+
+def _unpack(words: np.ndarray, n: int) -> list[list[int]]:
+    """Packed (W, words) LUT outputs back to n rows of W bits."""
+    bits = np.unpackbits(words.view(np.uint8), axis=-1, count=n, bitorder="little")
+    return bits.T.tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.sampled_from([1, 63, 64, 65, 127, 200]),
+    depth=st.integers(0, 3),
+    lut_size=st.integers(1, 8),
+    spare=st.integers(0, 3),
+    labels=st.sampled_from(["random", "all-0", "all-1"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_counts_tables_and_outputs_match_per_sample_oracle(
+    n, depth, lut_size, spare, labels, seed
+):
+    rng = np.random.default_rng(seed)
+    width = lut_size + spare
+    x = rng.integers(0, 2, size=(n, lut_size + spare)).astype(np.uint8)
+    y = {
+        "random": rng.integers(0, 2, size=n),
+        "all-0": np.zeros(n, dtype=int),
+        "all-1": np.ones(n, dtype=int),
+    }[labels]
+    trained_outputs = []
+    train_layer = lutnet._train_layer
+
+    def recording(*args):
+        result = train_layer(*args)
+        trained_outputs.append(result[2])
+        return result
+
+    with mock.patch.object(lutnet, "_train_layer", recording):
+        net = train_logicnet(x, y, depth, width, lut_size, seed=seed % 1000)
+
+    rows = x.tolist()
+    for luts, packed in zip(net.layers + [[net.output]], trained_outputs):
+        for lut in luts:
+            want = np.array(lut_counts_reference(rows, lut.inputs, y), dtype=np.int64)
+            assert lut.counts.dtype == want.dtype and lut.counts.shape == want.shape
+            assert np.array_equal(lut.counts, want)
+            assert lut.table.dtype == np.uint8
+            assert lut.table.tolist() == [int(c1 > c0) for c0, c1 in want.tolist()]
+        outs = [lut_output_reference(rows, lut.inputs, lut.table) for lut in luts]
+        rows = [list(r) for r in zip(*outs)]
+        assert _unpack(packed, n) == rows
+    assert eval_logicnet_batch(net, x).tolist() == [r[0] for r in rows]
+
+
+# sha256 of the dumps and counters below, computed before training moved
+# to packed columns; packing must not change a single count
+GOLDEN_DIGEST = "e22edb27e34d3e7eb7200387b9cb070c629a3305e0feeb05434f17b583c2673b"
+
+
+def test_dumps_and_counts_match_golden_digest():
+    rng = np.random.default_rng(2020)
+    x = rng.integers(0, 2, size=(300, 24)).astype(np.uint8)
+    y = (x[:, 0] ^ (x[:, 3] & x[:, 7]) ^ (rng.random(300) < 0.1)).astype(int)
+    digest = hashlib.sha256()
+    for depth, width, lut_size in ((0, 1, 5), (1, 8, 3), (2, 16, 4), (3, 12, 6)):
+        net = train_logicnet(x, y, depth, width, lut_size, seed=depth)
+        digest.update(logicnet_to_text(net).encode())
+        for lut in [l for layer in net.layers for l in layer] + [net.output]:
+            digest.update(lut.counts.astype("<i8").tobytes())
+    assert digest.hexdigest() == GOLDEN_DIGEST

@@ -115,6 +115,22 @@ def test_load_reports_line_numbers(tmp_path):
         load_weights(path)
 
 
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("mlp 1\nlayer 2 1 identity\n1.0 nan 0.0\n", 3),
+        ("mlp 1\nlayer 2 1 identity\n1.0 1.0 -inf\n", 3),
+        ("mlp 1\nlayer 2 1 identity\n1.0 1.0 0.0\nscaler 0 1 0 inf\n", 4),
+    ],
+    ids=["nan-weight", "inf-bias", "inf-scaler"],
+)
+def test_load_rejects_non_finite_values_at_their_line(tmp_path, text, line):
+    path = tmp_path / "w.txt"
+    path.write_text(text)
+    with pytest.raises(WeightsParseError, match=rf"w\.txt:{line}: non-finite"):
+        load_weights(path)
+
+
 def test_load_simple_sum_net(tmp_path):
     path = tmp_path / "w.txt"
     path.write_text("mlp 1\nlayer 2 1 identity\n1.0 1.0 0.0\n")
@@ -188,6 +204,13 @@ def test_quantize_to_bits_matches_scalar():
     expect = [quantize(v, FMT) for v in (0.0, 1.0, -0.5, 10.0)]
     got = "".join(str(b) for b in bits.reshape(-1))
     assert got == "".join(expect)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_quantize_to_bits_rejects_non_finite_values(value):
+    vals = np.array([[0.0, 1.0], [-0.5, value]])
+    with pytest.raises(ValueError, match=f"non-finite value {value!r} at row 1, column 1"):
+        quantize_to_bits(vals, FMT)
 
 
 def test_distillation_set_count_and_shapes():
