@@ -206,15 +206,27 @@ def _is_positive(g: AigGraph, a: list[int], b: list[int], signed: bool) -> int:
     return g.and2(diff[-1] ^ 1, nonzero)
 
 
-def _multiply(g: AigGraph, a: list[int], b: list[int]) -> list[int]:
-    """Shift-and-add product of sign-extended operands, truncated to 2w."""
-    w2 = 2 * len(a)
-    aa = a + [a[-1]] * (w2 - len(a))
-    bb = b + [b[-1]] * (w2 - len(b))
-    acc = [0] * w2
-    for j, bj in enumerate(bb):
-        partial = [g.and2(bj, aa[k]) for k in range(w2 - j)]
-        acc[j:] = _ripple_add(g, acc[j:], partial)
+def _weighted_sum(g: AigGraph, xs: list[list[int]], weights, bias: int) -> list[int]:
+    """``bias + sum(weights[k] * xs[k])`` over signed m-bit words, wrapped to 3m bits.
+
+    Each product is formed at 2m bits by shift-and-add: row j is bit j of the
+    sign-extended x times the constant weight's bits, shifted up j places.
+    The products are sign-extended to 3m bits and ripple-added in operand
+    order, the bias constant last.
+    """
+    m = len(xs[0])
+    terms = []
+    for x, w in zip(xs, weights):
+        xx = x + [x[-1]] * m
+        prod = [0] * (2 * m)
+        for j, bit in enumerate(xx):
+            row = [bit if (w >> k) & 1 else 0 for k in range(2 * m - j)]
+            prod[j:] = _ripple_add(g, prod[j:], row)
+        terms.append(prod + [prod[-1]] * m)
+    terms.append([(bias >> j) & 1 for j in range(3 * m)])
+    acc = terms[0]
+    for t in terms[1:]:
+        acc = _ripple_add(g, acc, t)
     return acc
 
 
@@ -261,8 +273,8 @@ def lower_netlist(net: Netlist) -> AigGraph:
         kind = gate.kind
         if kind == "CONST":
             word = [int(c) for c in reversed(gate.params[0])]
-        elif kind == "MUL":
-            word = _multiply(g, ops[0], ops[1])
+        elif kind == "WSUM":
+            word = _weighted_sum(g, ops, *gate.params)
         elif kind == "ADD":
             word = _ripple_add(g, ops[0], ops[1])
         elif kind == "GT":
@@ -277,9 +289,6 @@ def lower_netlist(net: Netlist) -> AigGraph:
             w = len(ops[0])
             fill = ops[0][-1] if arith else 0
             word = [ops[0][j + amount] if j + amount < w else fill for j in range(w)]
-        elif kind == "SEXT":
-            (to,) = gate.params
-            word = ops[0] + [ops[0][-1]] * (to - len(ops[0]))
         elif kind == "SLICE":
             lo, hi = gate.params
             word = ops[0][lo : hi + 1]

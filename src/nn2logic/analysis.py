@@ -1,4 +1,4 @@
-"""Circuit evaluation, equation reports, and input-influence analysis."""
+"""Circuit evaluation and equation reports."""
 
 from __future__ import annotations
 
@@ -22,9 +22,7 @@ class EvaluationReport:
     config: dict = field(default_factory=dict)
 
     def settings_text(self) -> str:
-        skip = {"total_bits", "fractional_bits"}
-        parts = [f"{k}={v}" for k, v in self.config.items() if k not in skip]
-        return " ".join(parts) if parts else "-"
+        return " ".join(f"{k}={v}" for k, v in self.config.items()) or "-"
 
     def csv_row(self) -> str:
         return (
@@ -212,90 +210,3 @@ def emit_equations(
         if w not in out_words:
             out_words.append(w)
     return EquationReport(title, in_words, out_words, lines)
-
-
-def parse_equations(text_or_lines, input_names: list[str]) -> AigGraph:
-    """Rebuild a graph from equation lines for round-trip simulation."""
-    if isinstance(text_or_lines, str):
-        lines = [
-            ln.strip()
-            for ln in text_or_lines.splitlines()
-            if "=" in ln and ln.strip().endswith(";")
-        ]
-    else:
-        lines = list(text_or_lines)
-    g = AigGraph()
-    env: dict[str, int] = {}
-    for name in input_names:
-        env[name] = g.add_input(name)
-
-    def operand(token: str) -> int:
-        token = token.strip()
-        comp = 0
-        if token.startswith("NOT "):
-            comp = 1
-            token = token[4:].strip()
-        if token == "0":
-            return comp
-        if token == "1":
-            return comp ^ 1
-        if token not in env:
-            raise ValueError(f"equation references undefined net {token!r}")
-        return env[token] ^ comp
-
-    outputs: list[tuple[str, int]] = []
-    for ln in lines:
-        lhs, rhs = ln[:-1].split("=", 1)
-        lhs = lhs.strip()
-        rhs = rhs.strip()
-        if " AND " in rhs:
-            a, b = rhs.split(" AND ", 1)
-            literal = g.and2(operand(a), operand(b))
-        else:
-            literal = operand(rhs)
-        env[lhs] = literal
-        if not (lhs.startswith("n") and lhs[1:].isdigit()):
-            outputs.append((lhs, literal))
-    for name, literal in outputs:
-        g.add_output(literal, name)
-    return g
-
-
-def structural_support(g: AigGraph, output_index: int) -> set[int]:
-    """Input positions reachable backward from the output (cone of influence)."""
-    f0, f1 = g.fanin0, g.fanin1
-    pos_of = {node: k for k, node in enumerate(g.inputs)}
-    seen = bytearray(len(f0))
-    found: set[int] = set()
-    stack = [g.outputs[output_index] >> 1]
-    while stack:
-        node = stack.pop()
-        if seen[node]:
-            continue
-        seen[node] = 1
-        if f0[node] >= 0:
-            stack.append(f0[node] >> 1)
-            stack.append(f1[node] >> 1)
-        elif node in pos_of:
-            found.add(pos_of[node])
-    return found
-
-
-def controlling_inputs(g: AigGraph, input_vector, output_index: int) -> set[int]:
-    """Input positions whose single bit flip changes the chosen output.
-
-    Lane 0 simulates the vector as given; lane k+1 simulates it with input k
-    flipped, so one batch pass covers every candidate.
-    """
-    bits = [int(b) & 1 for b in input_vector]
-    n = len(bits)
-    if n != len(g.inputs):
-        raise ValueError(f"expected {len(g.inputs)} input bits, got {n}")
-    lanes = n + 1
-    words = []
-    for k, b in enumerate(bits):
-        base = ((1 << lanes) - 1) if b else 0
-        words.append(base ^ (1 << (k + 1)))
-    out = simulate_batch(g, words, lanes)[output_index]
-    reference = out & 1
-    return {k for k in range(n) if ((out >> (k + 1)) & 1) != reference}

@@ -10,7 +10,6 @@ import numpy as np
 
 from nn2logic import aig, analysis, mlp, pipeline, sat
 from nn2logic.datasets import read_dataset
-from nn2logic.fixedpoint import FixedPointFormat
 
 
 def _common_flags(p: argparse.ArgumentParser) -> None:

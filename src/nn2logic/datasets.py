@@ -97,14 +97,6 @@ def read_dataset(path) -> LabeledDataset:
     return LabeledDataset(np.array(feats), np.array(labels), names)
 
 
-def write_dataset(data: LabeledDataset, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(data.feature_names) + ["label"])
-        for row, y in zip(data.features, data.labels):
-            writer.writerow([repr(float(v)) for v in row] + [int(y)])
-
-
 def stratified_split(
     data: LabeledDataset, test_fraction: float = 0.2, seed: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:

@@ -27,20 +27,12 @@ class FixedPointFormat:
             )
 
     @property
-    def integer_bits(self) -> int:
-        return self.total_bits - self.fractional_bits
-
-    @property
     def max_int(self) -> int:
         return (1 << (self.total_bits - 1)) - 1
 
     @property
     def min_int(self) -> int:
         return -(1 << (self.total_bits - 1))
-
-    @property
-    def resolution(self) -> float:
-        return 1.0 / (1 << self.fractional_bits)
 
 
 def to_signed(bits: str) -> int:

@@ -41,15 +41,6 @@ class DecisionTree:
             node = node.right if row[node.feature] else node.left
         return node
 
-    def depth(self) -> int:
-        def walk(node):
-            if node.feature is None:
-                return 0
-            return 1 + max(walk(node.left), walk(node.right))
-
-        return walk(self.root)
-
-
 @dataclass
 class RandomForestModel:
     trees: list[DecisionTree] = field(default_factory=list)
@@ -209,33 +200,3 @@ def forest_to_text(model: RandomForestModel) -> str:
         lines.append("tree")
         walk(tree.root)
     return "\n".join(lines) + "\n"
-
-
-def forest_from_text(text: str) -> RandomForestModel:
-    lines = [ln.split() for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0][0] != "forest":
-        raise ValueError("not a forest dump")
-    n_estimators, max_depth, seed, n_features = (int(v) for v in lines[0][1:])
-    pos = 1
-
-    def parse() -> TreeNode:
-        nonlocal pos
-        kind = lines[pos]
-        pos += 1
-        if kind[0] == "leaf":
-            return TreeNode(p0=float(kind[1]), p1=float(kind[2]))
-        node = TreeNode(feature=int(kind[1]))
-        node.left = parse()
-        node.right = parse()
-        return node
-
-    trees = []
-    while pos < len(lines):
-        if lines[pos][0] != "tree":
-            raise ValueError(f"expected 'tree' marker, got {lines[pos]}")
-        pos += 1
-        trees.append(DecisionTree(parse(), max_depth, n_features))
-    model = RandomForestModel(trees, n_estimators, max_depth, seed, n_features)
-    if len(trees) != n_estimators:
-        raise ValueError("tree count does not match the header")
-    return model

@@ -125,11 +125,6 @@ def train_logicnet(
     return net
 
 
-def eval_logicnet(net: LutNetwork, feature_row) -> int:
-    row = np.asarray(feature_row).astype(np.uint8)
-    return int(eval_logicnet_batch(net, row[None, :])[0])
-
-
 def eval_logicnet_batch(net: LutNetwork, rows) -> np.ndarray:
     prev = np.asarray(rows, dtype=np.uint8)
     for luts in net.layers:
@@ -187,27 +182,3 @@ def logicnet_to_text(net: LutNetwork) -> str:
             emit(f"lut{layer}", lut)
     emit("out", net.output)
     return "\n".join(lines) + "\n"
-
-
-def logicnet_from_text(text: str) -> LutNetwork:
-    lines = [ln.split() for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0][0] != "logicnet":
-        raise ValueError("not a logicnet dump")
-    depth, width, lut_size, seed, n_features = (int(v) for v in lines[0][1:])
-    net = LutNetwork(depth, width, lut_size, seed, n_features)
-    net.layers = [[] for _ in range(depth)]
-
-    def parse(entry) -> Lut:
-        wiring = tuple(int(v) for v in entry[1].split(","))
-        table = np.array([int(c) for c in entry[2]], dtype=np.uint8)
-        counts = np.zeros((len(table), 2), dtype=np.int64)  # counters not persisted
-        return Lut(wiring, counts, table)
-
-    for entry in lines[1:]:
-        if entry[0] == "out":
-            net.output = parse(entry)
-        else:
-            net.layers[int(entry[0][3:])].append(parse(entry))
-    if net.output is None or any(len(l) != width for l in net.layers):
-        raise ValueError("dump does not match its header")
-    return net

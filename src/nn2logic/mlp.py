@@ -2,15 +2,16 @@
 
 Networks are a chain of dense layers; hidden layers use ReLU and the final
 layer stays identity with the class decided by argmax, so the whole forward
-pass lowers to adders, multipliers, and comparators.  Inputs are min-max
-scaled to [-1, 1] before training and quantization so they stay inside the
-representable fixed-point range; the scaler travels with the weights file.
+pass lowers to one weighted sum per neuron (constant-weight products and
+adders) and comparators.  Inputs are min-max scaled to [-1, 1] before
+training and quantization so they stay inside the representable fixed-point
+range; the scaler travels with the weights file.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +21,7 @@ ACTIVATIONS = ("relu", "identity")
 
 
 class WeightsParseError(ValueError):
-    """Malformed weights file; message carries the offending line number."""
+    """Malformed weights file; the message starts with ``path:line``."""
 
 
 class MlpStructureError(ValueError):
@@ -81,20 +82,6 @@ class Mlp:
         return self.scaler.transform(x) if self.scaler is not None else x
 
 
-def forward_capture(net: Mlp, x) -> list[np.ndarray]:
-    """Post-activation vector of every layer for a single input."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (net.input_width,):
-        raise ValueError(f"expected input of width {net.input_width}, got {x.shape}")
-    a = net.scale(x)
-    captured = []
-    for layer in net.layers:
-        z = layer.weights @ a + layer.bias
-        a = np.maximum(z, 0.0) if layer.activation == "relu" else z
-        captured.append(a)
-    return captured
-
-
 def forward_batch(net: Mlp, x: np.ndarray) -> list[np.ndarray]:
     """Per-layer activations for a batch; entry l has shape (n, N_l)."""
     a = net.scale(np.asarray(x, dtype=float))
@@ -104,11 +91,6 @@ def forward_batch(net: Mlp, x: np.ndarray) -> list[np.ndarray]:
         a = np.maximum(z, 0.0) if layer.activation == "relu" else z
         captured.append(a)
     return captured
-
-
-def predict(net: Mlp, x) -> int:
-    """Argmax over the final layer; ties break toward the lower class."""
-    return int(np.argmax(forward_capture(net, x)[-1]))
 
 
 def predict_batch(net: Mlp, x: np.ndarray) -> np.ndarray:
@@ -212,6 +194,7 @@ def save_weights(net: Mlp, path) -> None:
 
 
 def load_weights(path) -> Mlp:
+    """Read a ``save_weights`` file; every error message starts with ``path:line``."""
     with open(path) as fh:
         raw = fh.read().splitlines()
     lines = [(no, ln.strip()) for no, ln in enumerate(raw, start=1) if ln.strip()]
@@ -220,48 +203,52 @@ def load_weights(path) -> Mlp:
     def take(expected: str):
         nonlocal pos
         if pos >= len(lines):
-            raise WeightsParseError(f"line {len(raw) + 1}: expected {expected}, got end of file")
+            raise WeightsParseError(f"{path}:{len(raw) + 1}: expected {expected}, got end of file")
         no, ln = lines[pos]
         pos += 1
         return no, ln.split()
 
     no, header = take("'mlp <num_layers>' header")
     if len(header) != 2 or header[0] != "mlp":
-        raise WeightsParseError(f"line {no}: expected 'mlp <num_layers>' header")
+        raise WeightsParseError(f"{path}:{no}: expected 'mlp <num_layers>' header")
     try:
         num_layers = int(header[1])
     except ValueError:
-        raise WeightsParseError(f"line {no}: layer count is not an integer") from None
+        raise WeightsParseError(f"{path}:{no}: layer count is not an integer") from None
     if num_layers <= 0:
-        raise MlpStructureError(f"line {no}: network must declare at least one layer")
+        raise MlpStructureError(f"{path}:{no}: network must declare at least one layer")
 
     layers = []
     for _ in range(num_layers):
         no, hdr = take("'layer <in> <out> <activation>'")
         if len(hdr) != 4 or hdr[0] != "layer":
-            raise WeightsParseError(f"line {no}: expected 'layer <in> <out> <activation>'")
+            raise WeightsParseError(f"{path}:{no}: expected 'layer <in> <out> <activation>'")
         try:
             n_in, n_out = int(hdr[1]), int(hdr[2])
         except ValueError:
-            raise WeightsParseError(f"line {no}: layer dimensions are not integers") from None
+            raise WeightsParseError(f"{path}:{no}: layer dimensions are not integers") from None
         act = hdr[3]
         if act not in ACTIVATIONS:
-            raise WeightsParseError(f"line {no}: unknown activation {act!r}")
+            raise WeightsParseError(f"{path}:{no}: unknown activation {act!r}")
         if n_in <= 0 or n_out <= 0:
-            raise MlpStructureError(f"line {no}: layer dimensions must be positive")
+            raise MlpStructureError(f"{path}:{no}: layer dimensions must be positive")
+        if layers and n_in != len(layers[-1].bias):
+            raise MlpStructureError(
+                f"{path}:{no}: layer widths do not chain: {len(layers[-1].bias)} -> {n_in}"
+            )
         weights = np.empty((n_out, n_in))
         bias = np.empty(n_out)
         for r in range(n_out):
             no, vals = take(f"{n_in + 1} decimals")
             if len(vals) != n_in + 1:
                 raise WeightsParseError(
-                    f"line {no}: expected {n_in + 1} values, got {len(vals)}"
+                    f"{path}:{no}: expected {n_in + 1} values, got {len(vals)}"
                 )
             try:
                 weights[r] = [float(v) for v in vals[:-1]]
                 bias[r] = float(vals[-1])
             except ValueError:
-                raise WeightsParseError(f"line {no}: non-numeric weight") from None
+                raise WeightsParseError(f"{path}:{no}: non-numeric weight") from None
             if not (np.isfinite(weights[r]).all() and np.isfinite(bias[r])):
                 raise WeightsParseError(f"{path}:{no}: non-finite weight")
         layers.append(DenseLayer(weights, bias, act))
@@ -270,20 +257,20 @@ def load_weights(path) -> Mlp:
     if pos < len(lines):
         no, vals = take("'scaler' line")
         if vals[0] != "scaler":
-            raise WeightsParseError(f"line {no}: expected 'scaler' line")
+            raise WeightsParseError(f"{path}:{no}: expected 'scaler' line")
         nums = vals[1:]
         if len(nums) != 2 * layers[0].weights.shape[1] or len(nums) % 2:
-            raise WeightsParseError(f"line {no}: scaler needs a min and max per feature")
+            raise WeightsParseError(f"{path}:{no}: scaler needs a min and max per feature")
         try:
             flat = np.array([float(v) for v in nums])
         except ValueError:
-            raise WeightsParseError(f"line {no}: non-numeric scaler value") from None
+            raise WeightsParseError(f"{path}:{no}: non-numeric scaler value") from None
         if not np.isfinite(flat).all():
             raise WeightsParseError(f"{path}:{no}: non-finite scaler value")
         scaler = FeatureScaler(flat[0::2], flat[1::2])
     if pos < len(lines):
         no, _ = lines[pos]
-        raise WeightsParseError(f"line {no}: trailing content after network definition")
+        raise WeightsParseError(f"{path}:{no}: trailing content after network definition")
     return Mlp(layers, scaler)
 
 

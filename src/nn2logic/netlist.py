@@ -1,12 +1,16 @@
 """Word-level combinational IR, the direct builder and the module scaffolding.
 
 Gates are appended in topological order by construction; a completed netlist
-is treated as immutable.  Values are unsigned words at the declared widths;
-MUL/ADD/GT follow two's-complement semantics.  Conventions:
+is treated as immutable.  Values are unsigned words at the declared widths,
+bit 0 least significant.  The gate kinds, all emitted by some builder:
 
-* bit 0 of a word is the least significant bit,
-* CONCAT lists its operands most significant first,
+* WSUM(x_1..x_n), params ``(weights, bias)``: one neuron's weighted sum
+  ``bias + sum(weights[k] * x_k)`` of signed m-bit words and signed m-bit
+  integer weights, wrapped to 3m bits,
+* ADD (wrapping), GT (signed) and GTU (unsigned) on two equal-width words,
 * MUX(sel, a, b) yields ``a`` when sel is 1,
+* CONST, SHR (logical or arithmetic), SLICE, CLIP (signed saturation),
+* CONCAT lists its operands most significant first,
 * LUT select operand q carries pattern weight 2**q.
 """
 
@@ -14,7 +18,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from nn2logic.fixedpoint import FixedPointFormat, from_int, quantize, signed_value
+from nn2logic.fixedpoint import (
+    FixedPointFormat,
+    from_int,
+    quantize,
+    quantize_int,
+    signed_value,
+    to_signed,
+)
 
 
 @dataclass(frozen=True)
@@ -65,9 +76,16 @@ class Netlist:
 
     def _infer_width(self, kind: str, operands, params) -> int:
         w = [self.widths[o] for o in operands]
-        if kind == "MUL":
-            self._need(len(w) == 2 and w[0] == w[1], "MUL needs two equal-width operands")
-            return 2 * w[0]
+        if kind == "WSUM":
+            weights, _bias = params
+            limit = 1 << (w[0] - 1) if w else 0
+            self._need(
+                len(w) == len(weights) >= 1
+                and len(set(w)) == 1
+                and all(-limit <= c < limit for c in weights),
+                "WSUM needs words of one width m and one signed m-bit weight per word",
+            )
+            return 3 * w[0]
         if kind == "ADD":
             self._need(len(w) == 2 and w[0] == w[1], "ADD needs two equal-width operands")
             return w[0]
@@ -84,10 +102,6 @@ class Netlist:
             amount, _arith = params
             self._need(len(w) == 1 and 0 <= amount < w[0], "SHR amount out of range")
             return w[0]
-        if kind == "SEXT":
-            (to,) = params
-            self._need(len(w) == 1 and to >= w[0], "SEXT target must not shrink")
-            return to
         if kind == "SLICE":
             lo, hi = params
             self._need(len(w) == 1 and 0 <= lo <= hi < w[0], "SLICE range out of bounds")
@@ -113,31 +127,6 @@ class Netlist:
         if not cond:
             raise ValueError(msg)
 
-    def dump(self) -> str:
-        """One gate per line: `<out> = <KIND>(<args>)`, stable order."""
-
-        def sig(sid: int) -> str:
-            name = self.names[sid]
-            return name if name else f"s{sid}"
-
-        lines = [f"inputs {' '.join(sig(s) + ':' + str(self.widths[s]) for s in self.inputs)}"]
-        for g in self.gates:
-            args = [sig(o) for o in g.operands]
-            if g.kind == "CONST":
-                args = [g.params[0]]
-            elif g.kind == "SHR":
-                args += [f"amount={g.params[0]}", f"arith={int(g.params[1])}"]
-            elif g.kind in ("SEXT", "CLIP"):
-                args += [f"width={g.params[0]}"]
-            elif g.kind == "SLICE":
-                args += [f"lo={g.params[0]}", f"hi={g.params[1]}"]
-            elif g.kind == "LUT":
-                table, k = g.params
-                args += [f"table={from_int(table, 1 << k)}"]
-            lines.append(f"{sig(g.output)} = {g.kind}({', '.join(args)})")
-        lines.append(f"outputs {' '.join(sig(s) for s in self.outputs)}")
-        return "\n".join(lines) + "\n"
-
 
 def simulate_netlist(net: Netlist, input_bits) -> list[str]:
     """Topological evaluation; returns one bit string per output."""
@@ -161,9 +150,10 @@ def _eval_gate(net: Netlist, g: Gate, values: dict[int, int]) -> int:
     kind = g.kind
     if kind == "CONST":
         return int(g.params[0], 2)
-    if kind == "MUL":
-        prod = signed_value(ops[0], w[0]) * signed_value(ops[1], w[1])
-        return prod & ((1 << (2 * w[0])) - 1)
+    if kind == "WSUM":
+        weights, bias = g.params
+        acc = bias + sum(c * signed_value(v, width) for c, v, width in zip(weights, ops, w))
+        return acc & ((1 << net.widths[g.output]) - 1)
     if kind == "ADD":
         return (ops[0] + ops[1]) & ((1 << w[0]) - 1)
     if kind == "GT":
@@ -177,9 +167,6 @@ def _eval_gate(net: Netlist, g: Gate, values: dict[int, int]) -> int:
         if arith:
             return (signed_value(ops[0], w[0]) >> amount) & ((1 << w[0]) - 1)
         return ops[0] >> amount
-    if kind == "SEXT":
-        (to,) = g.params
-        return signed_value(ops[0], w[0]) & ((1 << to) - 1)
     if kind == "SLICE":
         lo, hi = g.params
         return (ops[0] >> lo) & ((1 << (hi - lo + 1)) - 1)
@@ -232,28 +219,13 @@ def _emit_neuron(
     fmt: FixedPointFormat,
 ) -> int:
     m, i = fmt.total_bits, fmt.fractional_bits
-    if len(weights_q) != len(input_sids):
-        raise ValueError("one weight per input required")
-    if not weights_q and bias_q is None:
-        raise ValueError("neuron needs at least one weight")
-    for wq in weights_q:
+    for wq in weights_q if bias_q is None else [*weights_q, bias_q]:
         if len(wq) != m:
             raise ValueError(f"weight width {len(wq)} does not match format width {m}")
-    terms = []
-    for sid, wq in zip(input_sids, weights_q):
-        if net.widths[sid] != m:
-            raise ValueError("neuron input width does not match the format")
-        w_sid = net.add_const(wq)
-        prod = net.add_gate("MUL", (w_sid, sid))
-        terms.append(net.add_gate("SEXT", (prod,), (3 * m,)))
-    if bias_q is not None:
-        one = net.add_const(quantize(1.0, fmt))
-        b_sid = net.add_const(bias_q)
-        prod = net.add_gate("MUL", (b_sid, one))
-        terms.append(net.add_gate("SEXT", (prod,), (3 * m,)))
-    acc = terms[0]
-    for t in terms[1:]:
-        acc = net.add_gate("ADD", (acc, t))
+    # the bias is an extra weight on a constant quantized 1.0
+    bias = to_signed(bias_q) * quantize_int(1.0, fmt) if bias_q is not None else 0
+    weights = tuple(to_signed(wq) for wq in weights_q)
+    acc = net.add_gate("WSUM", input_sids, (weights, bias))
     if has_relu:
         zero = net.add_const("0" * (3 * m))
         sel = net.add_gate("GT", (acc, zero))
@@ -271,7 +243,11 @@ def build_neuron(
     bias_q: str | None = None,
     input_names: list[str] | None = None,
 ) -> Netlist:
-    """Single-neuron module: multipliers, wide accumulator, ReLU, shift, clip."""
+    """Single-neuron module: one weighted sum, ReLU, shift, clip.
+
+    The weighted sum is a WSUM gate over the m-bit inputs: exact products,
+    the bias times the quantized 1.0, accumulated at 3m bits with wrap.
+    """
     net = Netlist()
     sids = [
         net.add_input(fmt.total_bits, input_names[k] if input_names else None)
@@ -292,7 +268,8 @@ def cascade_modules(
 
     Layer l's modules each consume all of layer l-1's word outputs; the final
     layer must have exactly two nodes, and a signed comparator emits the
-    predicted-class bit (out1 > out0, ties toward class 0).
+    predicted-class bit (out1 > out0, ties toward class 0).  The outputs are
+    the words ``class0`` and ``class1``, then that bit, ``argmax``.
     """
     if len(per_node_modules) != len(layer_sizes) - 1:
         raise ValueError("one module row per non-input layer required")
@@ -316,7 +293,8 @@ def cascade_modules(
         words = new_words
     if len(words) != 2:
         raise ValueError("cascade expects a 2-node final layer for the argmax bit")
-    for w in words:
+    for c, w in enumerate(words):
+        net.names[w] = f"class{c}"
         net.set_output(w)
     net.set_output(net.add_gate("GT", (words[1], words[0]), name="argmax"))
     return net

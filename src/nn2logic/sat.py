@@ -25,13 +25,6 @@ class CnfFormula:
                     raise ValueError(f"literal {d} out of range for {self.num_vars} vars")
 
 
-def to_dimacs(f: CnfFormula) -> str:
-    lines = [f"p cnf {f.num_vars} {len(f.clauses)}"]
-    for cl in f.clauses:
-        lines.append(" ".join(str(d) for d in cl) + " 0")
-    return "\n".join(lines) + "\n"
-
-
 def tseitin(g: AigGraph, output_index: int = 0) -> tuple[CnfFormula, dict[int, int]]:
     """One variable per AIG node; the chosen output is asserted true.
 

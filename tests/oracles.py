@@ -1,10 +1,15 @@
 """Independent reference implementations the test suite checks against.
 
 Everything in here is deliberately written straight-line and separate from
-the package internals so that it can serve as an oracle.
+the package internals so that it can serve as an oracle.  The last few
+helpers are test fixtures: a CSV writer and a tree-depth measure.
 """
 
 from __future__ import annotations
+
+import csv
+
+from nn2logic.aig import AigGraph
 
 
 def quantize_reference(x: float, m: int, i: int) -> str:
@@ -86,3 +91,66 @@ def lut_output_reference(rows, inputs, table) -> list[int]:
             pattern |= int(row[q]) << j
         out.append(int(table[pattern]))
     return out
+
+
+def parse_equations(text_or_lines, input_names: list[str]) -> AigGraph:
+    """Rebuild a graph from equation lines for round-trip simulation."""
+    if isinstance(text_or_lines, str):
+        lines = [
+            ln.strip()
+            for ln in text_or_lines.splitlines()
+            if "=" in ln and ln.strip().endswith(";")
+        ]
+    else:
+        lines = list(text_or_lines)
+    g = AigGraph()
+    env: dict[str, int] = {}
+    for name in input_names:
+        env[name] = g.add_input(name)
+
+    def operand(token: str) -> int:
+        token = token.strip()
+        comp = 0
+        if token.startswith("NOT "):
+            comp = 1
+            token = token[4:].strip()
+        if token == "0":
+            return comp
+        if token == "1":
+            return comp ^ 1
+        if token not in env:
+            raise ValueError(f"equation references undefined net {token!r}")
+        return env[token] ^ comp
+
+    outputs: list[tuple[str, int]] = []
+    for ln in lines:
+        lhs, rhs = ln[:-1].split("=", 1)
+        lhs = lhs.strip()
+        rhs = rhs.strip()
+        if " AND " in rhs:
+            a, b = rhs.split(" AND ", 1)
+            literal = g.and2(operand(a), operand(b))
+        else:
+            literal = operand(rhs)
+        env[lhs] = literal
+        if not (lhs.startswith("n") and lhs[1:].isdigit()):
+            outputs.append((lhs, literal))
+    for name, literal in outputs:
+        g.add_output(literal, name)
+    return g
+
+
+def write_csv(data, path) -> None:
+    """Write a LabeledDataset as the CSV ``read_dataset`` reads."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(list(data.feature_names) + ["label"])
+        for row, y in zip(data.features, data.labels):
+            writer.writerow([repr(float(v)) for v in row] + [int(y)])
+
+
+def tree_depth(node) -> int:
+    """Edges on the longest root-to-leaf path of a forest tree."""
+    if node.feature is None:
+        return 0
+    return 1 + max(tree_depth(node.left), tree_depth(node.right))

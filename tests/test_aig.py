@@ -1,3 +1,4 @@
+import hashlib
 import re
 
 import numpy as np
@@ -15,7 +16,8 @@ from nn2logic.aig import (
     write_aiger,
 )
 from nn2logic.fixedpoint import FixedPointFormat, from_int, to_signed
-from nn2logic.netlist import Netlist, build_neuron, simulate_netlist
+from nn2logic.mlp import DenseLayer, Mlp
+from nn2logic.netlist import Netlist, build_network_direct, build_neuron, simulate_netlist
 
 
 def two_input_netlist(kind, width=4, params=()):
@@ -88,9 +90,12 @@ def test_mux_lowering_exhaustive_and_small():
                 assert simulate_aig(g, [sv, av, bv]) == [want]
 
 
-@pytest.mark.parametrize("kind", ["ADD", "MUL", "GT", "GTU"])
+WSUM_PARAMS = ((-8, 5), 37)  # weights on a and b, then the bias
+
+
+@pytest.mark.parametrize("kind", ["ADD", "WSUM", "GT", "GTU"])
 def test_lowering_exhaustive_width4(kind):
-    net = two_input_netlist(kind)
+    net = two_input_netlist(kind, params=WSUM_PARAMS if kind == "WSUM" else ())
     g = lower_netlist(net)
     out_width = net.widths[net.outputs[0]]
     for a in range(16):
@@ -100,8 +105,9 @@ def test_lowering_exhaustive_width4(kind):
             sa, sb = to_signed(from_int(a, 4)), to_signed(from_int(b, 4))
             if kind == "ADD":
                 want = (a + b) % 16
-            elif kind == "MUL":
-                want = (sa * sb) % 256
+            elif kind == "WSUM":
+                (wa, wb), bias = WSUM_PARAMS
+                want = (wa * sa + wb * sb + bias) % (1 << 12)
             elif kind == "GT":
                 want = int(sa > sb)
             else:
@@ -149,6 +155,34 @@ def test_netlist_vs_aig_on_neuron():
                 assert got == int(want, 2)
 
 
+def test_direct_aiger_matches_golden_digest(tmp_path):
+    """The direct flow's AIG of a seeded 4-3-2 MLP, node for node.
+
+    The digests cover the lowered graph and the swept AIGER file up to its
+    symbol table.  They were computed with per-term multiplier, sign-extension
+    and adder gates, so they show that WSUM lowers to that same circuit.
+    """
+    rng = np.random.default_rng(11)
+    mlp_net = Mlp([
+        DenseLayer(rng.normal(0.0, 0.8, size=(3, 4)), rng.normal(0.0, 0.3, size=3), "relu"),
+        DenseLayer(rng.normal(0.0, 0.8, size=(2, 3)), rng.normal(0.0, 0.3, size=2), "identity"),
+    ])
+    lowered = lower_netlist(build_network_direct(mlp_net, FixedPointFormat(8, 6)))
+    assert lowered.and_count() == 11506
+    unswept = repr((lowered.fanin0, lowered.fanin1, lowered.outputs)).encode()
+    assert hashlib.sha256(unswept).hexdigest() == (
+        "657e6bcda1608a1a9aedcd9317474533a8ca263bc2de116da461fdd9123e2e66"
+    )
+    path = tmp_path / "direct.aag"
+    write_aiger(sweep(lowered), path)
+    lines = path.read_text().splitlines()
+    assert lines[0] == "aag 11087 32 0 17 11055"
+    body = "\n".join(lines[: 1 + 32 + 17 + 11055]) + "\n"
+    assert hashlib.sha256(body.encode()).hexdigest() == (
+        "31083753627bb50dc7d17c77c88c483a5d9752a2c83ae2ea4e339d7c28e7041d"
+    )
+
+
 def test_strash_idempotent_double_lowering():
     fmt = FixedPointFormat(4, 2)
     net = build_neuron(["0100", "1110"], True, fmt)
@@ -159,9 +193,9 @@ def test_strash_idempotent_double_lowering():
 
 
 def test_sweep_preserves_function_and_shrinks():
-    net = two_input_netlist("MUL")
+    net = two_input_netlist("WSUM", params=((-3, 7), -5))
     g = lower_netlist(net)
-    # keep only the low output bit so most of the multiplier goes dead
+    # keep only output bit 1 so most of the weighted sum goes dead
     keep = g.outputs[1]
     g.outputs, g.output_names = [keep], [g.output_names[1]]
     swept = sweep(g)

@@ -2,19 +2,13 @@ import numpy as np
 import pytest
 
 from nn2logic.aig import AigGraph, lower_netlist, simulate_aig, sweep
-from nn2logic.analysis import (
-    RESULTS_HEADER,
-    controlling_inputs,
-    emit_equations,
-    evaluate,
-    parse_equations,
-    results_table,
-    structural_support,
-)
+from nn2logic.analysis import RESULTS_HEADER, emit_equations, evaluate, results_table
 from nn2logic.datasets import LabeledDataset, make_overlapping_gaussians
 from nn2logic.fixedpoint import FixedPointFormat, quantize
 from nn2logic.mlp import quantized_forward, train
 from nn2logic.netlist import build_network_direct, build_neuron
+
+from oracles import parse_equations
 
 FMT = FixedPointFormat(8, 6)
 
@@ -90,59 +84,13 @@ def test_emit_equations_start_index():
     assert report.lines[0].startswith("n21 = ")
 
 
-def test_structural_support_basics():
-    g = AigGraph()
-    a = g.add_input("a")
-    g.add_input("b")
-    g.add_output(a, "y0")
-    g.add_output(1, "y1")
-    assert structural_support(g, 0) == {0}
-    assert structural_support(g, 1) == set()
-
-
-def test_structural_support_dead_features():
-    fmt = FixedPointFormat(4, 2)
-    weights = [quantize(w, fmt) for w in (1.0, -0.5, 0.0, 0.0)]
-    net = build_neuron(weights, True, fmt, input_names=["f0", "f1", "f2", "f3"])
-    g = sweep(lower_netlist(net))
-    support = set()
-    for out_idx in range(len(g.outputs)):
-        support |= structural_support(g, out_idx)
-    dead_words = {pos // 4 for pos in range(16)} - {pos // 4 for pos in support}
-    assert dead_words == {2, 3}
-
-
-def test_controlling_inputs_and_or_const():
-    g = AigGraph()
-    a = g.add_input("a")
-    b = g.add_input("b")
-    g.add_output(g.and2(a, b), "and")
-    g.add_output(g.or2(a, b), "or")
-    g.add_output(0, "zero")
-    assert controlling_inputs(g, [1, 1], 0) == {0, 1}
-    assert controlling_inputs(g, [1, 1], 1) == set()
-    assert controlling_inputs(g, [0, 1], 1) == {1}
-    assert controlling_inputs(g, [1, 0], 2) == set()
-
-
-def test_controlling_subset_of_support():
-    fmt = FixedPointFormat(4, 2)
-    rng = np.random.default_rng(4)
-    weights = [quantize(float(w), fmt) for w in rng.normal(size=3)]
-    g = sweep(lower_netlist(build_neuron(weights, True, fmt)))
-    for out_idx in range(len(g.outputs)):
-        support = structural_support(g, out_idx)
-        for _ in range(20):
-            vec = [int(v) for v in rng.integers(0, 2, size=len(g.inputs))]
-            assert controlling_inputs(g, vec, out_idx) <= support
-
-
 def test_results_table_layout():
     data = LabeledDataset(np.zeros((4, 1)), np.array([0, 1, 0, 1]), feature_names=["x0"])
-    report = evaluate(
-        constant_zero_graph(8), data, FMT, pipeline="direct", config={"total_bits": 8}
+    direct = evaluate(constant_zero_graph(8), data, FMT, pipeline="direct")
+    rf = evaluate(
+        constant_zero_graph(8), data, FMT, pipeline="rf", config={"estimators": 2, "max_depth": 5}
     )
-    table = results_table([report])
-    lines = table.splitlines()
+    lines = results_table([direct, rf]).splitlines()
     assert lines[0] == RESULTS_HEADER
-    assert lines[1].startswith("direct,-,")
+    assert lines[1] == "direct,-,0,0,0.5000"
+    assert lines[2] == "rf,estimators=2 max_depth=5,0,0,0.5000"

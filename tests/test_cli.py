@@ -1,14 +1,13 @@
 import os
 
-import numpy as np
 import pytest
 
 from nn2logic import analysis, cli, mlp, pipeline
 from nn2logic.aig import lower_netlist, read_aiger, simulate_aig, write_aiger
-from nn2logic.datasets import make_overlapping_gaussians, read_dataset, write_dataset
-from nn2logic.forest import forest_from_text, predict_forest
-from nn2logic.lutnet import eval_logicnet_batch, logicnet_from_text
+from nn2logic.datasets import make_overlapping_gaussians, read_dataset
 from nn2logic.netlist import Netlist
+
+from oracles import write_csv
 
 
 @pytest.fixture
@@ -74,7 +73,7 @@ def trained(tmp_path_factory):
     """A CSV, a config file and the `train` outputs for them."""
     d = tmp_path_factory.mktemp("cli")
     csv = str(d / "data.csv")
-    write_dataset(make_overlapping_gaussians(200, 4, seed=1), csv)
+    write_csv(make_overlapping_gaussians(200, 4, seed=1), csv)
     cfg = d / "tiny.cfg"
     cfg.write_text(TINY_CONFIG)
     out = str(d / "out")
@@ -89,41 +88,23 @@ def trained(tmp_path_factory):
 
 
 def _in_memory_compile(run, flow):
-    """What `compile` should have written, built by calling the library."""
+    """What `compile` should have written, built by calling the library.
+
+    Returns the swept AIG and, for a distilled flow, the models keyed by
+    (layer, node).
+    """
     cfg = pipeline.parse_config(run["cfg"], {"pipeline": flow})
     net = mlp.load_weights(run["weights"])
     data = read_dataset(run["csv"])
     train_idx, _ = pipeline.read_split_manifest(run["split"])
     if flow == "direct":
-        return pipeline.compile_direct(net, cfg.fmt, data.feature_names), None, None
+        return pipeline.compile_direct(net, cfg.fmt, data.feature_names), None
     sets = mlp.extract_distillation_sets(net, data.subset(train_idx), cfg.fmt)
-    if flow == "rf":
-        graph, modules = pipeline.compile_rf(
-            net, sets, cfg.fmt, cfg.rf_estimators, cfg.rf_max_depth, cfg.seed,
-            data.feature_names,
-        )
-    else:
-        graph, modules = pipeline.compile_logicnet(
-            net, sets, cfg.fmt, cfg.lgn_depth, cfg.lgn_width, cfg.lgn_lut_size,
-            cfg.seed, data.feature_names,
-        )
-    return graph, modules, sets
-
-
-def _parse_model_dump(text: str, header: str, from_text) -> dict:
-    """`module l n` blocks, each a run of dumps that start with ``header``."""
-    modules: dict = {}
-    key = None
-    for line in text.splitlines():
-        if line.startswith("module "):
-            _, l, n = line.split()
-            key = (int(l), int(n))
-            modules[key] = []
-        elif line.startswith(header + " "):
-            modules[key].append([line])
-        elif line.strip():
-            modules[key][-1].append(line)
-    return {k: [from_text("\n".join(d) + "\n") for d in dumps] for k, dumps in modules.items()}
+    distiller = pipeline.DISTILLERS[flow]
+    params = {label: getattr(cfg, key) for key, label in distiller.params}
+    return pipeline.compile_distilled(
+        flow, net, sets, cfg.fmt, params, cfg.seed, data.feature_names
+    )
 
 
 @pytest.mark.parametrize("flow", ["direct", "rf", "logicnet"])
@@ -133,38 +114,29 @@ def test_cli_flow_end_to_end(trained, flow, capsys):
     assert cli.main(["compile", run["csv"], run["weights"], "--split", run["split"], *common]) == 0
     aag = os.path.join(run["out"], f"{flow}.aag")
     got = read_aiger(aag)
-    want, modules, sets = _in_memory_compile(run, flow)
+    want, modules = _in_memory_compile(run, flow)
     assert (got.fanin0, got.fanin1, got.outputs) == (want.fanin0, want.fanin1, want.outputs)
+    cfg = pipeline.parse_config(run["cfg"])
+    m = cfg.total_bits
 
     models_path = os.path.join(run["out"], f"{flow}_models.txt")
     if flow == "direct":
         assert not os.path.exists(models_path)
     else:
+        to_text = pipeline.DISTILLERS[flow].to_text
+        blocks = [
+            f"module {l} {n}\n" + "".join(to_text(model) for model in modules[(l, n)])
+            for l, n in sorted(modules)
+        ]
         with open(models_path) as fh:
-            text = fh.read()
-        if flow == "rf":
-            back = _parse_model_dump(text, "forest", forest_from_text)
-        else:
-            back = _parse_model_dump(text, "logicnet", logicnet_from_text)
-        assert sorted(back) == sorted(modules)
-        for z in sets:
-            key = (z.layer_index, z.node_index)
-            assert len(back[key]) == len(modules[key]) == z.fmt.total_bits
-            for loaded, model in zip(back[key], modules[key]):
-                if flow == "rf":
-                    for row in z.feature_bits:
-                        assert predict_forest(loaded, row) == predict_forest(model, row)
-                else:
-                    assert np.array_equal(
-                        eval_logicnet_batch(loaded, z.feature_bits),
-                        eval_logicnet_batch(model, z.feature_bits),
-                    )
+            assert fh.read() == "\n".join(blocks) + "\n"
+        assert sorted(modules) == [(1, n) for n in range(3)] + [(2, 0), (2, 1)]
+        assert all(len(models) == m for models in modules.values())
     capsys.readouterr()
 
     assert cli.main(["evaluate", aag, run["csv"], "--split", run["split"],
                      "--weights", run["weights"], *common]) == 0
     header, row = capsys.readouterr().out.strip().splitlines()
-    cfg = pipeline.parse_config(run["cfg"])
     _, test_idx = pipeline.read_split_manifest(run["split"])
     test_data = read_dataset(run["csv"]).subset(test_idx)
     scaler = mlp.load_weights(run["weights"]).scaler
@@ -173,7 +145,7 @@ def test_cli_flow_end_to_end(trained, flow, capsys):
 
     assert cli.main(["report", aag, "--names", "f0,f1,f2,f3", "--title", flow,
                      "--out", run["out"]]) == 0
-    names = [f"f{k}[{j}]" for k in range(4) for j in range(cfg.total_bits)]
+    names = [f"f{k}[{j}]" for k in range(4) for j in range(m)]
     with open(os.path.join(run["out"], f"{flow}.report.txt")) as fh:
         assert fh.read() == analysis.emit_equations(got, names, title=flow).render()
     capsys.readouterr()
@@ -185,6 +157,18 @@ def test_cli_flow_end_to_end(trained, flow, capsys):
 
     assert cli.main(["equiv", aag, aag]) == 0
     assert capsys.readouterr().out.strip() == "EQUIVALENT"
+
+
+@pytest.mark.parametrize("flow", ["direct", "rf", "logicnet"])
+def test_compiled_aag_names_class_words_and_argmax(trained, flow, tmp_path):
+    out = str(tmp_path / "out8")
+    assert cli.main(["compile", trained["csv"], trained["weights"], "--split", trained["split"],
+                     "--config", trained["cfg"], "--pipeline", flow, "--bits", "8",
+                     "--frac", "6", "--out", out]) == 0
+    g = read_aiger(os.path.join(out, f"{flow}.aag"))
+    words = [f"class{c}[{j}]" for c in (0, 1) for j in range(8)]
+    assert g.output_names == words + ["argmax"]
+    assert g.input_names == [f"f{k}[{j}]" for k in range(4) for j in range(8)]
 
 
 def test_sweep_grid_matches_the_library(trained, tmp_path, monkeypatch, capsys):
@@ -215,7 +199,7 @@ def test_sweep_rejects_an_unknown_pipeline_at_its_line(tmp_path, capsys):
 
 def test_compile_rejects_a_nan_weight_at_its_line(tmp_path, capsys):
     csv = str(tmp_path / "data.csv")
-    write_dataset(make_overlapping_gaussians(40, 5, seed=2), csv)
+    write_csv(make_overlapping_gaussians(40, 5, seed=2), csv)
     cfg = tmp_path / "tiny.cfg"
     cfg.write_text(TINY_CONFIG)
     rows = [" ".join(["0.5"] * 5 + ["0.0"])] * 5 + [" ".join(["0.25"] * 5 + ["0.0"])] * 2
@@ -232,3 +216,12 @@ def test_compile_rejects_a_nan_weight_at_its_line(tmp_path, capsys):
     assert cli.main(["compile", csv, str(tmp_path / "bad.txt"), *common]) == 2
     assert f"{tmp_path / 'bad.txt'}:4: non-finite weight" in capsys.readouterr().err
     assert not os.path.exists(os.path.join(out, "logicnet.aag"))
+
+
+def test_compile_reports_a_short_weights_row_at_its_line(trained, tmp_path, capsys):
+    weights = tmp_path / "short.txt"
+    weights.write_text("mlp 1\nlayer 2 1 relu\n1.0 1.0\n")
+    args = ["compile", trained["csv"], str(weights), "--config", trained["cfg"],
+            "--out", str(tmp_path / "out")]
+    assert cli.main(args) == 2
+    assert capsys.readouterr().err == f"error: {weights}:3: expected 3 values, got 2\n"

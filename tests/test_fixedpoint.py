@@ -26,7 +26,6 @@ def test_format_validation():
         FixedPointFormat(8, 8)
     with pytest.raises(ValueError):
         FixedPointFormat(8, -1)
-    assert FixedPointFormat(8, 6).integer_bits == 2
 
 
 def test_quantize_examples():
@@ -82,19 +81,20 @@ def test_idempotence(case):
 @given(value_and_format())
 def test_bounded_error_in_range(case):
     x, fmt = case
-    k = fmt.integer_bits
+    k = fmt.total_bits - fmt.fractional_bits  # integer bits, sign included
+    resolution = 2.0 ** -fmt.fractional_bits
     lo = -(2.0 ** (k - 1))
-    hi = 2.0 ** (k - 1) - fmt.resolution
+    hi = 2.0 ** (k - 1) - resolution
     if not lo <= x <= hi:
         return
     err = abs(dequantize(quantize(x, fmt), fmt) - x)
-    assert err < fmt.resolution
+    assert err < resolution
 
 
 @given(value_and_format())
 def test_clipping_patterns(case):
     x, fmt = case
-    k = fmt.integer_bits
+    k = fmt.total_bits - fmt.fractional_bits
     if x > 2.0 ** (k - 1):
         assert quantize(x, fmt) == "0" + "1" * (fmt.total_bits - 1)
     elif x < -(2.0 ** (k - 1)):

@@ -4,8 +4,9 @@ import pytest
 from nn2logic.aig import lower_netlist, simulate_batch
 from nn2logic.forest import (
     PROB_FRAC_BITS,
+    DecisionTree,
     RandomForestModel,
-    forest_from_text,
+    TreeNode,
     forest_module,
     forest_to_text,
     predict_forest,
@@ -13,7 +14,7 @@ from nn2logic.forest import (
 )
 from nn2logic.netlist import simulate_netlist
 
-from oracles import exact_vote_sums
+from oracles import exact_vote_sums, tree_depth
 
 
 def rows_to_words(rows: np.ndarray, m: int) -> list[int]:
@@ -71,18 +72,27 @@ def test_max_depth_respected():
     x = rng.integers(0, 2, size=(300, 12))
     y = rng.integers(0, 2, size=300)
     model = train_forest(x, y, 2, 3, seed=0)
-    assert all(t.depth() <= 3 for t in model.trees)
+    assert all(tree_depth(t.root) <= 3 for t in model.trees)
 
 
-def test_text_roundtrip():
-    rng = np.random.default_rng(5)
-    x = rng.integers(0, 2, size=(60, 7))
-    y = rng.integers(0, 2, size=60)
-    model = train_forest(x, y, 2, 4, seed=6)
-    back = forest_from_text(forest_to_text(model))
-    assert forest_to_text(back) == forest_to_text(model)
-    for row in x[:20]:
-        assert predict_forest(back, row) == predict_forest(model, row)
+def test_forest_to_text_golden():
+    # tree 0 splits on feature 2, then on feature 0 on its right; tree 1 is a leaf
+    leaf = TreeNode(p0=0.75, p1=0.25)
+    inner = TreeNode(feature=0, left=TreeNode(p0=0.0, p1=1.0), right=TreeNode(p0=1 / 3, p1=2 / 3))
+    root = TreeNode(feature=2, left=leaf, right=inner)
+    trees = [DecisionTree(root, 3, 5), DecisionTree(TreeNode(p0=0.5, p1=0.5), 3, 5)]
+    model = RandomForestModel(trees, n_estimators=2, max_depth=3, seed=17, n_features=5)
+    assert forest_to_text(model) == (
+        "forest 2 3 17 5\n"
+        "tree\n"
+        "node 2\n"
+        "leaf 0.75 0.25\n"
+        "node 0\n"
+        "leaf 0.0 1.0\n"
+        "leaf 0.3333333333333333 0.6666666666666666\n"
+        "tree\n"
+        "leaf 0.5 0.5\n"
+    )
 
 
 def test_tree_circuit_shape_depth2():
@@ -92,7 +102,7 @@ def test_tree_circuit_shape_depth2():
     y = np.array([0, 1, 1, 0] * 4)
     model = train_forest(x, y, 1, 2, seed=1, bootstrap=False, feature_subsample=False)
     tree = model.trees[0]
-    assert tree.depth() == 2
+    assert tree_depth(tree.root) == 2
     net = forest_module([model], word_width=1)
     comparators = sum(1 for g in net.gates if g.kind == "GTU")
     muxes = sum(1 for g in net.gates if g.kind == "MUX")

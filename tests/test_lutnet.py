@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from nn2logic import lutnet
 from nn2logic.aig import lower_netlist, simulate_batch
 from nn2logic.lutnet import (
-    eval_logicnet,
+    Lut,
+    LutNetwork,
     eval_logicnet_batch,
-    logicnet_from_text,
     logicnet_module,
     logicnet_to_text,
     train_logicnet,
@@ -35,7 +35,7 @@ def test_all_one_labels():
     rng = np.random.default_rng(0)
     x = rng.integers(0, 2, size=(40, 6)).astype(np.uint8)
     net = train_logicnet(x, np.ones(40, dtype=int), depth=2, width=4, lut_size=2, seed=1)
-    assert all(eval_logicnet(net, row) == 1 for row in x)
+    assert eval_logicnet_batch(net, x).tolist() == [1] * len(x)
 
 
 def test_xor_single_lut():
@@ -43,7 +43,7 @@ def test_xor_single_lut():
     y = (x[:, 0] ^ x[:, 1]).astype(int)
     net = train_logicnet(x, y, depth=1, width=1, lut_size=2, seed=0)
     assert net.layers[0][0].inputs == (0, 1)
-    assert all(eval_logicnet(net, row) == (row[0] ^ row[1]) for row in x)
+    assert eval_logicnet_batch(net, x).tolist() == (x[:, 0] ^ x[:, 1]).tolist()
     table = net.layers[0][0].table
     assert list(table) == [0, 1, 1, 0]
 
@@ -52,8 +52,7 @@ def test_unseen_pattern_defaults_zero():
     x = np.array([[0, 0]], dtype=np.uint8)
     y = np.array([1])
     net = train_logicnet(x, y, depth=1, width=1, lut_size=2, seed=0)
-    assert eval_logicnet(net, [0, 0]) == 1
-    assert eval_logicnet(net, [1, 1]) == 0
+    assert eval_logicnet_batch(net, [[0, 0], [1, 1]]).tolist() == [1, 0]
 
 
 def test_lut_size_too_large_rejected():
@@ -82,14 +81,24 @@ def test_memorization_with_full_width_lut():
     assert acc == 1.0
 
 
-def test_text_roundtrip():
-    rng = np.random.default_rng(4)
-    x = rng.integers(0, 2, size=(50, 6)).astype(np.uint8)
-    y = rng.integers(0, 2, size=50)
-    net = train_logicnet(x, y, depth=2, width=4, lut_size=3, seed=7)
-    back = logicnet_from_text(logicnet_to_text(net))
-    assert logicnet_to_text(back) == logicnet_to_text(net)
-    assert np.array_equal(eval_logicnet_batch(back, x), eval_logicnet_batch(net, x))
+def test_logicnet_to_text_golden():
+    def lut(inputs, table):
+        return Lut(inputs, np.zeros((len(table), 2), dtype=np.int64), np.array(table, np.uint8))
+
+    net = LutNetwork(depth=2, width=2, lut_size=2, seed=9, n_features=3)
+    net.layers = [
+        [lut((0, 2), [0, 1, 1, 0]), lut((1, 2), [1, 0, 0, 0])],
+        [lut((0, 1), [0, 0, 0, 1]), lut((0, 1), [1, 1, 1, 0])],
+    ]
+    net.output = lut((1,), [1, 0])
+    assert logicnet_to_text(net) == (
+        "logicnet 2 2 2 9 3\n"
+        "lut0 0,2 0110\n"
+        "lut0 1,2 1000\n"
+        "lut1 0,1 0001\n"
+        "lut1 0,1 1110\n"
+        "out 1 10\n"
+    )
 
 
 def test_module_passes_bit_through():
@@ -98,9 +107,9 @@ def test_module_passes_bit_through():
     y = x[:, 0].astype(int)
     net = train_logicnet(x, y, depth=1, width=1, lut_size=2, seed=0)
     module = logicnet_module([net], word_width=2)
-    for row in x:
+    for row, want in zip(x, eval_logicnet_batch(net, x)):
         word = f"{row[0]}{row[1]}"
-        assert simulate_netlist(module, [word]) == [str(eval_logicnet(net, row))]
+        assert simulate_netlist(module, [word]) == [str(want)]
 
 
 def test_module_realizes_xor():
@@ -136,7 +145,7 @@ def test_output_stage_shrinks_to_pool():
     y = (x[:, 0] & x[:, 1]).astype(int)
     net = train_logicnet(x, y, depth=1, width=1, lut_size=2, seed=0)
     assert len(net.output.inputs) == 1
-    assert all(eval_logicnet(net, row) == (row[0] & row[1]) for row in x)
+    assert eval_logicnet_batch(net, x).tolist() == (x[:, 0] & x[:, 1]).tolist()
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,6 @@ from nn2logic.datasets import (
     make_overlapping_gaussians,
     read_dataset,
     stratified_split,
-    write_dataset,
 )
 from nn2logic.fixedpoint import FixedPointFormat, from_int, quantize
 from nn2logic.mlp import (
@@ -15,15 +14,16 @@ from nn2logic.mlp import (
     MlpStructureError,
     WeightsParseError,
     extract_distillation_sets,
-    forward_capture,
+    forward_batch,
     load_weights,
     loss_and_grad,
-    predict,
     predict_batch,
     quantize_to_bits,
     save_weights,
     train,
 )
+
+from oracles import write_csv
 
 
 def identity_net(n: int) -> Mlp:
@@ -32,30 +32,30 @@ def identity_net(n: int) -> Mlp:
 
 def test_forward_capture_zero_net():
     net = Mlp([DenseLayer(np.zeros((3, 2)), np.zeros(3), "relu")])
-    acts = forward_capture(net, [1.0, 2.0])
+    acts = forward_batch(net, [[1.0, 2.0]])
     assert len(acts) == 1
     assert np.all(acts[0] == 0.0)
 
 
 def test_forward_capture_identity():
-    acts = forward_capture(identity_net(3), [1.5, -2.0, 0.25])
-    assert np.allclose(acts[-1], [1.5, -2.0, 0.25])
+    acts = forward_batch(identity_net(3), [[1.5, -2.0, 0.25]])
+    assert np.allclose(acts[-1], [[1.5, -2.0, 0.25]])
 
 
 def test_forward_capture_relu_kills_negative():
     net = Mlp([DenseLayer(np.array([[1.0, -1.0]]), np.zeros(1), "relu")])
-    acts = forward_capture(net, [2.0, 3.0])
-    assert np.allclose(acts[0], [0.0])
+    acts = forward_batch(net, [[2.0, 3.0]])
+    assert np.allclose(acts[0], [[0.0]])
 
 
 def test_forward_capture_width_mismatch():
     with pytest.raises(ValueError):
-        forward_capture(identity_net(3), [1.0, 2.0])
+        forward_batch(identity_net(3), [[1.0, 2.0]])
 
 
 def test_predict_tie_breaks_low():
     net = Mlp([DenseLayer(np.zeros((2, 2)), np.zeros(2), "identity")])
-    assert predict(net, [1.0, -1.0]) == 0
+    assert predict_batch(net, [[1.0, -1.0]]).tolist() == [0]
 
 
 def test_structure_validation():
@@ -82,8 +82,8 @@ def test_weights_roundtrip(tmp_path):
     path = tmp_path / "w.txt"
     save_weights(net, path)
     loaded = load_weights(path)
-    for x in rng.normal(size=(100, 27)):
-        assert np.allclose(forward_capture(net, x)[-1], forward_capture(loaded, x)[-1])
+    x = rng.normal(size=(100, 27))
+    assert np.allclose(forward_batch(net, x)[-1], forward_batch(loaded, x)[-1])
     for a, b in zip(net.layers, loaded.layers):
         assert np.array_equal(a.weights, b.weights)
         assert np.array_equal(a.bias, b.bias)
@@ -97,8 +97,8 @@ def test_weights_roundtrip_with_scaler(tmp_path):
     loaded = load_weights(path)
     assert np.array_equal(loaded.scaler.minimum, net.scaler.minimum)
     assert np.array_equal(loaded.scaler.maximum, net.scaler.maximum)
-    x = data.features[0]
-    assert np.allclose(forward_capture(net, x)[-1], forward_capture(loaded, x)[-1])
+    x = data.features[:1]
+    assert np.allclose(forward_batch(net, x)[-1], forward_batch(loaded, x)[-1])
 
 
 def test_load_rejects_empty_network(tmp_path):
@@ -111,8 +111,44 @@ def test_load_rejects_empty_network(tmp_path):
 def test_load_reports_line_numbers(tmp_path):
     path = tmp_path / "w.txt"
     path.write_text("mlp 1\nlayer 2 1 relu\n1.0 1.0\n")
-    with pytest.raises(WeightsParseError, match="line 3"):
+    with pytest.raises(WeightsParseError, match=r"w\.txt:3: expected 3 values, got 2"):
         load_weights(path)
+
+
+@pytest.mark.parametrize(
+    "text, error, where",
+    [
+        ("mlp\n", WeightsParseError, "1: expected 'mlp <num_layers>'"),
+        ("mlp x\n", WeightsParseError, "1: layer count is not an integer"),
+        ("mlp 0\n", MlpStructureError, "1: network must declare at least one layer"),
+        ("mlp 1\n", WeightsParseError, "2: expected 'layer <in> <out> <activation>', got end"),
+        ("mlp 1\nlayer 2\n", WeightsParseError, "2: expected 'layer <in> <out>"),
+        ("mlp 1\nlayer 2 x relu\n", WeightsParseError, "2: layer dimensions are not integers"),
+        ("mlp 1\nlayer 2 1 tanh\n", WeightsParseError, "2: unknown activation 'tanh'"),
+        ("mlp 1\nlayer 0 1 relu\n", MlpStructureError, "2: layer dimensions must be positive"),
+        ("mlp 1\n\nlayer 2 1 relu\n1 x 0\n", WeightsParseError, "4: non-numeric weight"),
+        (
+            "mlp 2\nlayer 2 1 relu\n1 1 0\nlayer 3 1 identity\n1 1 1 0\n",
+            MlpStructureError,
+            "4: layer widths do not chain: 1 -> 3",
+        ),
+        ("mlp 1\nlayer 1 1 relu\n1 0\nscale 0 1\n", WeightsParseError, "4: expected 'scaler'"),
+        ("mlp 1\nlayer 1 1 relu\n1 0\nscaler 0\n", WeightsParseError, "4: scaler needs"),
+        ("mlp 1\nlayer 1 1 relu\n1 0\nscaler 0 y\n", WeightsParseError, "4: non-numeric"),
+        ("mlp 1\nlayer 1 1 relu\n1 0\nscaler 0 1\nmore\n", WeightsParseError, "5: trailing"),
+    ],
+    ids=[
+        "header", "layer-count", "no-layers", "end-of-file", "layer-header", "dimensions",
+        "activation", "zero-width", "weight", "chain", "scaler-tag", "scaler-count",
+        "scaler-value", "trailing",
+    ],
+)
+def test_load_errors_name_path_and_line(tmp_path, text, error, where):
+    path = tmp_path / "w.txt"
+    path.write_text(text)
+    with pytest.raises(error) as info:
+        load_weights(path)
+    assert str(info.value).startswith(f"{path}:{where}")
 
 
 @pytest.mark.parametrize(
@@ -135,7 +171,7 @@ def test_load_simple_sum_net(tmp_path):
     path = tmp_path / "w.txt"
     path.write_text("mlp 1\nlayer 2 1 identity\n1.0 1.0 0.0\n")
     net = load_weights(path)
-    assert np.allclose(forward_capture(net, [2.0, 3.5])[-1], [5.5])
+    assert np.allclose(forward_batch(net, [[2.0, 3.5]])[-1], [[5.5]])
 
 
 def test_train_linearly_separable():
@@ -262,7 +298,7 @@ def test_distillation_labels_requantize():
 def test_dataset_csv_roundtrip(tmp_path):
     data = make_overlapping_gaussians(25, 3, seed=6)
     path = tmp_path / "d.csv"
-    write_dataset(data, path)
+    write_csv(data, path)
     back = read_dataset(path)
     assert np.array_equal(back.features, data.features)
     assert np.array_equal(back.labels, data.labels)

@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from nn2logic.datasets import LabeledDataset, make_overlapping_gaussians
+from nn2logic.aig import lower_netlist, simulate_batch
+from nn2logic.datasets import make_overlapping_gaussians
 from nn2logic.fixedpoint import FixedPointFormat, from_int, quantize, to_signed
-from nn2logic.mlp import quantized_forward, train
+from nn2logic.mlp import DenseLayer, Mlp, quantized_forward, train
 from nn2logic.netlist import (
     Netlist,
     build_network_direct,
@@ -29,7 +30,8 @@ def test_gate_width_rules():
     net = Netlist()
     a = net.add_input(4)
     b = net.add_input(4)
-    assert net.widths[net.add_gate("MUL", (a, b))] == 8
+    assert net.widths[net.add_gate("WSUM", (a, b), ((-8, 7), 1000))] == 12
+    assert net.widths[net.add_gate("WSUM", (a,), ((0,), 0))] == 12
     assert net.widths[net.add_gate("ADD", (a, b))] == 4
     assert net.widths[net.add_gate("GT", (a, b))] == 1
     c = net.add_input(2)
@@ -37,18 +39,30 @@ def test_gate_width_rules():
         net.add_gate("ADD", (a, c))
     with pytest.raises(ValueError):
         net.add_gate("MUX", (a, a, b))
+    for operands, weights in [((a, c), (1, 1)), ((a, b), (1,)), ((a,), (8,)), ((a,), (-9,))]:
+        with pytest.raises(ValueError, match="WSUM"):
+            net.add_gate("WSUM", operands, (weights, 0))
+    with pytest.raises(ValueError, match="WSUM"):
+        net.add_gate("WSUM", (), ((), 3))
 
 
-@given(st.integers(0, 15), st.integers(0, 15))
-def test_arith_gates_match_integers(a, b):
+@given(
+    st.integers(0, 15),
+    st.integers(0, 15),
+    st.integers(-8, 7),
+    st.integers(-8, 7),
+    st.integers(-3000, 3000),
+)
+def test_arith_gates_match_integers(a, b, wa, wb, bias):
     net = Netlist()
     sa = net.add_input(4)
     sb = net.add_input(4)
-    for kind in ("MUL", "ADD", "GT", "GTU"):
+    net.set_output(net.add_gate("WSUM", (sa, sb), ((wa, wb), bias)))
+    for kind in ("ADD", "GT", "GTU"):
         net.set_output(net.add_gate(kind, (sa, sb)))
     out = simulate_netlist(net, [a, b])
     sa_, sb_ = to_signed(from_int(a, 4)), to_signed(from_int(b, 4))
-    assert to_signed(out[0]) == sa_ * sb_
+    assert int(out[0], 2) == (wa * sa_ + wb * sb_ + bias) % (1 << 12)
     assert int(out[1], 2) == (a + b) % 16
     assert out[2] == str(int(sa_ > sb_))
     assert out[3] == str(int(a > b))
@@ -62,14 +76,14 @@ def test_shift_slice_clip_gates(v):
     net.set_output(net.add_gate("SHR", (s,), (3, True)))
     net.set_output(net.add_gate("SLICE", (s,), (2, 5)))
     net.set_output(net.add_gate("CLIP", (s,), (4,)))
-    net.set_output(net.add_gate("SEXT", (s,), (12,)))
+    net.set_output(net.add_gate("WSUM", (s,), ((1,), 0)))
     out = simulate_netlist(net, [v])
     sv = to_signed(from_int(v, 8))
     assert int(out[0], 2) == v >> 3
     assert to_signed(out[1]) == sv >> 3
     assert int(out[2], 2) == (v >> 2) & 0xF
     assert to_signed(out[3]) == max(-8, min(7, sv))
-    assert to_signed(out[4]) == sv
+    assert len(out[4]) == 24 and to_signed(out[4]) == sv
 
 
 def test_concat_msb_first():
@@ -113,6 +127,8 @@ def test_neuron_empty_weights_rejected():
 def test_neuron_weight_width_mismatch():
     with pytest.raises(ValueError):
         build_neuron(["010"], True, FMT)
+    with pytest.raises(ValueError):
+        build_neuron(["0100"], True, FMT, bias_q="010")
 
 
 @given(st.data())
@@ -130,6 +146,31 @@ def test_neuron_matches_integer_oracle(data):
     got = simulate_netlist(net, [from_int(x, 4) for x in xs])[0]
     want = neuron_reference(weights, xs, bias, has_relu, 4, 2)
     assert int(got, 2) == want
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [[-8], [0], [5], [-8, 3], [0, -1], [-8, 0, 7], [-3, -8, 2]],
+    ids=lambda weights: "w=" + ",".join(map(str, weights)),
+)
+def test_neuron_lowering_exhaustive_m4(weights):
+    """Every input of 1-3-input neurons: AIG, netlist simulation and the oracle agree."""
+    n, m, i = len(weights), 4, 2
+    xs = [[(v >> (m * k)) & 15 for k in range(n)] for v in range(1 << (m * n))]
+    lanes = [sum(((row[k] >> j) & 1) << s for s, row in enumerate(xs))
+             for k in range(n) for j in range(m)]
+    for bias in (None, -8, 6):
+        bq = from_int(bias, m) if bias is not None else None
+        for has_relu in (True, False):
+            net = build_neuron([from_int(w, m) for w in weights], has_relu, FMT, bias_q=bq)
+            out = simulate_batch(lower_netlist(net), lanes, len(xs))
+            for s, row in enumerate(xs):
+                want = neuron_reference(
+                    weights, [to_signed(from_int(x, m)) for x in row], bias, has_relu, m, i
+                )
+                got = sum(((out[j] >> s) & 1) << j for j in range(m))
+                assert got == want
+                assert simulate_netlist(net, row) == [from_int(want, m)]
 
 
 def test_neuron_oracle_random_m8():
@@ -182,9 +223,15 @@ def test_cascade_preserves_module_simulation():
         assert got[2] == str(int(to_signed(final[1]) > to_signed(final[0])))
 
 
-def test_dump_is_stable():
-    net = build_neuron(["0100"], True, FMT)
-    text = net.dump()
-    assert text == build_neuron(["0100"], True, FMT).dump()
-    assert "MUL" in text and "CLIP" in text and "SHR" in text
-    assert text.splitlines()[0].startswith("inputs")
+def test_direct_network_emits_one_wsum_per_neuron():
+    rng = np.random.default_rng(1)
+    mlp_net = Mlp([
+        DenseLayer(rng.normal(size=(3, 4)), rng.normal(size=3), "relu"),
+        DenseLayer(rng.normal(size=(2, 3)), rng.normal(size=2), "identity"),
+    ])
+    net = build_network_direct(mlp_net, FixedPointFormat(8, 6))
+    kinds = [g.kind for g in net.gates]
+    assert kinds.count("WSUM") == 5
+    # ReLU neurons: WSUM, zero, GT, MUX, SHR, CLIP; identity ones: WSUM, SHR, CLIP; argmax GT
+    assert len(kinds) == 3 * 6 + 2 * 3 + 1
+    assert set(kinds) == {"WSUM", "CONST", "GT", "MUX", "SHR", "CLIP"}

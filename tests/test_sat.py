@@ -12,7 +12,6 @@ from nn2logic.sat import (
     check_equivalence,
     find_onset_vector,
     solve,
-    to_dimacs,
     tseitin,
 )
 
@@ -66,11 +65,6 @@ def test_formula_validation():
         CnfFormula(2, [[0]])
     with pytest.raises(ValueError):
         CnfFormula(2, [[3]])
-
-
-def test_to_dimacs():
-    text = to_dimacs(CnfFormula(2, [[1, -2]]))
-    assert text == "p cnf 2 1\n1 -2 0\n"
 
 
 @settings(max_examples=150, deadline=None)
