@@ -194,11 +194,10 @@ def _ripple_add(g: AigGraph, a: list[int], b: list[int], carry: int = 0) -> list
     return out
 
 
-def _is_positive(g: AigGraph, a: list[int], b: list[int], signed: bool) -> int:
-    """1 iff a > b, via an extended subtraction: sign clear and result nonzero."""
-    ext = (a[-1] if signed else 0, b[-1] if signed else 0)
-    aa = a + [ext[0]]
-    bb = [x ^ 1 for x in b] + [ext[1] ^ 1]
+def _is_positive(g: AigGraph, a: list[int], b: list[int]) -> int:
+    """1 iff signed a > signed b, via a sign-extended subtraction: sign clear and result nonzero."""
+    aa = a + [a[-1]]
+    bb = [x ^ 1 for x in b] + [b[-1] ^ 1]
     diff = _ripple_add(g, aa, bb, 1)
     nonzero = 0
     for bit in diff:
@@ -278,9 +277,7 @@ def lower_netlist(net: Netlist) -> AigGraph:
         elif kind == "ADD":
             word = _ripple_add(g, ops[0], ops[1])
         elif kind == "GT":
-            word = [_is_positive(g, ops[0], ops[1], signed=True)]
-        elif kind == "GTU":
-            word = [_is_positive(g, ops[0], ops[1], signed=False)]
+            word = [_is_positive(g, ops[0], ops[1])]
         elif kind == "MUX":
             sel = ops[0][0]
             word = [g.mux(sel, x, y) for x, y in zip(ops[1], ops[2])]

@@ -51,10 +51,7 @@ def dataset_input_words(features: np.ndarray, fmt: FixedPointFormat, scaler=None
     bits = quantize_to_bits(x, fmt)  # columns are msb-first per word
     m = fmt.total_bits
     n, total = bits.shape
-    words = []
-    for k in range(total // m):
-        for j in range(m):
-            words.append(pack_column(bits[:, k * m + (m - 1 - j)]))
+    words = [pack_column(bits[:, k * m + m - 1 - j]) for k in range(total // m) for j in range(m)]
     return words, n
 
 
@@ -122,10 +119,6 @@ class EquationReport:
         return "\n".join(parts) + "\n"
 
 
-def _word_name(bit_name: str) -> str:
-    return bit_name.split("[")[0] if "[" in bit_name else bit_name
-
-
 def emit_equations(
     g: AigGraph,
     input_names: list[str] | None = None,
@@ -173,9 +166,7 @@ def emit_equations(
             inline.add(node)
 
     base = start_index if start_index is not None else len(g.inputs) + 1
-    name_of: dict[int, str] = {}
-    for node, bit_name in zip(g.inputs, in_names):
-        name_of[node] = bit_name
+    name_of: dict[int, str] = dict(zip(g.inputs, in_names))
     counter = base
     lines: list[str] = []
 
@@ -199,14 +190,6 @@ def emit_equations(
         else:
             lines.append(f"{out_name} = {ref(o)};")
 
-    in_words: list[str] = []
-    for bit_name in in_names:
-        w = _word_name(bit_name)
-        if w not in in_words:
-            in_words.append(w)
-    out_words: list[str] = []
-    for bit_name in out_names:
-        w = _word_name(bit_name)
-        if w not in out_words:
-            out_words.append(w)
+    in_words = list(dict.fromkeys(name.split("[")[0] for name in in_names))
+    out_words = list(dict.fromkeys(name.split("[")[0] for name in out_names))
     return EquationReport(title, in_words, out_words, lines)

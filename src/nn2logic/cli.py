@@ -6,6 +6,11 @@ import argparse
 import os
 import sys
 
+# one BLAS thread unless the user chose otherwise: two threads on a busy
+# 2-CPU machine slow mlp.train tenfold; this must run before NumPy loads
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+
 import numpy as np
 
 from nn2logic import aig, analysis, mlp, pipeline, sat
@@ -62,7 +67,7 @@ def cmd_compile(args) -> int:
     os.makedirs(cfg.out_dir, exist_ok=True)
     data, train_idx, _ = pipeline.load_split(cfg)
     if args.split:
-        train_idx, _ = pipeline.read_split_manifest(args.split)
+        train_idx, _ = pipeline.read_split_manifest(args.split, len(data))
     names = data.feature_names
     if cfg.pipeline == "direct":
         graph = pipeline.compile_direct(net, fmt, names)
@@ -91,7 +96,7 @@ def cmd_evaluate(args) -> int:
     graph = aig.read_aiger(args.aig)
     data = read_dataset(cfg.dataset)
     if args.split:
-        _, test_idx = pipeline.read_split_manifest(args.split)
+        _, test_idx = pipeline.read_split_manifest(args.split, len(data))
         data = data.subset(test_idx)
     scaler = mlp.load_weights(args.weights).scaler if args.weights else None
     report = analysis.evaluate(graph, data, cfg.fmt, scaler, pipeline=cfg.pipeline)

@@ -129,10 +129,10 @@ def quantize_prob(p: float) -> int:
 
 
 def predict_forest(model: RandomForestModel, feature_row) -> int:
-    """Argmax of the quantized vote sums, mirroring the lowered comparator.
+    """Argmax of the quantized vote sums; ties give 0.
 
-    Leaf probabilities enter the circuit as unsigned fixed-point constants,
-    so prediction sums those same quantized weights; ties give 0.
+    This is the vote circuit's function, computed apart from it: the circuit
+    sums the per-tree differences ``q(p1) - q(p0)`` instead of two class sums.
     """
     row = np.asarray(feature_row).astype(np.uint8)
     s0 = s1 = 0
@@ -143,36 +143,38 @@ def predict_forest(model: RandomForestModel, feature_row) -> int:
     return int(s1 > s0)
 
 
-def _emit_tree(net: nl.Netlist, feature_sids: list[int], node, width: int) -> tuple[int, int]:
-    """Comparator/mux cascade for one tree; returns (p0, p1) word signals.
+def vote_width(n_trees: int) -> int:
+    """Signed width at which a sum of ``n_trees`` leaf votes never wraps.
 
-    Each internal node is emitted as a literal unsigned comparator of its
-    feature bit against zero, which the AIG folding later collapses to the
-    bit itself.
+    Each vote ``q(p1) - q(p0)`` lies in ±2**PROB_FRAC_BITS, so |sum| < 2**(width - 1).
+    """
+    return PROB_FRAC_BITS + 2 + math.ceil(math.log2(n_trees))
+
+
+def _emit_tree(net: nl.Netlist, feature_sids: list[int], node, width: int) -> int:
+    """Mux tree of one tree; returns its signed vote word ``q(p1) - q(p0)``.
+
+    Each leaf is one constant and each internal node one MUX selected by its
+    1-bit feature signal, the right subtree taken when the bit is 1.
     """
     if node.feature is None:
-        return (
-            net.add_const(from_int(quantize_prob(node.p0), width)),
-            net.add_const(from_int(quantize_prob(node.p1), width)),
-        )
-    zero = net.add_const("0")
-    sel = net.add_gate("GTU", (feature_sids[node.feature], zero))
-    l0, l1 = _emit_tree(net, feature_sids, node.left, width)
-    r0, r1 = _emit_tree(net, feature_sids, node.right, width)
-    return (
-        net.add_gate("MUX", (sel, r0, l0)),
-        net.add_gate("MUX", (sel, r1, l1)),
-    )
+        return net.add_const(from_int(quantize_prob(node.p1) - quantize_prob(node.p0), width))
+    left = _emit_tree(net, feature_sids, node.left, width)
+    right = _emit_tree(net, feature_sids, node.right, width)
+    return net.add_gate("MUX", (feature_sids[node.feature], right, left))
 
 
 def _emit_forest_bit(net: nl.Netlist, feature_sids: list[int], model: RandomForestModel) -> int:
-    """Vote circuit: per-tree probability pairs summed, then compared."""
-    width = PROB_FRAC_BITS + 1 + math.ceil(math.log2(model.n_estimators))
-    s0, s1 = _emit_tree(net, feature_sids, model.trees[0].root, width)
+    """Vote circuit: the trees' vote words summed, then compared above zero.
+
+    ``sum(q1) > sum(q0)`` exactly when ``sum(q1 - q0) > 0``, so the bit is
+    the function ``predict_forest`` computes.
+    """
+    width = vote_width(len(model.trees))
+    total = _emit_tree(net, feature_sids, model.trees[0].root, width)
     for tree in model.trees[1:]:
-        p0, p1 = _emit_tree(net, feature_sids, tree.root, width)
-        s0, s1 = net.add_gate("ADD", (s0, p0)), net.add_gate("ADD", (s1, p1))
-    return net.add_gate("GTU", (s1, s0))
+        total = net.add_gate("ADD", (total, _emit_tree(net, feature_sids, tree.root, width)))
+    return net.add_gate("GT", (total, net.add_const("0" * width)))
 
 
 def forest_module(models: list[RandomForestModel], word_width: int | None = None):

@@ -37,10 +37,7 @@ class Lut:
     table: np.ndarray  # (2**K,) frozen output bits
 
     def table_int(self) -> int:
-        acc = 0
-        for p, bit in enumerate(self.table):
-            acc |= int(bit) << p
-        return acc
+        return sum(int(bit) << p for p, bit in enumerate(self.table))
 
 
 @dataclass

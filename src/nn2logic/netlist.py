@@ -7,7 +7,7 @@ bit 0 least significant.  The gate kinds, all emitted by some builder:
 * WSUM(x_1..x_n), params ``(weights, bias)``: one neuron's weighted sum
   ``bias + sum(weights[k] * x_k)`` of signed m-bit words and signed m-bit
   integer weights, wrapped to 3m bits,
-* ADD (wrapping), GT (signed) and GTU (unsigned) on two equal-width words,
+* ADD (wrapping) and GT (signed) on two equal-width words,
 * MUX(sel, a, b) yields ``a`` when sel is 1,
 * CONST, SHR (logical or arithmetic), SLICE, CLIP (signed saturation),
 * CONCAT lists its operands most significant first,
@@ -89,8 +89,8 @@ class Netlist:
         if kind == "ADD":
             self._need(len(w) == 2 and w[0] == w[1], "ADD needs two equal-width operands")
             return w[0]
-        if kind in ("GT", "GTU"):
-            self._need(len(w) == 2 and w[0] == w[1], f"{kind} needs two equal-width operands")
+        if kind == "GT":
+            self._need(len(w) == 2 and w[0] == w[1], "GT needs two equal-width operands")
             return 1
         if kind == "MUX":
             self._need(
@@ -158,8 +158,6 @@ def _eval_gate(net: Netlist, g: Gate, values: dict[int, int]) -> int:
         return (ops[0] + ops[1]) & ((1 << w[0]) - 1)
     if kind == "GT":
         return int(signed_value(ops[0], w[0]) > signed_value(ops[1], w[1]))
-    if kind == "GTU":
-        return int(ops[0] > ops[1])
     if kind == "MUX":
         return ops[1] if ops[0] else ops[2]
     if kind == "SHR":

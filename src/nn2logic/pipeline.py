@@ -105,11 +105,28 @@ def write_split_manifest(path, train_idx, test_idx) -> None:
         fh.write("test " + " ".join(str(i) for i in test_idx) + "\n")
 
 
-def read_split_manifest(path) -> tuple[np.ndarray, np.ndarray]:
+def read_split_manifest(path, n_rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """``train`` and ``test`` row indices, each in 0..n_rows-1 and listed once in the file.
+
+    Bad input raises ValueError at ``path:line``.
+    """
+    parts: dict[str, np.ndarray] = {}
+    first_seen: dict[int, int] = {}  # row index -> line it is listed on
     with open(path) as fh:
-        lines = fh.read().splitlines()
-    parts = {ln.split()[0]: np.array([int(v) for v in ln.split()[1:]]) for ln in lines if ln}
-    if "train" not in parts or "test" not in parts:
+        for lineno, line in enumerate(fh, start=1):
+            where = f"{path}:{lineno}"
+            tag, *values = line.split() or [""]
+            if tag not in ("train", "test") or tag in parts:
+                raise _error(where, f"expected one 'train' and one 'test' line, got {tag!r}")
+            rows = [_convert(int, tag, v, where) for v in values]
+            for row in rows:
+                if not 0 <= row < n_rows:
+                    raise _error(where, f"{tag}: row {row} is not in 0..{n_rows - 1}")
+                if row in first_seen:
+                    raise _error(where, f"row {row} is already listed on line {first_seen[row]}")
+                first_seen[row] = lineno
+            parts[tag] = np.array(rows, dtype=np.int64)
+    if len(parts) != 2:
         raise ValueError(f"{path}: manifest needs 'train' and 'test' lines")
     return parts["train"], parts["test"]
 

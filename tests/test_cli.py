@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -96,7 +98,7 @@ def _in_memory_compile(run, flow):
     cfg = pipeline.parse_config(run["cfg"], {"pipeline": flow})
     net = mlp.load_weights(run["weights"])
     data = read_dataset(run["csv"])
-    train_idx, _ = pipeline.read_split_manifest(run["split"])
+    train_idx, _ = pipeline.read_split_manifest(run["split"], len(data))
     if flow == "direct":
         return pipeline.compile_direct(net, cfg.fmt, data.feature_names), None
     sets = mlp.extract_distillation_sets(net, data.subset(train_idx), cfg.fmt)
@@ -137,8 +139,9 @@ def test_cli_flow_end_to_end(trained, flow, capsys):
     assert cli.main(["evaluate", aag, run["csv"], "--split", run["split"],
                      "--weights", run["weights"], *common]) == 0
     header, row = capsys.readouterr().out.strip().splitlines()
-    _, test_idx = pipeline.read_split_manifest(run["split"])
-    test_data = read_dataset(run["csv"]).subset(test_idx)
+    data = read_dataset(run["csv"])
+    _, test_idx = pipeline.read_split_manifest(run["split"], len(data))
+    test_data = data.subset(test_idx)
     scaler = mlp.load_weights(run["weights"]).scaler
     report = analysis.evaluate(want, test_data, cfg.fmt, scaler, pipeline=flow)
     assert (header, row) == (analysis.RESULTS_HEADER, report.csv_row())
@@ -225,3 +228,47 @@ def test_compile_reports_a_short_weights_row_at_its_line(trained, tmp_path, caps
             "--out", str(tmp_path / "out")]
     assert cli.main(args) == 2
     assert capsys.readouterr().err == f"error: {weights}:3: expected 3 values, got 2\n"
+
+
+def test_compile_rejects_a_split_that_leaks_test_rows(trained, tmp_path, capsys):
+    with open(trained["split"]) as fh:
+        train_line, test_line = fh.read().splitlines()
+    leaked = train_line.split()[1]
+    split = tmp_path / "leak.txt"
+    split.write_text(f"{train_line}\n{test_line} {leaked}\n")
+    out = str(tmp_path / "out")
+    args = ["compile", trained["csv"], trained["weights"], "--split", str(split),
+            "--config", trained["cfg"], "--pipeline", "rf", "--out", out]
+    assert cli.main(args) == 2
+    assert capsys.readouterr().err == (
+        f"error: {split}:2: row {leaked} is already listed on line 1\n"
+    )
+    assert not os.path.exists(os.path.join(out, "rf.aag"))
+
+
+BLAS_PROBE = """
+import os, sys
+KEYS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+seen = {}
+
+class Spy:  # records the environment at the moment NumPy is first imported
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not seen:
+            seen.update((k, os.environ.get(k)) for k in KEYS)
+
+sys.meta_path.insert(0, Spy())
+import nn2logic.cli
+print(" ".join(str(seen[k]) for k in KEYS))
+"""
+
+
+@pytest.mark.parametrize("preset, want", [(None, "1 1"), ("3", "3 3")])
+def test_cli_pins_blas_threads_before_numpy_loads(preset, want):
+    keys = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in keys}
+    if preset is not None:
+        env.update(dict.fromkeys(keys, preset))
+    env["PYTHONPATH"] = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    run = subprocess.run([sys.executable, "-c", BLAS_PROBE], env=env, capture_output=True,
+                         text=True, check=True)
+    assert run.stdout.split() == want.split()

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from nn2logic import forest
 from nn2logic.aig import lower_netlist, simulate_batch
 from nn2logic.forest import (
     PROB_FRAC_BITS,
@@ -10,6 +11,7 @@ from nn2logic.forest import (
     forest_module,
     forest_to_text,
     predict_forest,
+    quantize_prob,
     train_forest,
 )
 from nn2logic.netlist import simulate_netlist
@@ -104,10 +106,10 @@ def test_tree_circuit_shape_depth2():
     tree = model.trees[0]
     assert tree_depth(tree.root) == 2
     net = forest_module([model], word_width=1)
-    comparators = sum(1 for g in net.gates if g.kind == "GTU")
-    muxes = sum(1 for g in net.gates if g.kind == "MUX")
-    assert comparators == 3 + 1  # one per internal node, plus the vote
-    assert muxes == 6  # three mux levels per probability word
+    kinds = [g.kind for g in net.gates]
+    assert kinds.count("MUX") == 3  # one per internal node, selected by its feature bit
+    assert kinds.count("GT") == 1  # the vote sum against zero
+    assert "GTU" not in kinds
 
 
 def test_stump_selects_right_leaf():
@@ -167,6 +169,74 @@ def test_probability_quantization_soundness():
             s0, s1 = exact_vote_sums(model, row)
             if abs(s1 - s0) > margin:
                 assert predict_forest(model, row) == int(s1 > s0)
+
+
+LEAF_PROBS = (0.0, 0.25, 0.5, 0.75, 1.0)
+
+
+def _hand_tree(rng, n_features: int, depth: int, all_p1: bool) -> TreeNode:
+    """A full tree over random features; leaf p1 drawn from LEAF_PROBS, or all 1."""
+    if depth == 0:
+        p1 = 1.0 if all_p1 else float(rng.choice(LEAF_PROBS))
+        return TreeNode(p0=1.0 - p1, p1=p1)
+    return TreeNode(
+        feature=int(rng.integers(n_features)),
+        left=_hand_tree(rng, n_features, depth - 1, all_p1),
+        right=_hand_tree(rng, n_features, depth - 1, all_p1),
+    )
+
+
+def _hand_forest(n_trees: int, all_p1: bool):
+    """``n_trees`` depth-3 trees over 10 feature bits."""
+    rng = np.random.default_rng(n_trees)
+    trees = [DecisionTree(_hand_tree(rng, 10, 3, all_p1), 3, 10) for _ in range(n_trees)]
+    return RandomForestModel(trees, n_trees, 3, 0, 10)
+
+
+def _vote_bits_on_every_input(model):
+    """Rows of all inputs, with the lowered AIG's and the netlist's vote bit on each."""
+    f = model.n_features
+    rows = ((np.arange(1 << f)[:, None] >> np.arange(f)) & 1).astype(np.uint8)
+    net = forest_module([model], word_width=1)
+    (word,) = simulate_batch(lower_netlist(net), rows_to_words(rows, 1), len(rows))
+    aig_bits = [(word >> s) & 1 for s in range(len(rows))]
+    net_bits = [int(simulate_netlist(net, [int(b) for b in row])[0]) for row in rows]
+    return rows, aig_bits, net_bits
+
+
+def _vote_sum(model, row) -> int:
+    """Sum over trees of q(p1) - q(p0) at the leaf ``row`` reaches."""
+    leaves = [tree.leaf_for(row) for tree in model.trees]
+    return sum(quantize_prob(leaf.p1) - quantize_prob(leaf.p0) for leaf in leaves)
+
+
+@pytest.mark.parametrize("all_p1", [False, True], ids=["mixed", "all-p1"])
+@pytest.mark.parametrize("n_trees", [1, 2, 3, 4])
+def test_vote_bit_exhaustive(n_trees, all_p1):
+    model = _hand_forest(n_trees, all_p1)
+    rows, aig_bits, net_bits = _vote_bits_on_every_input(model)
+    assert aig_bits == net_bits == [predict_forest(model, row) for row in rows]
+    sums = {_vote_sum(model, row) for row in rows}
+    if all_p1:
+        assert sums == {(1 << PROB_FRAC_BITS) * n_trees}  # the largest sum T trees can reach
+    else:
+        assert 0 in sums and min(sums) < 0 < max(sums)  # ties, losses and wins all occur
+
+
+@pytest.mark.parametrize("n_trees", [1, 2, 4])
+def test_vote_width_one_bit_narrower_wraps(n_trees, monkeypatch):
+    """At a power-of-two tree count the all-p1 sum needs every bit of ``vote_width``.
+
+    One bit less and 2**PROB_FRAC_BITS * T wraps to a negative word, so the
+    circuit votes 0 where ``predict_forest`` votes 1.  (At T = 3 the rounded-up
+    log2 leaves a spare bit.)
+    """
+    model = _hand_forest(n_trees, all_p1=True)
+    width = forest.vote_width
+    monkeypatch.setattr(forest, "vote_width", lambda t: width(t) - 1)
+    rows, aig_bits, net_bits = _vote_bits_on_every_input(model)
+    assert {predict_forest(model, row) for row in rows} == {1}
+    assert set(aig_bits) == set(net_bits) == {0}
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from nn2logic import pipeline
@@ -86,3 +87,31 @@ def test_worker_count_rejects_a_non_integer(monkeypatch):
         pipeline.worker_count()
     monkeypatch.setenv("NN2LOGIC_THREADS", "0")
     assert pipeline.worker_count() == 1
+
+
+def test_split_manifest_round_trip(tmp_path):
+    path = str(tmp_path / "split.txt")
+    pipeline.write_split_manifest(path, np.array([0, 2, 3]), np.array([1, 4]))
+    train, test = pipeline.read_split_manifest(path, 5)
+    assert train.tolist() == [0, 2, 3] and test.tolist() == [1, 4]
+
+
+@pytest.mark.parametrize(
+    "text, match",
+    [
+        ("train 0 1 2 -1\ntest 3\n", r"m\.txt:1: train: row -1 is not in 0\.\.9$"),
+        ("train 0 1\ntest 2 10\n", r"m\.txt:2: test: row 10 is not in 0\.\.9$"),
+        ("train 0 1 2\ntest 3 2\n", r"m\.txt:2: row 2 is already listed on line 1$"),
+        ("train 0 1 1\ntest 3\n", r"m\.txt:1: row 1 is already listed on line 1$"),
+        ("train 0 1.5\ntest 3\n", r"m\.txt:1: train: expected int, got '1\.5'$"),
+        ("train 0 1\n\ntest 3\n", r"m\.txt:2: expected one 'train' and one 'test' line, got ''$"),
+        ("train 0\ntrain 1\ntest 3\n", r"m\.txt:2: expected one 'train' and one 'test' line"),
+        ("train 0 1\n", r"m\.txt: manifest needs 'train' and 'test' lines$"),
+    ],
+    ids=["negative", "out-of-range", "in-train-and-test", "repeated", "non-integer", "blank-line",
+         "second-train-line", "no-test-line"],
+)
+def test_split_manifest_rejects_bad_rows_at_their_line(tmp_path, text, match):
+    path = _write(tmp_path, "m.txt", text)
+    with pytest.raises(ValueError, match=match):
+        pipeline.read_split_manifest(path, 10)
