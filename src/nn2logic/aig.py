@@ -9,6 +9,8 @@ pass evaluates every sample at once.
 
 from __future__ import annotations
 
+import heapq
+
 from nn2logic.netlist import Netlist
 
 _INPUT = -1
@@ -115,24 +117,24 @@ def simulate_aig(g: AigGraph, input_bits) -> list[int]:
     return [v & 1 for v in simulate_batch(g, words, 1)]
 
 
-def stats(g: AigGraph) -> tuple[int, int]:
-    """(AND-node count, longest input-to-output path in AND nodes)."""
+def _grow_levels(g: AigGraph, levels: list[int]) -> list[int]:
+    """Extend ``levels`` to every node of ``g``: its longest path from an input in AND nodes."""
     f0, f1 = g.fanin0, g.fanin1
-    level = [0] * len(f0)
-    count = 0
-    for node in range(1, len(f0)):
+    for node in range(len(levels), len(f0)):
         a = f0[node]
         if a < 0:
-            continue
-        count += 1
-        la = level[a >> 1]
-        lb = level[f1[node] >> 1]
-        level[node] = (la if la >= lb else lb) + 1
-    depth = 0
-    for o in g.outputs:
-        if level[o >> 1] > depth:
-            depth = level[o >> 1]
-    return count, depth
+            levels.append(0)
+        else:
+            la = levels[a >> 1]
+            lb = levels[f1[node] >> 1]
+            levels.append((la if la >= lb else lb) + 1)
+    return levels
+
+
+def stats(g: AigGraph) -> tuple[int, int]:
+    """(AND-node count, longest input-to-output path in AND nodes)."""
+    level = _grow_levels(g, [])
+    return g.and_count(), max((level[o >> 1] for o in g.outputs), default=0)
 
 
 def sweep(g: AigGraph) -> AigGraph:
@@ -205,28 +207,79 @@ def _is_positive(g: AigGraph, a: list[int], b: list[int]) -> int:
     return g.and2(diff[-1] ^ 1, nonzero)
 
 
-def _weighted_sum(g: AigGraph, xs: list[list[int]], weights, bias: int) -> list[int]:
+def _csd_digits(w: int) -> list[tuple[int, int]]:
+    """Canonical signed digits of ``w`` as (shift, +1 or -1), no two adjacent."""
+    digits = []
+    shift = 0
+    while w:
+        if w & 1:
+            d = 2 - (w & 3)  # +1 when w = 1 mod 4, else -1
+            digits.append((shift, d))
+            w -= d
+        w >>= 1
+        shift += 1
+    return digits
+
+
+def _weighted_sum(
+    g: AigGraph, xs: list[list[int]], weights, bias: int, levels: list[int]
+) -> list[int]:
     """``bias + sum(weights[k] * xs[k])`` over signed m-bit words, wrapped to 3m bits.
 
-    Each product is formed at 2m bits by shift-and-add: row j is bit j of the
-    sign-extended x times the constant weight's bits, shifted up j places.
-    The products are sign-extended to 3m bits and ripple-added in operand
-    order, the bias constant last.
+    Each weight is recoded in canonical signed digits, and each non-zero
+    digit at shift s adds one row, +x or -x, into per-column bit heaps.  A +x
+    row puts x_0..x_{m-2} and ~x_{m-1} into columns s..s+m-1 and adds the
+    constant -2**(s+m-1); a -x row puts ~x_0..~x_{m-2} and x_{m-1} and adds
+    2**s - 2**(s+m-1).  Those constants and the bias fold into one constant
+    whose 1 bits join the heaps.  The sum is formed at W bits, the signed
+    width of the interval ``bias + sum(min(w*lo, w*hi)) .. bias +
+    sum(max(w*lo, w*hi))`` over the input range lo..hi, capped at 3m, and
+    sign-extended to 3m bits, which gives the 3m-bit wrap in every case.
+    Full adders reduce each column to at most two bits, lowest column first,
+    always taking the three bits of lowest AIG level, and one ripple adder
+    adds the two rows that remain.  ``levels`` is the caller's per-node level
+    list, which ``_grow_levels`` extends as nodes appear.
     """
     m = len(xs[0])
-    terms = []
+    lo, hi = -(1 << (m - 1)), (1 << (m - 1)) - 1
+    low = high = bias
+    for w in weights:
+        low += min(w * lo, w * hi)
+        high += max(w * lo, w * hi)
+    width = min(3 * m, max((v if v >= 0 else ~v).bit_length() for v in (low, high)) + 1)
+    columns: list[list[int]] = [[] for _ in range(width)]
+    const = bias
     for x, w in zip(xs, weights):
-        xx = x + [x[-1]] * m
-        prod = [0] * (2 * m)
-        for j, bit in enumerate(xx):
-            row = [bit if (w >> k) & 1 else 0 for k in range(2 * m - j)]
-            prod[j:] = _ripple_add(g, prod[j:], row)
-        terms.append(prod + [prod[-1]] * m)
-    terms.append([(bias >> j) & 1 for j in range(3 * m)])
-    acc = terms[0]
-    for t in terms[1:]:
-        acc = _ripple_add(g, acc, t)
-    return acc
+        for shift, d in _csd_digits(w):
+            flip = 1 if d < 0 else 0
+            for j in range(min(m, width - shift)):
+                columns[shift + j].append(x[j] ^ flip ^ (j == m - 1))
+            const -= 1 << (shift + m - 1)
+            if flip:
+                const += 1 << shift
+    for j in range(width):
+        if (const >> j) & 1:
+            columns[j].append(1)
+    first: list[int] = []
+    second: list[int] = []
+    for j, column in enumerate(columns):
+        _grow_levels(g, levels)
+        heap = [(levels[lit >> 1], lit) for lit in column]
+        heapq.heapify(heap)
+        while len(heap) > 2:
+            a = heapq.heappop(heap)[1]
+            b = heapq.heappop(heap)[1]
+            c = heapq.heappop(heap)[1]
+            ab = g.xor2(a, b)
+            total = g.xor2(ab, c)
+            heapq.heappush(heap, (_grow_levels(g, levels)[total >> 1], total))
+            if j + 1 < width:
+                columns[j + 1].append(g.or2(g.and2(a, b), g.and2(c, ab)))
+        pair = [lit for _, lit in heap] + [0, 0]
+        first.append(pair[0])
+        second.append(pair[1])
+    word = _ripple_add(g, first, second)
+    return word + [word[-1]] * (3 * m - width)
 
 
 def _lut_cofactor(g: AigGraph, table: int, sels: list[int], memo: dict) -> int:
@@ -262,6 +315,7 @@ def lower_netlist(net: Netlist) -> AigGraph:
     expanded least significant bit first.
     """
     g = AigGraph()
+    levels: list[int] = []  # AIG level per node, grown as WSUM lowering needs it
     bits: dict[int, list[int]] = {}
     for sid in net.inputs:
         name = net.names[sid] or f"x{sid}"
@@ -273,7 +327,7 @@ def lower_netlist(net: Netlist) -> AigGraph:
         if kind == "CONST":
             word = [int(c) for c in reversed(gate.params[0])]
         elif kind == "WSUM":
-            word = _weighted_sum(g, ops, *gate.params)
+            word = _weighted_sum(g, ops, *gate.params, levels)
         elif kind == "ADD":
             word = _ripple_add(g, ops[0], ops[1])
         elif kind == "GT":

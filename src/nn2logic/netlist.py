@@ -5,8 +5,8 @@ is treated as immutable.  Values are unsigned words at the declared widths,
 bit 0 least significant.  The gate kinds, all emitted by some builder:
 
 * WSUM(x_1..x_n), params ``(weights, bias)``: one neuron's weighted sum
-  ``bias + sum(weights[k] * x_k)`` of signed m-bit words and signed m-bit
-  integer weights, wrapped to 3m bits,
+  ``bias + sum(weights[k] * x_k)`` of signed m-bit words, signed m-bit
+  integer weights and an integer bias, wrapped to 3m bits,
 * ADD (wrapping) and GT (signed) on two equal-width words,
 * MUX(sel, a, b) yields ``a`` when sel is 1,
 * CONST, SHR (logical or arithmetic), SLICE, CLIP (signed saturation),
@@ -16,6 +16,7 @@ bit 0 least significant.  The gate kinds, all emitted by some builder:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 from nn2logic.fixedpoint import (
@@ -77,7 +78,11 @@ class Netlist:
     def _infer_width(self, kind: str, operands, params) -> int:
         w = [self.widths[o] for o in operands]
         if kind == "WSUM":
-            weights, _bias = params
+            weights, bias = params
+            self._need(
+                all(_is_integer(c) for c in (*weights, bias)),
+                "WSUM weights and bias must be integers",
+            )
             limit = 1 << (w[0] - 1) if w else 0
             self._need(
                 len(w) == len(weights) >= 1
@@ -126,6 +131,14 @@ class Netlist:
     def _need(cond: bool, msg: str) -> None:
         if not cond:
             raise ValueError(msg)
+
+
+def _is_integer(value) -> bool:
+    try:
+        operator.index(value)
+    except TypeError:
+        return False
+    return True
 
 
 def simulate_netlist(net: Netlist, input_bits) -> list[str]:

@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nn2logic.aig import (
     AigGraph,
@@ -155,12 +157,152 @@ def test_netlist_vs_aig_on_neuron():
                 assert got == int(want, 2)
 
 
+# -- WSUM lowering against simulate_netlist and the integer formula ----------
+
+
+def wsum_netlist(m, weights, bias):
+    net = Netlist()
+    xs = [net.add_input(m, f"x{k}") for k in range(len(weights))]
+    net.set_output(net.add_gate("WSUM", xs, (tuple(weights), bias)))
+    return net
+
+
+def lane_words(columns, m):
+    """Input words whose lane s holds the unsigned words ``columns[k][s]``."""
+    words = []
+    for col in columns:
+        for j in range(m):
+            bits = ((col >> j) & 1).astype(np.uint8)
+            words.append(int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little"))
+    return words
+
+
+def lane_values(outs, n):
+    """Unsigned output word of each of ``n`` lanes; ``outs[j]`` holds bit j."""
+    size = (n + 7) // 8
+    raw = np.frombuffer(b"".join(o.to_bytes(size, "little") for o in outs), dtype=np.uint8)
+    bits = np.unpackbits(raw.reshape(len(outs), size), axis=1, bitorder="little")[:, :n]
+    packed = np.packbits(bits.T, axis=1, bitorder="little")  # lane s's word as bytes
+    lanes = np.zeros((n, 8), dtype=np.uint8)
+    lanes[:, : packed.shape[1]] = packed
+    return lanes.view("<u8").ravel().astype(np.int64)
+
+
+def wsum_reference(m, weights, bias, columns):
+    acc = np.full(len(columns[0]), bias, dtype=np.int64)
+    for w, col in zip(weights, columns):
+        acc += w * np.where(col >= 1 << (m - 1), col - (1 << m), col)
+    return acc % (1 << (3 * m))
+
+
+def check_wsum_lanes(net, g, columns, netlist_stride=1):
+    """Simulate ``g`` on the lanes ``columns``; compare with the formula and ``simulate_netlist``."""
+    m = net.widths[net.inputs[0]]
+    n = len(columns[0])
+    got = lane_values(simulate_batch(g, lane_words(columns, m), n), n)
+    (weights, bias) = net.gates[-1].params
+    np.testing.assert_array_equal(got, wsum_reference(m, weights, bias, columns))
+    for s in range(0, n, netlist_stride):
+        want = simulate_netlist(net, [int(col[s]) for col in columns])[0]
+        assert int(want, 2) == got[s], (weights, bias, [int(col[s]) for col in columns])
+
+
+EDGE_WEIGHTS = (-128, 127, 0, 1, -1, 2, 64, -64, 85, -86)
+
+
+def edge_biases(m, weights):
+    """Biases that put the interval's ends on, or one past, the 3m-bit signed range."""
+    half = 1 << (m - 1)
+    low = sum(min(-w * half, w * (half - 1)) for w in weights)
+    high = sum(max(-w * half, w * (half - 1)) for w in weights)
+    top = 1 << (3 * m - 1)
+    return (0, 1, -half * 64, (half - 1) * 64, top - 1 - high, -top - low, top - high)
+
+
+@pytest.mark.parametrize("w", EDGE_WEIGHTS)
+def test_wsum_exhaustive_one_input(w):
+    values = np.arange(256, dtype=np.int64)
+    for bias in edge_biases(8, [w]):
+        net = wsum_netlist(8, [w], bias)
+        check_wsum_lanes(net, lower_netlist(net), [values])
+
+
+@pytest.mark.parametrize(
+    "weights", [(-128, 127), (85, -86), (0, 1), (-1, 64), (127, 127), (-128, -128), (-64, 2)]
+)
+def test_wsum_exhaustive_two_inputs(weights):
+    lanes = np.arange(1 << 16, dtype=np.int64)
+    columns = [lanes & 255, lanes >> 8]
+    for bias in edge_biases(8, weights):
+        net = wsum_netlist(8, weights, bias)
+        check_wsum_lanes(net, lower_netlist(net), columns, netlist_stride=251)
+
+
+# edge_biases entry 2 is the lowest bias -128 * 64; entry 4 puts the interval's top on 2**23 - 1
+@pytest.mark.parametrize("weights, entry", [((-128, 85, 127), 2), ((-86, 64, -1), 4)])
+def test_wsum_exhaustive_three_inputs(weights, entry):
+    """All 2**24 inputs, one 2**16-lane batch per value of the third input."""
+    bias = edge_biases(8, weights)[entry]
+    net = wsum_netlist(8, weights, bias)
+    g = lower_netlist(net)
+    lanes = np.arange(1 << 16, dtype=np.int64)
+    low_columns = [lanes & 255, lanes >> 8]
+    low_words = lane_words(low_columns, 8)
+    partial = wsum_reference(8, weights[:2], bias, low_columns)
+    full = (1 << (1 << 16)) - 1
+    for third in range(256):
+        words = low_words + [full if (third >> j) & 1 else 0 for j in range(8)]
+        got = lane_values(simulate_batch(g, words, 1 << 16), 1 << 16)
+        want = (partial + weights[2] * to_signed(from_int(third, 8))) % (1 << 24)
+        np.testing.assert_array_equal(got, want)
+        for s in range(third, 1 << 16, 1 << 14):
+            out = simulate_netlist(net, [s & 255, s >> 8, third])[0]
+            assert int(out, 2) == got[s]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_wsum_wide_neurons_match_netlist(data):
+    n = data.draw(st.integers(1, 40), label="n")
+    m = data.draw(st.integers(2, 8), label="m")
+    half = 1 << (m - 1)
+    weights = data.draw(st.lists(st.integers(-half, half - 1), min_size=n, max_size=n))
+    bias = data.draw(st.integers(-(1 << (3 * m + 2)), 1 << (3 * m + 2)), label="bias")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    rng = np.random.default_rng(seed)
+    columns = list(rng.integers(0, 1 << m, size=(n, 256)))
+    net = wsum_netlist(m, weights, bias)
+    check_wsum_lanes(net, lower_netlist(net), columns)
+
+
+def test_wsum_wraps_when_interval_exceeds_3m_bits():
+    # 40 * (-8) * [-8, 7] spans -2240..2560, wider than 12 signed bits
+    net = wsum_netlist(4, [-8] * 40, 0)
+    rng = np.random.default_rng(5)
+    columns = list(rng.integers(0, 16, size=(40, 256)))
+    for col in columns:
+        col[:2] = (8, 7)  # lane 0 at the top of the interval, lane 1 at the bottom
+    g = lower_netlist(net)
+    check_wsum_lanes(net, g, columns)
+    got = lane_values(simulate_batch(g, lane_words(columns, 4), 2), 2)
+    assert list(got) == [2560 % 4096, -2240 % 4096]
+
+
+def test_wsum_zero_weights_zero_bias_is_constant_zero():
+    net = wsum_netlist(8, [0, 0, 0], 0)
+    g = lower_netlist(net)
+    assert g.and_count() == 0
+    assert g.outputs == [0] * 24
+
+
 def test_direct_aiger_matches_golden_digest(tmp_path):
     """The direct flow's AIG of a seeded 4-3-2 MLP, node for node.
 
     The digests cover the lowered graph and the swept AIGER file up to its
-    symbol table.  They were computed with per-term multiplier, sign-extension
-    and adder gates, so they show that WSUM lowers to that same circuit.
+    symbol table.  They pin the WSUM lowering: canonical signed digit rows,
+    level-ordered carry-save columns and one ripple adder.  That circuit gave
+    the same outputs as the earlier binary shift-and-add lowering (11,506
+    nodes) on 120,000 seeded random input rows.
     """
     rng = np.random.default_rng(11)
     mlp_net = Mlp([
@@ -168,18 +310,18 @@ def test_direct_aiger_matches_golden_digest(tmp_path):
         DenseLayer(rng.normal(0.0, 0.8, size=(2, 3)), rng.normal(0.0, 0.3, size=2), "identity"),
     ])
     lowered = lower_netlist(build_network_direct(mlp_net, FixedPointFormat(8, 6)))
-    assert lowered.and_count() == 11506
+    assert lowered.and_count() == 2919
     unswept = repr((lowered.fanin0, lowered.fanin1, lowered.outputs)).encode()
     assert hashlib.sha256(unswept).hexdigest() == (
-        "657e6bcda1608a1a9aedcd9317474533a8ca263bc2de116da461fdd9123e2e66"
+        "996baccd0141bbd77697ff086f81cfba151a24a26f0a28dfb8c4e67475f823df"
     )
     path = tmp_path / "direct.aag"
     write_aiger(sweep(lowered), path)
     lines = path.read_text().splitlines()
-    assert lines[0] == "aag 11087 32 0 17 11055"
-    body = "\n".join(lines[: 1 + 32 + 17 + 11055]) + "\n"
+    assert lines[0] == "aag 2894 32 0 17 2862"
+    body = "\n".join(lines[: 1 + 32 + 17 + 2862]) + "\n"
     assert hashlib.sha256(body.encode()).hexdigest() == (
-        "31083753627bb50dc7d17c77c88c483a5d9752a2c83ae2ea4e339d7c28e7041d"
+        "dc42a761f01b0af033fe0ebdb3bcc9792cfe74410f9cecaff8ed8d2bfd817234"
     )
 
 

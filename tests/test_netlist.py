@@ -46,6 +46,19 @@ def test_gate_width_rules():
         net.add_gate("WSUM", (), ((), 3))
 
 
+@pytest.mark.parametrize(
+    "weights, bias", [((1.0, 2), 0), ((1, 2), 0.5), ((1, 2), 64.0), ((1, "2"), 0), ((1, 2), None)]
+)
+def test_wsum_rejects_non_integer_params(weights, bias):
+    net = Netlist()
+    a = net.add_input(4)
+    b = net.add_input(4)
+    with pytest.raises(ValueError, match="WSUM weights and bias must be integers"):
+        net.add_gate("WSUM", (a, b), (weights, bias))
+    assert net.gates == []
+    net.add_gate("WSUM", (a, b), ((np.int64(-8), True), np.int64(640)))
+
+
 @given(
     st.integers(0, 15),
     st.integers(0, 15),
