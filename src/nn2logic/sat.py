@@ -1,59 +1,136 @@
 """CNF engine: Tseitin encoding, CDCL solver, onset vectors, miter checks.
 
-Clauses use the DIMACS convention (signed 1-based variable indices).  The
-solver is deterministic: it decides on the unassigned variable of highest
+Clauses use the DIMACS convention (signed 1-based variable indices) and are
+stored flat, as MiniSat (Eén & Sörensson 2003) keeps its clause arena:
+``CnfFormula.lits`` is one int64 array of all literals and ``starts`` holds
+the offset of every clause in it plus one past the end, so clause ``i`` is
+``lits[starts[i]:starts[i + 1]]``.  ``tseitin`` fills both arrays with NumPy,
+the solver is built from them with array operations, and ``solve`` checks
+its model against them with one gather.
+
+The solver's clauses and watch lists are Python lists of ints, about a
+million of them on a large miter.  They hold no reference cycles, yet
+CPython's cyclic collector would walk them over and over while they are
+built and searched, which once took more time than the search itself.  So
+``solve`` pauses the collector and restores the caller's setting on return.
+
+The solver is deterministic: it decides on the unassigned variable of highest
 activity, ties broken toward the lowest variable index, taken from a binary
 heap in O(log n), and saved phases start at False.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import gc
+import operator
+from collections.abc import Iterable, Iterator
+
+import numpy as np
 
 from nn2logic.aig import AigGraph, import_graph, simulate_aig
 
 
-@dataclass
 class CnfFormula:
-    num_vars: int
-    clauses: list[list[int]]
+    """``num_vars`` variables; clause ``i`` is ``lits[starts[i]:starts[i + 1]]``.
 
-    def __post_init__(self) -> None:
-        for cl in self.clauses:
-            for d in cl:
-                if d == 0 or abs(d) > self.num_vars:
-                    raise ValueError(f"literal {d} out of range for {self.num_vars} vars")
+    ``CnfFormula(num_vars, clauses)`` flattens a list of DIMACS clauses and
+    ``CnfFormula.from_arrays`` takes the flat arrays as they are.  Every
+    literal must be an integer (anything ``operator.index`` accepts), non-zero
+    and at most ``num_vars`` in magnitude; both arrays are read-only.
+    """
+
+    def __init__(self, num_vars: int, clauses: Iterable[Iterable[int]]) -> None:
+        flat: list[int] = []
+        starts = [0]
+        for ci, clause in enumerate(clauses):
+            for d in clause:
+                try:
+                    flat.append(operator.index(d))
+                except TypeError:
+                    raise ValueError(f"literal {d!r} in clause {ci} is not an integer") from None
+            starts.append(len(flat))
+        try:
+            lits = np.array(flat, dtype=np.int64)
+        except OverflowError:  # beyond int64, hence out of range: _check names it
+            lits = np.array(flat, dtype=object)
+        self._check(num_vars, lits, np.array(starts, dtype=np.int64))
+
+    @classmethod
+    def from_arrays(cls, num_vars: int, lits, starts) -> CnfFormula:
+        """The formula over the flat arrays, checked alike; they become read-only."""
+        f = cls.__new__(cls)
+        f._check(num_vars, np.asarray(lits, dtype=np.int64), np.asarray(starts, dtype=np.int64))
+        return f
+
+    def _check(self, num_vars: int, lits: np.ndarray, starts: np.ndarray) -> None:
+        n = operator.index(num_vars)
+        if n < 0:
+            raise ValueError(f"num_vars must be >= 0, got {n}")
+        if not (starts.ndim == 1 and starts[0] == 0 and starts[-1] == len(lits)
+                and (np.diff(starts) >= 0).all()):
+            raise ValueError("clause starts must rise from 0 to the number of literals")
+        bad = np.flatnonzero((lits == 0) | (lits < -n) | (lits > n))
+        if len(bad):
+            raise ValueError(f"literal {int(lits[bad[0]])} out of range for {n} vars")
+        lits.flags.writeable = starts.flags.writeable = False
+        self.num_vars, self.lits, self.starts = n, lits, starts
+
+    @property
+    def clauses(self) -> _ClauseView:
+        """Read-only view of the clauses, each read as a list of DIMACS literals."""
+        return _ClauseView(self.lits, self.starts)
+
+
+class _ClauseView:
+    def __init__(self, lits: np.ndarray, starts: np.ndarray) -> None:
+        self._lits, self._starts = lits, starts
+
+    def __len__(self) -> int:
+        return len(self._starts) - 1
+
+    def __getitem__(self, i: int) -> list[int]:
+        i = range(len(self))[operator.index(i)]
+        return self._lits[self._starts[i] : self._starts[i + 1]].tolist()
+
+    def __iter__(self) -> Iterator[list[int]]:
+        return map(self.__getitem__, range(len(self)))
+
+
+def _dimacs(literals: np.ndarray) -> np.ndarray:
+    """AIG literals ``2 * node + complement`` as DIMACS literals."""
+    return np.where(literals & 1, -(literals >> 1), literals >> 1)
 
 
 def tseitin(g: AigGraph, output_index: int = 0) -> tuple[CnfFormula, dict[int, int]]:
     """One variable per AIG node; the chosen output is asserted true.
 
+    Each AND node ``n = a & b`` gives the clauses ``[-n, a]``, ``[-n, b]`` and
+    ``[n, -a, -b]`` in node order; then comes the output as a unit clause,
+    the empty clause for constant false, or nothing for constant true.
     Returns the formula and a map from input position to DIMACS variable.
     Satisfying assignments restricted to the input variables are exactly the
     vectors driving the output to 1.
     """
-    num_vars = g.num_nodes - 1
-    clauses: list[list[int]] = []
-
-    def dim(literal: int) -> int:
-        node = literal >> 1
-        return -node if literal & 1 else node
-
-    f0, f1 = g.fanin0, g.fanin1
-    for node in range(1, len(f0)):
-        if f0[node] < 0:
-            continue
-        a, b = dim(f0[node]), dim(f1[node])
-        clauses.append([-node, a])
-        clauses.append([-node, b])
-        clauses.append([node, -a, -b])
+    f0 = np.asarray(g.fanin0, dtype=np.int64)
+    nodes = np.flatnonzero(f0 >= 0)
+    a = _dimacs(f0[nodes])
+    b = _dimacs(np.asarray(g.fanin1, dtype=np.int64)[nodes])
+    body = np.empty((len(nodes), 7), dtype=np.int64)
+    body[:, 0] = body[:, 2] = -nodes
+    body[:, 1] = a
+    body[:, 3] = b
+    body[:, 4] = nodes
+    body[:, 5] = -a
+    body[:, 6] = -b
     out = g.outputs[output_index]
-    if out == 0:
-        clauses.append([])  # constant-false output: unsatisfiable
-    elif out != 1:
-        clauses.append([dim(out)])
+    tail = [] if out in (0, 1) else [-(out >> 1) if out & 1 else out >> 1]
+    ends = [body.size] if out == 1 else [body.size, body.size + len(tail)]
+    starts = np.concatenate(
+        [((7 * np.arange(len(nodes), dtype=np.int64))[:, None] + (0, 2, 4)).ravel(), ends]
+    )
+    lits = np.concatenate([body.ravel(), np.array(tail, dtype=np.int64)])
     input_map = {pos: node for pos, node in enumerate(g.inputs)}
-    return CnfFormula(num_vars, clauses), input_map
+    return CnfFormula.from_arrays(g.num_nodes - 1, lits, starts), input_map
 
 
 class _Cdcl:
@@ -61,6 +138,12 @@ class _Cdcl:
 
     Internal literals are ``2*var + sign`` with 0-based vars; sign 1 means
     negated.  First-UIP learning, activity decay 0.95, geometric restarts.
+
+    The initial clauses are loaded in bulk as if added one at a time in
+    order: repeated literals are dropped, tautologies skipped, units put on
+    the trail at level 0 in order of first appearance, an empty clause or two
+    opposite units make ``ok`` false, and every other clause is stored and
+    watched on its first two literals.
 
     Decisions come from an indexed binary max-heap of variables (VSIDS as in
     MiniSat, Eén & Sörensson 2003): ``heap`` holds variables ordered by
@@ -72,14 +155,10 @@ class _Cdcl:
     ``decisions`` and ``conflicts`` count the search steps.
     """
 
-    def __init__(self, num_vars: int, clauses: list[list[int]]):
-        self.nv = num_vars
-        self.clauses: list[list[int]] = []
-        self.watches: list[list[int]] = [[] for _ in range(2 * num_vars)]
-        self.assigns = [-1] * num_vars
+    def __init__(self, f: CnfFormula):
+        num_vars = self.nv = f.num_vars
         self.level = [0] * num_vars
         self.reason = [-1] * num_vars
-        self.trail: list[int] = []
         self.trail_lim: list[int] = []
         self.qhead = 0
         self.activity = [0.0] * num_vars
@@ -90,36 +169,71 @@ class _Cdcl:
         self.pos = self.heap[:]
         self.decisions = 0
         self.conflicts = 0
-        self.ok = True
-        for cl in clauses:
-            self._add_initial(cl)
-
-    def _add_initial(self, dimacs: list[int]) -> None:
+        self.assigns = [-1] * num_vars
+        self.trail: list[int] = []
+        self.ok = self._load(f.lits, f.starts)
         if not self.ok:
-            return
-        seen = {}
-        lits = []
-        for d in dimacs:
-            e = 2 * (abs(d) - 1) + (1 if d < 0 else 0)
-            if e in seen:
-                continue
-            if e ^ 1 in seen:
-                return  # tautology
-            seen[e] = True
-            lits.append(e)
-        if not lits:
-            self.ok = False
-            return
-        if len(lits) == 1:
-            if self.value(lits[0]) == 0:
-                self.ok = False
-            elif self.value(lits[0]) == -1:
-                self.enqueue(lits[0], -1)
-            return
-        ci = len(self.clauses)
-        self.clauses.append(lits)
-        self.watches[lits[0]].append(ci)
-        self.watches[lits[1]].append(ci)
+            self.clauses: list[list[int]] = []
+            self.watches: list[list[int]] = [[] for _ in range(2 * num_vars)]
+
+    def _load(self, lits: np.ndarray, starts: np.ndarray) -> bool:
+        """Fill ``clauses``, ``watches``, ``trail`` and ``assigns``; False if UNSAT."""
+        size = np.diff(starts)
+        if (size == 0).any():
+            return False  # an empty clause
+        cid = np.repeat(np.arange(len(size), dtype=np.int64), size)
+        e = 2 * (np.abs(lits) - 1) + (lits < 0)
+        # One stable sort by (clause, variable) puts the copies of a variable
+        # in a clause side by side, first appearance first: a later copy of
+        # the same sign repeats a literal, one of the other sign makes the
+        # clause a tautology.
+        key = cid * self.nv + (e >> 1)
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        again = key[1:] == key[:-1]
+        copy, prev = order[1:][again], order[:-1][again]
+        del key, order, again
+        if len(copy):
+            live = np.ones(len(size), dtype=bool)
+            live[cid[copy[e[copy] != e[prev]]]] = False
+            keep = live[cid]
+            keep[copy] = False
+            e = e[keep]
+            size = np.bincount(cid[keep], minlength=len(size))  # 0 for a tautology
+        del cid
+        start = np.cumsum(size) - size
+
+        units = e[start[size == 1]]
+        first = np.unique(units, return_index=True)[1]
+        trail = units[np.sort(first)]
+        if len(np.unique(trail >> 1)) < len(trail):
+            return False  # opposite units
+        assigns = np.full(self.nv, -1, dtype=np.int64)
+        assigns[trail >> 1] = (trail & 1) ^ 1
+        self.assigns = assigns.tolist()
+        self.trail = trail.tolist()
+
+        # Stored clauses keep their order; each length is one 2-D block.
+        stored = size >= 2
+        rank = np.cumsum(stored) - 1
+        clauses: list = [None] * int(stored.sum())
+        for n in np.unique(size[stored]).tolist():
+            rows = np.flatnonzero(size == n)
+            block = e[start[rows, None] + np.arange(n)].tolist()
+            for ci, clause in zip(rank[rows].tolist(), block):
+                clauses[ci] = clause
+        self.clauses = clauses
+
+        # Clause ci watches its first two literals; a stable sort of those
+        # lists the watchers of each literal in clause order.
+        first = start[stored]
+        watched = np.stack((e[first], e[first + 1]), axis=1).ravel()
+        del e, start, stored, rank, first
+        watchers = (np.argsort(watched, kind="stable") >> 1).tolist()
+        b = [0, *np.cumsum(np.bincount(watched, minlength=2 * self.nv)).tolist()]
+        del watched
+        self.watches = [watchers[lo:hi] for lo, hi in zip(b, b[1:])]
+        return True
 
     def value(self, e: int) -> int:
         a = self.assigns[e >> 1]
@@ -335,14 +449,28 @@ class _Cdcl:
 def solve(f: CnfFormula) -> list[bool] | None:
     """Complete CDCL search; an assignment (1-indexed) or None for UNSAT.
 
-    Every returned assignment is re-checked against the formula.
+    The cyclic garbage collector is paused while the solver is built and
+    searches, and left as the caller had it.  Every returned assignment is
+    re-checked against the formula.
     """
-    model = _Cdcl(f.num_vars, f.clauses).solve()
-    if model is not None:
-        for cl in f.clauses:
-            if not any(model[abs(d)] == (d > 0) for d in cl):
-                raise AssertionError("solver produced a non-satisfying assignment")
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        model = _Cdcl(f).solve()
+    finally:
+        if collecting:
+            gc.enable()
+    if model is not None and not _satisfies(f, model):
+        raise AssertionError("solver produced a non-satisfying assignment")
     return model
+
+
+def _satisfies(f: CnfFormula, model: list[bool]) -> bool:
+    """Every clause of ``f`` has a literal that ``model`` makes true."""
+    if len(f.lits) == 0 or (np.diff(f.starts) == 0).any():
+        return len(f.starts) == 1  # no clauses, or an empty one
+    true = np.asarray(model, dtype=bool)[np.abs(f.lits)] == (f.lits > 0)
+    return bool(np.logical_or.reduceat(true, f.starts[:-1]).all())
 
 
 def find_onset_vector(g: AigGraph, output_index: int = 0) -> list[int] | None:

@@ -93,6 +93,72 @@ def lut_output_reference(rows, inputs, table) -> list[int]:
     return out
 
 
+def tseitin_reference(g: AigGraph, output_index: int = 0) -> tuple[int, list[list[int]]]:
+    """Node by node, the Tseitin clauses ``sat.tseitin`` must emit, in order."""
+    def dim(literal: int) -> int:
+        node = literal >> 1
+        return -node if literal & 1 else node
+
+    clauses = []
+    for node in range(1, len(g.fanin0)):
+        if g.fanin0[node] < 0:
+            continue  # an input
+        a, b = dim(g.fanin0[node]), dim(g.fanin1[node])
+        clauses.append([-node, a])
+        clauses.append([-node, b])
+        clauses.append([node, -a, -b])
+    out = g.outputs[output_index]
+    if out == 0:
+        clauses.append([])  # constant-false output: unsatisfiable
+    elif out != 1:
+        clauses.append([dim(out)])
+    return len(g.fanin0) - 1, clauses
+
+
+def solver_load_reference(num_vars: int, clauses) -> tuple[bool, list, list, list]:
+    """Clause by clause, the solver's start state: ``(ok, clauses, watches, trail)``.
+
+    Literals become ``2 * var + sign`` (0-based var, sign 1 for negated).
+    Repeated literals are dropped and tautologies skipped; a unit is put on
+    the trail unless already true; an empty clause or a unit already false
+    stops the load with ``ok`` false.  Every other clause is stored and
+    watched on its first two literals.
+    """
+    assigns = [-1] * num_vars
+    stored: list[list[int]] = []
+    watches: list[list[int]] = [[] for _ in range(2 * num_vars)]
+    trail: list[int] = []
+    for dimacs in clauses:
+        seen: set[int] = set()
+        lits: list[int] = []
+        tautology = False
+        for d in dimacs:
+            e = 2 * (abs(d) - 1) + (1 if d < 0 else 0)
+            if e in seen:
+                continue
+            if e ^ 1 in seen:
+                tautology = True
+                break
+            seen.add(e)
+            lits.append(e)
+        if tautology:
+            continue
+        if not lits:
+            return False, stored, watches, trail
+        if len(lits) == 1:
+            e = lits[0]
+            if assigns[e >> 1] < 0:
+                assigns[e >> 1] = (e & 1) ^ 1
+                trail.append(e)
+            elif assigns[e >> 1] == e & 1:
+                return False, stored, watches, trail
+            continue
+        watches[lits[0]].append(len(stored))
+        watches[lits[1]].append(len(stored))
+        stored.append(lits)
+    return True, stored, watches, trail
+
+
 def parse_equations(text_or_lines, input_names: list[str]) -> AigGraph:
     """Rebuild a graph from equation lines for round-trip simulation."""
     if isinstance(text_or_lines, str):

@@ -1,7 +1,11 @@
+import gc
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import solver_load_reference, tseitin_reference
 
 from nn2logic.aig import AigGraph, import_graph, lower_netlist, simulate_aig
 from nn2logic.fixedpoint import FixedPointFormat, from_int
@@ -65,6 +69,41 @@ def test_formula_validation():
         CnfFormula(2, [[0]])
     with pytest.raises(ValueError):
         CnfFormula(2, [[3]])
+    with pytest.raises(ValueError, match="literal 3 out of range for 2 vars"):
+        CnfFormula(2, [[1, 3], [0], [-4]])
+    with pytest.raises(ValueError, match=f"literal {-2**70} out of range"):
+        CnfFormula(2, [[1], [-2**70]])
+    with pytest.raises(ValueError, match="starts"):
+        CnfFormula.from_arrays(2, [1, 2], [0, 3])
+    with pytest.raises(ValueError, match="num_vars"):
+        CnfFormula(-1, [])
+
+
+@pytest.mark.parametrize("literal", [1.5, "1", None, 2.0, np.float64(1)])
+def test_formula_rejects_non_integer_literals(literal):
+    message = f"literal {literal!r} in clause 1 is not an integer"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        CnfFormula(2, [[1, -2], [2, literal]])
+
+
+def test_formula_accepts_integer_types():
+    f = CnfFormula(2, [[np.int64(1), True], (-2,)])
+    assert f.lits.dtype == np.int64 and f.lits.tolist() == [1, 1, -2]
+    assert f.starts.tolist() == [0, 2, 3]
+    assert solve(f) == [False, True, False]
+
+
+def test_clauses_is_a_read_only_view():
+    f = CnfFormula(3, [[1, -2], [], [3]])
+    assert len(f.clauses) == 3
+    assert list(f.clauses) == [[1, -2], [], [3]]
+    assert f.clauses[-1] == [3]
+    with pytest.raises(IndexError):
+        f.clauses[3]
+    with pytest.raises(TypeError):
+        f.clauses[0] = [1]
+    with pytest.raises(ValueError):
+        f.lits[0] = 2
 
 
 @settings(max_examples=150, deadline=None)
@@ -203,9 +242,9 @@ def assert_heap_valid(s: _Cdcl) -> None:
             assert s.assigns[v] >= 0, f"unassigned variable {v} missing from the heap"
 
 
-def assert_same_search(num_vars: int, clauses, var_inc: float = 1.0, solver=_Cdcl) -> _Cdcl:
-    heap_solver = solver(num_vars, clauses)
-    scan_solver = ScanCdcl(num_vars, clauses)
+def assert_same_search(formula: CnfFormula, var_inc: float = 1.0, solver=_Cdcl) -> _Cdcl:
+    heap_solver = solver(formula)
+    scan_solver = ScanCdcl(formula)
     heap_solver.var_inc = scan_solver.var_inc = var_inc
     model = heap_solver.solve()
     assert model == scan_solver.solve()
@@ -221,11 +260,11 @@ def assert_same_search(num_vars: int, clauses, var_inc: float = 1.0, solver=_Cdc
 def test_heap_search_matches_scan_on_random_3cnf(num_vars, ratio, seed):
     # Near the 3-SAT threshold most of these take over 100 conflicts, the
     # first restart.
-    assert_same_search(num_vars, random_3cnf(num_vars, int(ratio * num_vars), seed))
+    assert_same_search(CnfFormula(num_vars, random_3cnf(num_vars, int(ratio * num_vars), seed)))
 
 
 def test_random_3cnf_at_threshold_restarts():
-    s = assert_same_search(100, random_3cnf(100, 426, 7))
+    s = assert_same_search(CnfFormula(100, random_3cnf(100, 426, 7)))
     assert s.conflicts > 250  # past the first two restarts (100, then 150)
 
 
@@ -239,7 +278,7 @@ def test_heap_search_matches_scan_on_neuron_queries():
         graphs.append(g)
         for out_idx in range(len(g.outputs)):
             formula, _ = tseitin(g, out_idx)
-            assert_same_search(formula.num_vars, formula.clauses)
+            assert_same_search(formula)
     for g1, g2 in zip(graphs, graphs[1:]):
         miter = AigGraph()
         ins = [miter.add_input() for _ in g1.inputs]
@@ -248,7 +287,7 @@ def test_heap_search_matches_scan_on_neuron_queries():
             diff = miter.or2(diff, miter.xor2(a, b))
         miter.add_output(diff)
         formula, _ = tseitin(miter, 0)
-        assert_same_search(formula.num_vars, formula.clauses)
+        assert_same_search(formula)
 
 
 class RescaleCheckedCdcl(_Cdcl):
@@ -265,7 +304,9 @@ class RescaleCheckedCdcl(_Cdcl):
 
 
 def test_heap_survives_activity_rescale_mid_search():
-    s = assert_same_search(100, random_3cnf(100, 426, 7), var_inc=1e99, solver=RescaleCheckedCdcl)
+    s = assert_same_search(
+        CnfFormula(100, random_3cnf(100, 426, 7)), var_inc=1e99, solver=RescaleCheckedCdcl
+    )
     assert s.rescales >= 1 and s.conflicts > s.rescales
 
 
@@ -274,7 +315,7 @@ def test_rescale_rounding_tie_reorders_heap():
     # value: the lower index must then come first.
     low, high = 7.493860291067043e99, 7.493860291067044e99
     assert low < high and low * 1e-100 == high * 1e-100
-    s = _Cdcl(3, [])
+    s = _Cdcl(CnfFormula(3, []))
     s.activity[:2] = [low, high]
     s._sift_up(s.pos[1])
     assert s.heap[0] == 1
@@ -282,3 +323,91 @@ def test_rescale_rounding_tie_reorders_heap():
     s.bump(2)
     assert s.heap == [2, 0, 1]
     assert_heap_valid(s)
+
+
+@st.composite
+def messy_cnf(draw):
+    """Clauses with repeated literals, tautologies, units and empty clauses."""
+    n = draw(st.integers(1, 6))
+    literal = st.integers(-n, n).filter(bool)
+    clauses = draw(st.lists(st.lists(literal, min_size=1, max_size=6), max_size=30))
+    for extra in draw(st.lists(st.sampled_from(["unit", "repeated unit", "empty"]), max_size=4)):
+        d = draw(literal)
+        clause = {"unit": [d], "repeated unit": [d, d], "empty": []}[extra]
+        clauses.insert(draw(st.integers(0, len(clauses))), clause)
+    return n, clauses
+
+
+@settings(max_examples=300, deadline=None)
+@given(messy_cnf())
+def test_bulk_load_matches_clause_by_clause_reference(cnf):
+    num_vars, clauses = cnf
+    ok, stored, watches, trail = solver_load_reference(num_vars, clauses)
+    s = _Cdcl(CnfFormula(num_vars, clauses))
+    assert s.ok == ok
+    if ok:
+        assert s.clauses == stored
+        assert s.watches == watches
+        assert s.trail == trail
+        on_trail = {e >> 1: (e & 1) ^ 1 for e in trail}
+        assert s.assigns == [on_trail.get(v, -1) for v in range(num_vars)]
+        assert (s.solve() is not None) == brute_force_sat(num_vars, clauses)
+
+
+def random_aig(rng, n_inputs: int, n_ands: int) -> AigGraph:
+    g = AigGraph()
+    lits = [g.add_input() for _ in range(n_inputs)]
+    for _ in range(n_ands):
+        a, b = rng.choice(lits, size=2)
+        lits.append(g.and2(int(a) ^ int(rng.integers(2)), int(b) ^ int(rng.integers(2))))
+    for literal in (0, 1, lits[-1], lits[-1] ^ 1, int(rng.choice(lits)) ^ 1, lits[0]):
+        g.add_output(literal)
+    return g
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 40), st.integers(0, 2**31))
+def test_tseitin_matches_node_by_node_reference(n_inputs, n_ands, seed):
+    g = random_aig(np.random.default_rng(seed), n_inputs, n_ands)
+    for k in range(len(g.outputs)):
+        num_vars, clauses = tseitin_reference(g, k)
+        f, input_map = tseitin(g, k)
+        assert f.num_vars == num_vars
+        assert f.lits.tolist() == [d for clause in clauses for d in clause]
+        assert f.starts.tolist() == np.cumsum([0] + [len(c) for c in clauses]).tolist()
+        assert input_map == dict(enumerate(g.inputs))
+
+
+def test_solve_rejects_a_non_satisfying_model(monkeypatch):
+    monkeypatch.setattr(_Cdcl, "solve", lambda self: [False, False, True])
+    with pytest.raises(AssertionError, match="non-satisfying assignment"):
+        solve(CnfFormula(2, [[1, -2], [2, -1], [1]]))
+    monkeypatch.setattr(_Cdcl, "solve", lambda self: [False, True])
+    with pytest.raises(AssertionError, match="non-satisfying assignment"):
+        solve(CnfFormula(1, [[1], []]))
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("raises", [False, True])
+def test_solve_leaves_the_collector_as_found(monkeypatch, enabled, raises):
+    seen = []
+
+    def search(self):
+        seen.append(gc.isenabled())
+        if raises:
+            raise RuntimeError("search failed")
+        return [False, True]
+
+    monkeypatch.setattr(_Cdcl, "solve", search)
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        if raises:
+            with pytest.raises(RuntimeError, match="search failed"):
+                solve(CnfFormula(1, [[1]]))
+        else:
+            assert solve(CnfFormula(1, [[1]])) == [False, True]
+        assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == [False]  # paused during the search
