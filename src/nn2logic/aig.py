@@ -2,14 +2,16 @@
 
 A literal is an int ``2 * node + complement``; node 0 is constant FALSE, so
 literal 0 is FALSE and literal 1 is TRUE.  AND nodes are append-only with
-both fanins created earlier, which keeps every traversal a single ascending
-pass.  Batch simulation packs one sample per bit of a Python int, so a full
-pass evaluates every sample at once.
+both fanins created earlier, which keeps every traversal a single pass over
+the node ids.  Each node carries its level, the longest path from an input in
+AND nodes, set when the node is created.  Batch simulation packs one sample
+per bit of a Python int, so a full pass evaluates every sample at once.
 """
 
 from __future__ import annotations
 
 import heapq
+from array import array
 
 from nn2logic.netlist import Netlist
 
@@ -21,6 +23,7 @@ class AigGraph:
     def __init__(self) -> None:
         self.fanin0: list[int] = [_CONST]
         self.fanin1: list[int] = [_CONST]
+        self.levels = array("l", [0])  # per node; inputs and the constant are at 0
         self.inputs: list[int] = []  # node ids in input order
         self.outputs: list[int] = []  # literals
         self.input_names: list = []
@@ -33,6 +36,7 @@ class AigGraph:
         """Create a primary input; returns its (uncomplemented) literal."""
         self.fanin0.append(_INPUT)
         self.fanin1.append(_INPUT)
+        self.levels.append(0)
         self.inputs.append(len(self.fanin0) - 1)
         self.input_names.append(name)
         return (len(self.fanin0) - 1) << 1
@@ -59,6 +63,9 @@ class AigGraph:
         if node is None:
             self.fanin0.append(a)
             self.fanin1.append(b)
+            la = self.levels[a >> 1]
+            lb = self.levels[b >> 1]
+            self.levels.append((la if la >= lb else lb) + 1)
             node = len(self.fanin0) - 1
             self._strash[key] = node
         return node << 1
@@ -80,7 +87,7 @@ class AigGraph:
         return len(self.fanin0)
 
     def and_count(self) -> int:
-        return sum(1 for f in self.fanin0 if f >= 0)
+        return len(self.fanin0) - 1 - len(self.inputs)
 
 
 def simulate_batch(g: AigGraph, input_words: list[int], n_lanes: int) -> list[int]:
@@ -117,24 +124,22 @@ def simulate_aig(g: AigGraph, input_bits) -> list[int]:
     return [v & 1 for v in simulate_batch(g, words, 1)]
 
 
-def _grow_levels(g: AigGraph, levels: list[int]) -> list[int]:
-    """Extend ``levels`` to every node of ``g``: its longest path from an input in AND nodes."""
-    f0, f1 = g.fanin0, g.fanin1
-    for node in range(len(levels), len(f0)):
-        a = f0[node]
-        if a < 0:
-            levels.append(0)
-        else:
-            la = levels[a >> 1]
-            lb = levels[f1[node] >> 1]
-            levels.append((la if la >= lb else lb) + 1)
-    return levels
-
-
 def stats(g: AigGraph) -> tuple[int, int]:
     """(AND-node count, longest input-to-output path in AND nodes)."""
-    level = _grow_levels(g, [])
-    return g.and_count(), max((level[o >> 1] for o in g.outputs), default=0)
+    return g.and_count(), max((g.levels[o >> 1] for o in g.outputs), default=0)
+
+
+def live_nodes(g: AigGraph) -> bytearray:
+    """One flag per node: 1 for the nodes the outputs reach, in one descending pass."""
+    f0, f1 = g.fanin0, g.fanin1
+    live = bytearray(len(f0))
+    for o in g.outputs:
+        live[o >> 1] = 1
+    for node in range(len(f0) - 1, 0, -1):
+        if live[node] and f0[node] >= 0:
+            live[f0[node] >> 1] = 1
+            live[f1[node] >> 1] = 1
+    return live
 
 
 def sweep(g: AigGraph) -> AigGraph:
@@ -142,28 +147,10 @@ def sweep(g: AigGraph) -> AigGraph:
 
     Primary inputs are all kept so input counts and positions are stable.
     """
-    live = bytearray(len(g.fanin0))
-    stack = [o >> 1 for o in g.outputs]
-    f0, f1 = g.fanin0, g.fanin1
-    while stack:
-        node = stack.pop()
-        if live[node]:
-            continue
-        live[node] = 1
-        if f0[node] >= 0:
-            stack.append(f0[node] >> 1)
-            stack.append(f1[node] >> 1)
     out = AigGraph()
-    remap = [0] * len(f0)
-    for node, name in zip(g.inputs, g.input_names):
-        remap[node] = out.add_input(name)
-    for node in range(1, len(f0)):
-        if f0[node] < 0 or not live[node]:
-            continue
-        a, b = f0[node], f1[node]
-        remap[node] = out.and2(remap[a >> 1] ^ (a & 1), remap[b >> 1] ^ (b & 1))
-    for o, name in zip(g.outputs, g.output_names):
-        out.add_output(remap[o >> 1] ^ (o & 1), name)
+    inputs = [out.add_input(name) for name in g.input_names]
+    for literal, name in zip(_copy_ands(out, g, inputs, live_nodes(g)), g.output_names):
+        out.add_output(literal, name)
     return out
 
 
@@ -171,16 +158,25 @@ def import_graph(dst: AigGraph, src: AigGraph, input_lits: list[int]) -> list[in
     """Copy ``src`` into ``dst`` with its inputs bound; returns output literals."""
     if len(input_lits) != len(src.inputs):
         raise ValueError("input binding count mismatch")
+    return _copy_ands(dst, src, input_lits)
+
+
+def _copy_ands(dst: AigGraph, src: AigGraph, input_lits: list[int], live=None) -> list[int]:
+    """Re-build ``src``'s ANDs in ``dst``, only those flagged in ``live`` if given.
+
+    ``src``'s inputs are bound to ``input_lits``; returns its output literals.
+    """
     remap = [0] * len(src.fanin0)
     for node, bound in zip(src.inputs, input_lits):
         remap[node] = bound
     f0, f1 = src.fanin0, src.fanin1
+    and2 = dst.and2
     for node in range(1, len(f0)):
         a = f0[node]
-        if a < 0:
+        if a < 0 or (live is not None and not live[node]):
             continue
         b = f1[node]
-        remap[node] = dst.and2(remap[a >> 1] ^ (a & 1), remap[b >> 1] ^ (b & 1))
+        remap[node] = and2(remap[a >> 1] ^ (a & 1), remap[b >> 1] ^ (b & 1))
     return [remap[o >> 1] ^ (o & 1) for o in src.outputs]
 
 
@@ -221,9 +217,7 @@ def _csd_digits(w: int) -> list[tuple[int, int]]:
     return digits
 
 
-def _weighted_sum(
-    g: AigGraph, xs: list[list[int]], weights, bias: int, levels: list[int]
-) -> list[int]:
+def _weighted_sum(g: AigGraph, xs: list[list[int]], weights, bias: int) -> list[int]:
     """``bias + sum(weights[k] * xs[k])`` over signed m-bit words, wrapped to 3m bits.
 
     Each weight is recoded in canonical signed digits, and each non-zero
@@ -237,8 +231,7 @@ def _weighted_sum(
     sign-extended to 3m bits, which gives the 3m-bit wrap in every case.
     Full adders reduce each column to at most two bits, lowest column first,
     always taking the three bits of lowest AIG level, and one ripple adder
-    adds the two rows that remain.  ``levels`` is the caller's per-node level
-    list, which ``_grow_levels`` extends as nodes appear.
+    adds the two rows that remain.
     """
     m = len(xs[0])
     lo, hi = -(1 << (m - 1)), (1 << (m - 1)) - 1
@@ -260,10 +253,10 @@ def _weighted_sum(
     for j in range(width):
         if (const >> j) & 1:
             columns[j].append(1)
+    levels = g.levels
     first: list[int] = []
     second: list[int] = []
     for j, column in enumerate(columns):
-        _grow_levels(g, levels)
         heap = [(levels[lit >> 1], lit) for lit in column]
         heapq.heapify(heap)
         while len(heap) > 2:
@@ -272,7 +265,7 @@ def _weighted_sum(
             c = heapq.heappop(heap)[1]
             ab = g.xor2(a, b)
             total = g.xor2(ab, c)
-            heapq.heappush(heap, (_grow_levels(g, levels)[total >> 1], total))
+            heapq.heappush(heap, (levels[total >> 1], total))
             if j + 1 < width:
                 columns[j + 1].append(g.or2(g.and2(a, b), g.and2(c, ab)))
         pair = [lit for _, lit in heap] + [0, 0]
@@ -315,7 +308,6 @@ def lower_netlist(net: Netlist) -> AigGraph:
     expanded least significant bit first.
     """
     g = AigGraph()
-    levels: list[int] = []  # AIG level per node, grown as WSUM lowering needs it
     bits: dict[int, list[int]] = {}
     for sid in net.inputs:
         name = net.names[sid] or f"x{sid}"
@@ -327,7 +319,7 @@ def lower_netlist(net: Netlist) -> AigGraph:
         if kind == "CONST":
             word = [int(c) for c in reversed(gate.params[0])]
         elif kind == "WSUM":
-            word = _weighted_sum(g, ops, *gate.params, levels)
+            word = _weighted_sum(g, ops, *gate.params)
         elif kind == "ADD":
             word = _ripple_add(g, ops[0], ops[1])
         elif kind == "GT":

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from nn2logic.aig import AigGraph, simulate_batch, stats
+from nn2logic.aig import AigGraph, live_nodes, simulate_batch, stats
 from nn2logic.fixedpoint import FixedPointFormat
 from nn2logic.mlp import quantize_to_bits
 
@@ -137,19 +137,8 @@ def emit_equations(
     in_names = list(input_names or [n or f"i{k}" for k, n in enumerate(g.input_names)])
     out_names = list(output_names or [n or f"o{k}" for k, n in enumerate(g.output_names)])
     f0, f1 = g.fanin0, g.fanin1
-    live: list[int] = []
-    seen = bytearray(len(f0))
-    stack = [o >> 1 for o in g.outputs]
-    while stack:
-        node = stack.pop()
-        if seen[node] or f0[node] < 0:
-            seen[node] = 1
-            continue
-        seen[node] = 1
-        stack.append(f0[node] >> 1)
-        stack.append(f1[node] >> 1)
-        live.append(node)
-    live.sort()
+    flags = live_nodes(g)
+    live = [node for node in range(1, len(f0)) if flags[node] and f0[node] >= 0]
 
     refs: dict[int, int] = {}
     for node in live:

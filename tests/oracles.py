@@ -115,6 +115,41 @@ def tseitin_reference(g: AigGraph, output_index: int = 0) -> tuple[int, list[lis
     return len(g.fanin0) - 1, clauses
 
 
+def levels_reference(g: AigGraph) -> list[int]:
+    """Per node, the longest path from an input in AND nodes, in one ascending pass."""
+    levels = []
+    for node in range(len(g.fanin0)):
+        if g.fanin0[node] < 0:
+            levels.append(0)  # the constant or an input
+        else:
+            levels.append(1 + max(levels[g.fanin0[node] >> 1], levels[g.fanin1[node] >> 1]))
+    return levels
+
+
+def sweep_reference(g: AigGraph) -> AigGraph:
+    """``sweep`` by a depth-first walk from the outputs, then one copy of the live ANDs."""
+    live = set()
+    stack = [o >> 1 for o in g.outputs]
+    while stack:
+        node = stack.pop()
+        if node in live:
+            continue
+        live.add(node)
+        if g.fanin0[node] >= 0:
+            stack += [g.fanin0[node] >> 1, g.fanin1[node] >> 1]
+    out = AigGraph()
+    remap = {0: 0}
+    for node, name in zip(g.inputs, g.input_names):
+        remap[node] = out.add_input(name)
+    for node in sorted(live):
+        a, b = g.fanin0[node], g.fanin1[node]
+        if a >= 0:
+            remap[node] = out.and2(remap[a >> 1] ^ (a & 1), remap[b >> 1] ^ (b & 1))
+    for o, name in zip(g.outputs, g.output_names):
+        out.add_output(remap[o >> 1] ^ (o & 1), name)
+    return out
+
+
 def solver_load_reference(num_vars: int, clauses) -> tuple[bool, list, list, list]:
     """Clause by clause, the solver's start state: ``(ok, clauses, watches, trail)``.
 

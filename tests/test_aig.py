@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from nn2logic.aig import (
@@ -22,6 +22,8 @@ from nn2logic.fixedpoint import FixedPointFormat, from_int, to_signed
 from nn2logic.mlp import DenseLayer, Mlp, extract_distillation_sets
 from nn2logic.netlist import Netlist, build_network_direct, build_neuron, simulate_netlist
 from nn2logic.pipeline import compile_rf
+
+from oracles import levels_reference, sweep_reference
 
 
 def two_input_netlist(kind, width=4, params=()):
@@ -474,3 +476,83 @@ def test_aiger_malformed_body_names_the_line(tmp_path, body, line, message):
     path.write_text(body)
     with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:{line}: .*{message}"):
         read_aiger(path)
+
+
+# -- per-node bookkeeping on random graphs -------------------------------------
+
+
+@st.composite
+def random_aigs(draw):
+    """Inputs and ANDs of earlier literals or constants, in any interleaving.
+
+    Outputs may be constants, complemented or repeated, and ANDs that no
+    output reaches stay in the graph as dead nodes.
+    """
+    g = AigGraph()
+    lits = [0]
+    for _ in range(draw(st.integers(1, 40))):
+        if draw(st.integers(0, 3)) == 0:
+            lits.append(g.add_input(f"x{len(g.inputs)}"))
+        else:
+            a = draw(st.sampled_from(lits)) ^ draw(st.integers(0, 1))
+            b = draw(st.sampled_from(lits)) ^ draw(st.integers(0, 1))
+            lits.append(g.and2(a, b))
+    for k in range(draw(st.integers(0, 4))):
+        g.add_output(draw(st.sampled_from(lits)) ^ draw(st.integers(0, 1)), f"y{k}")
+    return g
+
+
+def fanin_and_count(g):
+    return sum(1 for f in g.fanin0 if f >= 0)
+
+
+def check_bookkeeping(g):
+    levels = levels_reference(g)
+    assert list(g.levels) == levels
+    assert g.and_count() == fanin_and_count(g)
+    assert stats(g) == (g.and_count(), max((levels[o >> 1] for o in g.outputs), default=0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_aigs())
+def test_levels_and_counts_match_the_oracle(g):
+    check_bookkeeping(g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_aigs(), st.data())
+def test_import_graph_keeps_levels(g, data):
+    dst = AigGraph()
+    x, y = dst.add_input(), dst.add_input()
+    pool = [0, x, y, dst.and2(x, y), dst.and2(dst.and2(x, y ^ 1), x ^ 1)]
+    bound = [data.draw(st.sampled_from(pool)) ^ data.draw(st.integers(0, 1)) for _ in g.inputs]
+    outs = import_graph(dst, g, bound)
+    check_bookkeeping(dst)
+    assert len(outs) == len(g.outputs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_aigs())
+def test_sweep_matches_the_oracle(g):
+    got, want = sweep(g), sweep_reference(g)
+    assert (got.fanin0, got.fanin1, got.inputs, got.outputs) == (
+        want.fanin0, want.fanin1, want.inputs, want.outputs
+    )
+    assert (got.input_names, got.output_names) == (want.input_names, want.output_names)
+    check_bookkeeping(got)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(random_aigs(), st.data())
+def test_read_aiger_with_shuffled_ands_keeps_levels(tmp_path, g, data):
+    path = tmp_path / "shuffled.aag"
+    write_aiger(g, path)
+    lines = path.read_text().splitlines()
+    _, _, n_in, _, n_out, n_and = lines[0].split()
+    first = 1 + int(n_in) + int(n_out)
+    last = first + int(n_and)
+    ands = data.draw(st.permutations(lines[first:last]))
+    path.write_text("\n".join(lines[:first] + ands + lines[last:]) + "\n")
+    back = read_aiger(path)
+    check_bookkeeping(back)
+    assert stats(back) == stats(g)
