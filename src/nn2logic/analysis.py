@@ -120,11 +120,7 @@ class EquationReport:
 
 
 def emit_equations(
-    g: AigGraph,
-    input_names: list[str] | None = None,
-    output_names: list[str] | None = None,
-    title: str = "circuit",
-    start_index: int | None = None,
+    g: AigGraph, input_names: list[str] | None = None, title: str = "circuit"
 ) -> EquationReport:
     """Appendix-style equation listing of the live AND cone.
 
@@ -132,10 +128,10 @@ def emit_equations(
     rendered as ``name[bit]``.  An output whose literal is an uncomplemented
     AND node is written as a final AND assignment line; other outputs become
     copy lines ``out = [NOT] nK;``.  Net numbering starts right after the
-    input bits unless ``start_index`` overrides it.
+    input bits.
     """
     in_names = list(input_names or [n or f"i{k}" for k, n in enumerate(g.input_names)])
-    out_names = list(output_names or [n or f"o{k}" for k, n in enumerate(g.output_names)])
+    out_names = [n or f"o{k}" for k, n in enumerate(g.output_names)]
     f0, f1 = g.fanin0, g.fanin1
     flags = live_nodes(g)
     live = [node for node in range(1, len(f0)) if flags[node] and f0[node] >= 0]
@@ -154,9 +150,8 @@ def emit_equations(
         if (o & 1) == 0 and f0[node] >= 0 and refs.get(node, 0) == 0 and out_nodes[node] == 1:
             inline.add(node)
 
-    base = start_index if start_index is not None else len(g.inputs) + 1
     name_of: dict[int, str] = dict(zip(g.inputs, in_names))
-    counter = base
+    counter = len(g.inputs) + 1
     lines: list[str] = []
 
     def ref(literal: int) -> str:

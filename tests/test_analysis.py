@@ -74,16 +74,6 @@ def test_emit_equations_grammar():
     assert "Input 0:\ta" in text
 
 
-def test_emit_equations_start_index():
-    g = AigGraph()
-    a = g.add_input("a[0]")
-    b = g.add_input("a[1]")
-    x = g.and2(a, b)
-    g.add_output(g.and2(x, a ^ 1), "out")
-    report = emit_equations(g, start_index=21)
-    assert report.lines[0].startswith("n21 = ")
-
-
 def test_results_table_layout():
     data = LabeledDataset(np.zeros((4, 1)), np.array([0, 1, 0, 1]), feature_names=["x0"])
     direct = evaluate(constant_zero_graph(8), data, FMT, pipeline="direct")
