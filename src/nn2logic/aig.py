@@ -192,14 +192,25 @@ def _ripple_add(g: AigGraph, a: list[int], b: list[int], carry: int = 0) -> list
     return out
 
 
+def _and_all(g: AigGraph, lits: list[int]) -> int:
+    """AND of ``lits``, always joining the two of lowest level (TRUE when empty)."""
+    levels = g.levels
+    heap = [(levels[lit >> 1], lit) for lit in lits]
+    heapq.heapify(heap)
+    while len(heap) > 1:
+        a = heapq.heappop(heap)[1]
+        b = heapq.heappop(heap)[1]
+        ab = g.and2(a, b)
+        heapq.heappush(heap, (levels[ab >> 1], ab))
+    return heap[0][1] if heap else 1
+
+
 def _is_positive(g: AigGraph, a: list[int], b: list[int]) -> int:
     """1 iff signed a > signed b, via a sign-extended subtraction: sign clear and result nonzero."""
     aa = a + [a[-1]]
     bb = [x ^ 1 for x in b] + [b[-1] ^ 1]
     diff = _ripple_add(g, aa, bb, 1)
-    nonzero = 0
-    for bit in diff:
-        nonzero = g.or2(nonzero, bit)
+    nonzero = _and_all(g, [bit ^ 1 for bit in diff]) ^ 1
     return g.and2(diff[-1] ^ 1, nonzero)
 
 
@@ -343,9 +354,7 @@ def lower_netlist(net: Netlist) -> AigGraph:
             (to,) = gate.params
             src = ops[0]
             sign = src[-1]
-            fits = 1
-            for j in range(to - 1, len(src) - 1):
-                fits = g.and2(fits, g.xor2(src[j], sign) ^ 1)
+            fits = _and_all(g, [g.xor2(src[j], sign) ^ 1 for j in range(to - 1, len(src) - 1)])
             word = [g.mux(fits, src[j], sign if j == to - 1 else sign ^ 1) for j in range(to)]
         elif kind == "LUT":
             table, _k = gate.params

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from nn2logic.aig import (
     AigGraph,
+    _and_all,
     import_graph,
     lower_netlist,
     read_aiger,
@@ -118,6 +119,18 @@ def test_lowering_exhaustive_width4(kind):
                 want = int(sa > sb)
             assert got == want, (kind, a, b)
             assert out_width == len(g.outputs)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 8, 9])
+def test_and_all_joins_n_inputs_in_log_depth(n):
+    """All 2**n input rows; n level-0 bits join in ceil(log2 n) levels, not n - 1."""
+    g = AigGraph()
+    xs = [g.add_input() for _ in range(n)]
+    g.add_output(_and_all(g, xs))
+    lanes = 1 << n
+    words = [sum(((s >> k) & 1) << s for s in range(lanes)) for k in range(n)]
+    assert simulate_batch(g, words, lanes) == [1 << (lanes - 1)]
+    assert stats(g) == (max(n - 1, 0), (n - 1).bit_length() if n else 0)
 
 
 def test_clip_lowering_exhaustive():
@@ -302,9 +315,11 @@ def test_direct_aiger_matches_golden_digest(tmp_path):
 
     The digests cover the lowered graph and the swept AIGER file up to its
     symbol table.  They pin the WSUM lowering: canonical signed digit rows,
-    level-ordered carry-save columns and one ripple adder.  That circuit gave
-    the same outputs as the earlier binary shift-and-add lowering (11,506
-    nodes) on 120,000 seeded random input rows.
+    level-ordered carry-save columns and one ripple adder; and the GT and CLIP
+    lowerings, whose nonzero and fits tests join their bits lowest level first.
+    That circuit gave the same outputs as the earlier binary shift-and-add
+    lowering (11,506 nodes) and as the serial OR and AND chains (2,862 swept
+    nodes, 110 levels; now 2,810 and 93) on 120,000 seeded random input rows.
     """
     rng = np.random.default_rng(11)
     mlp_net = Mlp([
@@ -312,18 +327,18 @@ def test_direct_aiger_matches_golden_digest(tmp_path):
         DenseLayer(rng.normal(0.0, 0.8, size=(2, 3)), rng.normal(0.0, 0.3, size=2), "identity"),
     ])
     lowered = lower_netlist(build_network_direct(mlp_net, FixedPointFormat(8, 6)))
-    assert lowered.and_count() == 2919
+    assert lowered.and_count() == 2867
     unswept = repr((lowered.fanin0, lowered.fanin1, lowered.outputs)).encode()
     assert hashlib.sha256(unswept).hexdigest() == (
-        "996baccd0141bbd77697ff086f81cfba151a24a26f0a28dfb8c4e67475f823df"
+        "65812580db88a8a8851319e478fac000809bd8e42dee996e940a20e216c51f08"
     )
     path = tmp_path / "direct.aag"
     write_aiger(sweep(lowered), path)
     lines = path.read_text().splitlines()
-    assert lines[0] == "aag 2894 32 0 17 2862"
-    body = "\n".join(lines[: 1 + 32 + 17 + 2862]) + "\n"
+    assert lines[0] == "aag 2842 32 0 17 2810"
+    body = "\n".join(lines[: 1 + 32 + 17 + 2810]) + "\n"
     assert hashlib.sha256(body.encode()).hexdigest() == (
-        "dc42a761f01b0af033fe0ebdb3bcc9792cfe74410f9cecaff8ed8d2bfd817234"
+        "f2fa924ce374e4ce62d8825030dc946bef232648c6ad1e92460191ea78075769"
     )
 
 
