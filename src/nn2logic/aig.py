@@ -23,7 +23,9 @@ class AigGraph:
     def __init__(self) -> None:
         self.fanin0: list[int] = [_CONST]
         self.fanin1: list[int] = [_CONST]
-        self.levels = array("l", [0])  # per node; inputs and the constant are at 0
+        # per node; inputs and the constant are at 0.  32 bits suffice, as the
+        # structural-hash key already limits literals to 32 bits.
+        self.levels = array("i", [0])
         self.inputs: list[int] = []  # node ids in input order
         self.outputs: list[int] = []  # literals
         self.input_names: list = []
