@@ -517,14 +517,10 @@ def random_aigs(draw):
     return g
 
 
-def fanin_and_count(g):
-    return sum(1 for f in g.fanin0 if f >= 0)
-
-
 def check_bookkeeping(g):
     levels = levels_reference(g)
     assert list(g.levels) == levels
-    assert g.and_count() == fanin_and_count(g)
+    assert g.and_count() == sum(1 for f in g.fanin0 if f >= 0)
     assert stats(g) == (g.and_count(), max((levels[o >> 1] for o in g.outputs), default=0))
 
 
@@ -557,7 +553,10 @@ def test_sweep_matches_the_oracle(g):
     check_bookkeeping(got)
 
 
-@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+# every example writes the same file, so sharing tmp_path is safe
+@settings(
+    max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
 @given(random_aigs(), st.data())
 def test_read_aiger_with_shuffled_ands_keeps_levels(tmp_path, g, data):
     path = tmp_path / "shuffled.aag"
