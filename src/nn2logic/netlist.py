@@ -205,19 +205,21 @@ def _eval_gate(net: Netlist, g: Gate, values: dict[int, int]) -> int:
 def merge_into(dst: Netlist, src: Netlist, input_map: dict[int, int]) -> dict[int, int]:
     """Inline ``src`` into ``dst`` with its inputs bound per ``input_map``.
 
-    Returns the full signal-id mapping; ``src`` is left untouched.
+    Each gate is copied as it stands, with its operands mapped: ``src``'s
+    own ``add_gate`` already inferred and checked its width.  Copied signals
+    are unnamed.  Returns the full signal-id mapping; ``src`` is left
+    untouched.
     """
     mapping = dict(input_map)
     for sid in src.inputs:
         if dst.widths[mapping[sid]] != src.widths[sid]:
             raise ValueError(f"width mismatch binding module input {sid}")
+    widths, names, gates = dst.widths, dst.names, dst.gates
     for g in src.gates:
-        if g.kind == "CONST":
-            mapping[g.output] = dst.add_const(g.params[0])
-        else:
-            mapping[g.output] = dst.add_gate(
-                g.kind, tuple(mapping[o] for o in g.operands), g.params
-            )
+        sid = mapping[g.output] = len(widths)
+        widths.append(src.widths[g.output])
+        names.append(None)
+        gates.append(Gate(g.kind, tuple([mapping[o] for o in g.operands]), sid, g.params))
     return mapping
 
 

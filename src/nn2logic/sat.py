@@ -235,12 +235,6 @@ class _Cdcl:
         self.watches = [watchers[lo:hi] for lo, hi in zip(b, b[1:])]
         return True
 
-    def value(self, e: int) -> int:
-        a = self.assigns[e >> 1]
-        if a < 0:
-            return -1
-        return a ^ (e & 1)
-
     def enqueue(self, e: int, reason: int) -> None:
         var = e >> 1
         self.assigns[var] = (e & 1) ^ 1
@@ -249,39 +243,50 @@ class _Cdcl:
         self.trail.append(e)
 
     def propagate(self) -> int:
-        while self.qhead < len(self.trail):
-            p = self.trail[self.qhead]
+        """Unit propagation from ``qhead``; the conflicting clause, or -1.
+
+        ``assigns[e >> 1] ^ (e & 1)`` is literal ``e``'s value: 1 true, 0
+        false, negative unassigned.  Enqueueing is inlined at the current
+        decision level.
+        """
+        trail, clauses, watches = self.trail, self.clauses, self.watches
+        assigns, level, reason = self.assigns, self.level, self.reason
+        depth = len(self.trail_lim)
+        while self.qhead < len(trail):
+            neg = trail[self.qhead] ^ 1
             self.qhead += 1
-            neg = p ^ 1
-            ws = self.watches[neg]
+            ws = watches[neg]
             kept: list[int] = []
             conflict = -1
             for idx, ci in enumerate(ws):
-                cl = self.clauses[ci]
+                cl = clauses[ci]
                 if cl[0] == neg:
                     cl[0] = cl[1]
                     cl[1] = neg
                 first = cl[0]
-                if self.value(first) == 1:
+                value = assigns[first >> 1] ^ (first & 1)
+                if value == 1:
                     kept.append(ci)
                     continue
-                moved = False
                 for k in range(2, len(cl)):
-                    if self.value(cl[k]) != 0:
-                        cl[1] = cl[k]
+                    e = cl[k]
+                    if assigns[e >> 1] ^ (e & 1):  # not false
+                        cl[1] = e
                         cl[k] = neg
-                        self.watches[cl[1]].append(ci)
-                        moved = True
+                        watches[e].append(ci)
                         break
-                if moved:
-                    continue
-                kept.append(ci)
-                if self.value(first) == 0:
-                    kept.extend(ws[idx + 1 :])
-                    conflict = ci
-                    break
-                self.enqueue(first, ci)
-            self.watches[neg] = kept
+                else:
+                    kept.append(ci)
+                    if value == 0:
+                        kept.extend(ws[idx + 1 :])
+                        conflict = ci
+                        break
+                    var = first >> 1
+                    assigns[var] = (first & 1) ^ 1
+                    level[var] = depth
+                    reason[var] = ci
+                    trail.append(first)
+            watches[neg] = kept
             if conflict >= 0:
                 return conflict
         return -1

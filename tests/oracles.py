@@ -194,6 +194,81 @@ def solver_load_reference(num_vars: int, clauses) -> tuple[bool, list, list, lis
     return True, stored, watches, trail
 
 
+def propagate_reference(s) -> int:
+    """``_Cdcl.propagate`` through per-literal value and enqueue helpers.
+
+    Two watched literals: a watcher of the falsified literal moves its watch
+    to the first non-false literal from position 2 on, else stays and makes
+    its other watched literal a unit, or the conflict.  Returns the
+    conflicting clause index, or -1.
+    """
+    def value(e: int) -> int:
+        a = s.assigns[e >> 1]
+        if a < 0:
+            return -1
+        return a ^ (e & 1)
+
+    def enqueue(e: int, reason: int) -> None:
+        var = e >> 1
+        s.assigns[var] = (e & 1) ^ 1
+        s.level[var] = len(s.trail_lim)
+        s.reason[var] = reason
+        s.trail.append(e)
+
+    while s.qhead < len(s.trail):
+        p = s.trail[s.qhead]
+        s.qhead += 1
+        neg = p ^ 1
+        ws = s.watches[neg]
+        kept: list[int] = []
+        conflict = -1
+        for idx, ci in enumerate(ws):
+            cl = s.clauses[ci]
+            if cl[0] == neg:
+                cl[0] = cl[1]
+                cl[1] = neg
+            first = cl[0]
+            if value(first) == 1:
+                kept.append(ci)
+                continue
+            moved = False
+            for k in range(2, len(cl)):
+                if value(cl[k]) != 0:
+                    cl[1] = cl[k]
+                    cl[k] = neg
+                    s.watches[cl[1]].append(ci)
+                    moved = True
+                    break
+            if moved:
+                continue
+            kept.append(ci)
+            if value(first) == 0:
+                kept.extend(ws[idx + 1 :])
+                conflict = ci
+                break
+            enqueue(first, ci)
+        s.watches[neg] = kept
+        if conflict >= 0:
+            return conflict
+    return -1
+
+
+def merge_into_reference(dst, src, input_map: dict[int, int]) -> dict[int, int]:
+    """``netlist.merge_into`` re-adding every gate through ``add_const``/``add_gate``."""
+    mapping = dict(input_map)
+    for sid in src.inputs:
+        if dst.widths[mapping[sid]] != src.widths[sid]:
+            raise ValueError(f"width mismatch binding module input {sid}")
+    for g in src.gates:
+        if g.kind == "CONST":
+            mapping[g.output] = dst.add_const(g.params[0])
+        else:
+            mapping[g.output] = dst.add_gate(
+                g.kind, tuple(mapping[o] for o in g.operands), g.params
+            )
+    return mapping
+
+
 def parse_equations(text_or_lines, input_names: list[str]) -> AigGraph:
     """Rebuild a graph from equation lines for round-trip simulation."""
     if isinstance(text_or_lines, str):

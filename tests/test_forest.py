@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nn2logic import forest
 from nn2logic.aig import lower_netlist, simulate_batch
@@ -108,8 +110,24 @@ def test_tree_circuit_shape_depth2():
     net = forest_module([model], word_width=1)
     kinds = [g.kind for g in net.gates]
     assert kinds.count("MUX") == 3  # one per internal node, selected by its feature bit
-    assert kinds.count("GT") == 1  # the vote sum against zero
+    assert "GT" not in kinds and "ADD" not in kinds  # each leaf is its constant vote bit
     assert "GTU" not in kinds
+
+
+def test_three_tree_circuit_shape_depth2():
+    """From three trees on, the trees' vote words are summed and compared with zero."""
+    x = np.array(
+        [[0, 0, 0, 0], [0, 1, 0, 1], [1, 0, 1, 0], [1, 1, 1, 1]] * 4, dtype=np.uint8
+    )
+    y = np.array([0, 1, 1, 0] * 4)
+    model = train_forest(x, y, 3, 2, seed=1, bootstrap=False, feature_subsample=False)
+    assert [tree_depth(tree.root) for tree in model.trees] == [2, 2, 2]
+    net = forest_module([model], word_width=1)
+    kinds = [g.kind for g in net.gates]
+    assert kinds.count("MUX") == 9  # a vote-word mux tree per tree
+    assert kinds.count("ADD") == 2 and kinds.count("GT") == 1
+    (gt,) = [g for g in net.gates if g.kind == "GT"]
+    assert net.widths[gt.operands[0]] == forest.vote_width(3)
 
 
 def test_stump_selects_right_leaf():
@@ -223,13 +241,53 @@ def test_vote_bit_exhaustive(n_trees, all_p1):
         assert 0 in sums and min(sums) < 0 < max(sums)  # ties, losses and wins all occur
 
 
-@pytest.mark.parametrize("n_trees", [1, 2, 4])
+def _leaf(p1: float) -> TreeNode:
+    return TreeNode(p0=1.0 - p1, p1=p1)
+
+
+@st.composite
+def drawn_trees(draw, depth: int):
+    """A tree of depth at most ``depth`` over 10 feature bits; leaf p1 from LEAF_PROBS."""
+    if depth == 0 or draw(st.integers(0, 3)) == 0:
+        return _leaf(draw(st.sampled_from(LEAF_PROBS)))
+    return TreeNode(
+        feature=draw(st.integers(0, 9)),
+        left=draw(drawn_trees(depth - 1)),
+        right=draw(drawn_trees(depth - 1)),
+    )
+
+
+@st.composite
+def diagram_forests(draw):
+    """One or two trees of depth 0-4: the forests lowered as threshold diagrams."""
+    n_trees = draw(st.integers(1, 2))
+    trees = [DecisionTree(draw(drawn_trees(draw(st.integers(0, 4)))), 4, 10)
+             for _ in range(n_trees)]
+    return RandomForestModel(trees, n_trees, 4, 0, 10)
+
+
+def _forest_of(*roots: TreeNode) -> RandomForestModel:
+    return RandomForestModel([DecisionTree(r, 4, 10) for r in roots], len(roots), 4, 0, 10)
+
+
+@settings(max_examples=60, deadline=None)
+@given(diagram_forests())
+@example(_forest_of(_leaf(0.5)))  # one root-only tree tied at 0
+@example(_forest_of(_leaf(0.25), _leaf(0.75)))  # two root-only trees summing to 0
+@example(_forest_of(_leaf(0.25), TreeNode(feature=3, left=_leaf(0.75), right=_leaf(1.0))))
+def test_diagram_bit_exhaustive(model):
+    """AIG, netlist and ``predict_forest`` agree on every input of a 1- or 2-tree forest."""
+    rows, aig_bits, net_bits = _vote_bits_on_every_input(model)
+    assert aig_bits == net_bits == [predict_forest(model, row) for row in rows]
+
+
+@pytest.mark.parametrize("n_trees", [4, 8])
 def test_vote_width_one_bit_narrower_wraps(n_trees, monkeypatch):
     """At a power-of-two tree count the all-p1 sum needs every bit of ``vote_width``.
 
     One bit less and 2**PROB_FRAC_BITS * T wraps to a negative word, so the
     circuit votes 0 where ``predict_forest`` votes 1.  (At T = 3 the rounded-up
-    log2 leaves a spare bit.)
+    log2 leaves a spare bit; at T <= 2 no vote word is built.)
     """
     model = _hand_forest(n_trees, all_p1=True)
     width = forest.vote_width

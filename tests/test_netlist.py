@@ -3,10 +3,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from nn2logic import netlist
 from nn2logic.aig import lower_netlist, simulate_batch
-from nn2logic.datasets import make_overlapping_gaussians
+from nn2logic.datasets import LabeledDataset, make_overlapping_gaussians
 from nn2logic.fixedpoint import FixedPointFormat, from_int, quantize, to_signed
-from nn2logic.mlp import DenseLayer, Mlp, quantized_forward, train
+from nn2logic.forest import forest_module
+from nn2logic.lutnet import logicnet_module
+from nn2logic.mlp import DenseLayer, Mlp, extract_distillation_sets, quantized_forward, train
 from nn2logic.netlist import (
     Netlist,
     build_network_direct,
@@ -14,8 +17,9 @@ from nn2logic.netlist import (
     cascade_modules,
     simulate_netlist,
 )
+from nn2logic.pipeline import train_lgn_modules, train_rf_modules
 
-from oracles import neuron_reference
+from oracles import merge_into_reference, neuron_reference
 
 FMT = FixedPointFormat(4, 2)
 
@@ -247,3 +251,49 @@ def test_direct_network_emits_one_wsum_per_neuron():
     # ReLU neurons: WSUM, zero, GT, MUX, SHR, CLIP; identity ones: WSUM, SHR, CLIP; argmax GT
     assert len(kinds) == 3 * 6 + 2 * 3 + 1
     assert set(kinds) == {"WSUM", "CONST", "GT", "MUX", "SHR", "CLIP"}
+
+
+def _seeded_module_rows(flow: str) -> list[list[Netlist]]:
+    """Per-node modules of a seeded 4-3-2 MLP: direct neurons or distilled bits."""
+    rng = np.random.default_rng(21)
+    mlp_net = Mlp([
+        DenseLayer(rng.normal(0.0, 0.8, size=(3, 4)), rng.normal(0.0, 0.3, size=3), "relu"),
+        DenseLayer(rng.normal(0.0, 0.8, size=(2, 3)), rng.normal(0.0, 0.3, size=2), "identity"),
+    ])
+    if flow == "direct":
+        return [
+            [
+                build_neuron([quantize(float(w), FMT) for w in weights], layer.activation == "relu",
+                             FMT, bias_q=quantize(float(bias), FMT))
+                for weights, bias in zip(layer.weights, layer.bias)
+            ]
+            for layer in mlp_net.layers
+        ]
+    data = LabeledDataset(rng.uniform(-1.0, 1.0, size=(80, 4)), rng.integers(0, 2, size=80))
+    sets = extract_distillation_sets(mlp_net, data, FMT)
+    if flow == "logicnet":
+        models, module = train_lgn_modules(sets, 2, 6, 3, seed=4), logicnet_module
+    else:
+        models, module = train_rf_modules(sets, int(flow[-1]), 3, seed=4), forest_module
+    return [[module(models[(l, n)], FMT.total_bits) for n in range(size)]
+            for l, size in enumerate([3, 2], start=1)]
+
+
+@pytest.mark.parametrize("flow", ["direct", "rf-2", "rf-3", "logicnet"])
+def test_cascade_copies_gates_as_add_gate_would(flow, monkeypatch):
+    rows = _seeded_module_rows(flow)
+    net = cascade_modules(rows, [4, 3, 2], FMT)
+    monkeypatch.setattr(netlist, "merge_into", merge_into_reference)
+    want = cascade_modules(rows, [4, 3, 2], FMT)
+    assert net.gates == want.gates
+    assert net.widths == want.widths
+    assert net.names == want.names
+    assert (net.inputs, net.outputs) == (want.inputs, want.outputs)
+
+
+def test_merge_into_rejects_a_width_mismatch():
+    module = build_neuron(["0100", "0010"], True, FMT)
+    dst = Netlist()
+    words = [dst.add_input(4), dst.add_input(3)]
+    with pytest.raises(ValueError, match="width mismatch binding module input 1"):
+        netlist.merge_into(dst, module, dict(zip(module.inputs, words)))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import solver_load_reference, tseitin_reference
+from oracles import propagate_reference, solver_load_reference, tseitin_reference
 
 from nn2logic.aig import AigGraph, import_graph, lower_netlist, simulate_aig
 from nn2logic.fixedpoint import FixedPointFormat, from_int
@@ -288,6 +288,56 @@ def test_heap_search_matches_scan_on_neuron_queries():
         miter.add_output(diff)
         formula, _ = tseitin(miter, 0)
         assert_same_search(formula)
+
+
+class ReferencePropagateCdcl(_Cdcl):
+    """Oracle: the solver propagating through per-literal value and enqueue helpers."""
+
+    propagate = propagate_reference
+
+
+def assert_same_propagation(formula: CnfFormula) -> _Cdcl:
+    """Inlined and reference propagation take the same search to the same model."""
+    fast, slow = _Cdcl(formula), ReferencePropagateCdcl(formula)
+    assert fast.solve() == slow.solve()
+    assert (fast.decisions, fast.conflicts) == (slow.decisions, slow.conflicts)
+    assert fast.activity == slow.activity
+    assert fast.clauses == slow.clauses  # literal order, learnt clauses included
+    assert fast.watches == slow.watches
+    assert (fast.trail, fast.level, fast.reason) == (slow.trail, slow.level, slow.reason)
+    return fast
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(20, 110), st.floats(3.0, 5.0), st.integers(0, 2**31))
+def test_propagate_matches_reference_on_random_3cnf(num_vars, ratio, seed):
+    clauses = random_3cnf(num_vars, int(ratio * num_vars), seed)
+    assert_same_propagation(CnfFormula(num_vars, clauses))
+
+
+def test_propagate_matches_reference_past_restarts():
+    assert assert_same_propagation(CnfFormula(100, random_3cnf(100, 426, 7))).conflicts > 250
+
+
+def test_propagate_matches_reference_on_neuron_queries():
+    fmt = FixedPointFormat(4, 2)
+    rng = np.random.default_rng(13)
+    graphs = [
+        lower_netlist(build_neuron([from_int(int(w), 4) for w in rng.integers(-8, 8, size=3)],
+                                   True, fmt))
+        for _ in range(4)
+    ]
+    for g in graphs:
+        for out_idx in range(len(g.outputs)):
+            assert_same_propagation(tseitin(g, out_idx)[0])
+    for g1, g2 in zip(graphs, graphs[1:]):
+        miter = AigGraph()
+        ins = [miter.add_input() for _ in g1.inputs]
+        diff = 0
+        for a, b in zip(import_graph(miter, g1, ins), import_graph(miter, g2, ins)):
+            diff = miter.or2(diff, miter.xor2(a, b))
+        miter.add_output(diff)
+        assert_same_propagation(tseitin(miter, 0)[0])
 
 
 class RescaleCheckedCdcl(_Cdcl):
