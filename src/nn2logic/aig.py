@@ -6,12 +6,20 @@ both fanins created earlier, which keeps every traversal a single pass over
 the node ids.  Each node carries its level, the longest path from an input in
 AND nodes, set when the node is created.  Batch simulation packs one sample
 per bit of a Python int, so a full pass evaluates every sample at once.
+
+A LUT gate lowers as a Shannon mux tree.  Before lowering, one pass gives
+each distinct table of the netlist the select order of least model cost
+(`_shannon_orders`, an exact program over subsets of the selects); a table
+and its complement share one cone through an inverted edge, and a MUX with
+a constant child costs one AND.
 """
 
 from __future__ import annotations
 
 import heapq
 from array import array
+
+import numpy as np
 
 from nn2logic.netlist import Netlist
 
@@ -79,7 +87,11 @@ class AigGraph:
         return self.or2(self.and2(a, b ^ 1), self.and2(a ^ 1, b))
 
     def mux(self, sel: int, a: int, b: int) -> int:
-        """``a`` when sel is 1, else ``b``."""
+        """``a`` when sel is 1, else ``b``; one AND when a child is constant."""
+        if a == 1:
+            return self.or2(sel, b)
+        if b == 1:
+            return self.or2(sel ^ 1, a)
         return self.or2(self.and2(sel, a), self.and2(sel ^ 1, b))
 
     # -- queries ----------------------------------------------------------
@@ -289,14 +301,19 @@ def _weighted_sum(g: AigGraph, xs: list[list[int]], weights, bias: int) -> list[
 
 
 def _lut_cofactor(g: AigGraph, table: int, sels: list[int], memo: dict) -> int:
+    """Shannon mux tree of ``table`` over ``sels``, splitting on ``sels[-1]`` first.
+
+    A table and its complement share one cone: a table whose entry 0 is 1 is
+    lowered complemented and its literal inverted.
+    """
     k = len(sels)
     if k == 0:
         return table & 1
     full = (1 << (1 << k)) - 1
+    if table & 1:
+        return _lut_cofactor(g, table ^ full, sels, memo) ^ 1
     if table == 0:
         return 0
-    if table == full:
-        return 1
     key = (k, table)
     cached = memo.get(key)
     if cached is not None:
@@ -314,6 +331,98 @@ def _lut_cofactor(g: AigGraph, table: int, sels: list[int], memo: dict) -> int:
     return res
 
 
+def _shannon_orders(tables: list[int], k: int) -> tuple[list[int], np.ndarray]:
+    """Cheapest Shannon split order of each k-input table, and the table permuted to it.
+
+    Returns the permuted tables and an (n, k) array ``perm``: new select j is
+    old select ``perm[:, j]``, so ``perm[:, k - 1]`` is split first.  The
+    order minimises the model cost of `_lut_cofactor`'s tree by the subset
+    program of Friedman and Supowit (1990): ``best[S]`` is the cheapest
+    bottom part over the variables in S, ``best[S] = min over v in S of
+    best[S - v] + cost(S, v)``, where cost(S, v) counts the distinct
+    subfunctions on S (the variables outside S fixed every way), up to
+    complement, that depend on v: 1 AND if a v-cofactor is constant, else 3.
+    For each v, the program reads the v-cofactors of a subfunction on S as
+    two subfunctions on S - v, whose truth tables the subsets of one size
+    fewer hold.  Every table of the batch runs through each step at once.
+    Taking a subset's variables in ascending order and keeping the first
+    minimum makes a tie put the lowest variable on top of S.
+    """
+    n, size = len(tables), 1 << k
+    nbytes = max(1, size // 8)
+    raw = np.frombuffer(b"".join(t.to_bytes(nbytes, "little") for t in tables), dtype=np.uint8)
+    bits = np.unpackbits(raw.reshape(n, nbytes), axis=1, bitorder="little")[:, :size]
+
+    def cofactor(per_subfunction: np.ndarray, v: int, value: int) -> np.ndarray:
+        return per_subfunction[(slice(None),) * (k - v) + (slice(value, value + 1),)]
+
+    # subset S -> (the truth table of each subfunction on S, whether it is
+    # constant); entry bits in ascending variable order, axis k - i holds
+    # variable i, of length 1 in S
+    codes = {0: (bits.reshape((n,) + (2,) * k).astype(np.uint64), np.ones((n,) + (2,) * k, bool))}
+    best = np.full((n, size), np.iinfo(np.int64).max)
+    best[:, 0] = 0
+    choice = np.zeros((n, size), dtype=np.int64)
+    for s in range(1, k + 1):
+        half = 1 << (s - 1)  # entries of a cofactor
+        smaller, codes = codes, {}
+        for subset in [x for x in range(1, size) if x.bit_count() == s]:
+            top = subset.bit_length() - 1
+            rest = smaller[subset ^ (1 << top)][0]
+            if half == 64:
+                rest = rest.astype(object)  # Python ints past 64 entries
+            code = cofactor(rest, top, 0) | (cofactor(rest, top, 1) << half)
+            ones = (1 << 2 * half) - 1
+            codes[subset] = code, (code == 0) | (code == ones)
+            # flag one of each set of subfunctions equal up to complement
+            ids = (code ^ (code & 1) * ones).reshape(n, -1)
+            by_id = np.argsort(ids, axis=1)
+            sorted_ids = np.take_along_axis(ids, by_id, axis=1)
+            new_id = np.ones(ids.shape, dtype=bool)
+            new_id[:, 1:] = sorted_ids[:, 1:] != sorted_ids[:, :-1]
+            first = np.empty_like(new_id)
+            np.put_along_axis(first, by_id, new_id, axis=1)
+            for v in [v for v in range(k) if subset >> v & 1]:
+                lower, const = smaller[subset ^ (1 << v)]
+                depends = (cofactor(lower, v, 0) != cofactor(lower, v, 1)).reshape(n, -1) & first
+                one_and = depends & (cofactor(const, v, 0) | cofactor(const, v, 1)).reshape(n, -1)
+                cost = 3 * np.count_nonzero(depends, axis=1) - 2 * np.count_nonzero(one_and, axis=1)
+                cand = best[:, subset ^ (1 << v)] + cost
+                better = cand < best[:, subset]
+                best[:, subset] = np.where(better, cand, best[:, subset])
+                choice[:, subset] = np.where(better, v, choice[:, subset])
+    rows = np.arange(n)
+    perm = np.zeros((n, k), dtype=np.int64)
+    left = np.full(n, size - 1)
+    for j in range(k - 1, -1, -1):
+        perm[:, j] = choice[rows, left]
+        left ^= 1 << perm[:, j]
+    pattern = np.arange(size)
+    index = np.zeros((n, size), dtype=np.int64)
+    for j in range(k):
+        index |= ((pattern >> j) & 1)[None, :] << perm[:, j : j + 1]
+    packed = np.packbits(np.take_along_axis(bits, index, axis=1), axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed], perm
+
+
+def _lut_orders(net: Netlist) -> dict[tuple[int, int], tuple[int, list[int]]]:
+    """(table, k) -> (permuted table, select order) for each distinct LUT of ``net``."""
+    by_k: dict[int, dict[int, None]] = {}
+    for gate in net.gates:
+        if gate.kind == "LUT":
+            table, k = gate.params
+            by_k.setdefault(k, {})[int(table)] = None
+    orders = {}
+    for k, distinct in by_k.items():
+        tables = list(distinct)
+        for start in range(0, len(tables), 1024):  # bounds the program's arrays at large k
+            batch = tables[start : start + 1024]
+            permuted, perm = _shannon_orders(batch, k)
+            for table, new, order in zip(batch, permuted, perm.tolist()):
+                orders[(table, k)] = (new, order)
+    return orders
+
+
 def lower_netlist(net: Netlist) -> AigGraph:
     """Bit-blast a word-level netlist into AND/NOT structure.
 
@@ -321,6 +430,7 @@ def lower_netlist(net: Netlist) -> AigGraph:
     expanded least significant bit first.
     """
     g = AigGraph()
+    lut_orders = _lut_orders(net)
     bits: dict[int, list[int]] = {}
     for sid in net.inputs:
         name = net.names[sid] or f"x{sid}"
@@ -359,8 +469,8 @@ def lower_netlist(net: Netlist) -> AigGraph:
             fits = _and_all(g, [g.xor2(src[j], sign) ^ 1 for j in range(to - 1, len(src) - 1)])
             word = [g.mux(fits, src[j], sign if j == to - 1 else sign ^ 1) for j in range(to)]
         elif kind == "LUT":
-            table, _k = gate.params
-            word = [_lut_cofactor(g, table, [op[0] for op in ops], {})]
+            table, order = lut_orders[gate.params]
+            word = [_lut_cofactor(g, table, [ops[i][0] for i in order], {})]
         else:
             raise ValueError(f"cannot lower gate kind {kind!r}")
         bits[gate.output] = word

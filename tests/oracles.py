@@ -8,6 +8,7 @@ helpers are test fixtures: a CSV writer and a tree-depth measure.
 from __future__ import annotations
 
 import csv
+import itertools
 
 from nn2logic.aig import AigGraph
 
@@ -91,6 +92,94 @@ def lut_output_reference(rows, inputs, table) -> list[int]:
             pattern |= int(row[q]) << j
         out.append(int(table[pattern]))
     return out
+
+
+def lut_cofactor_reference(g: AigGraph, table: int, sels: list[int], memo: dict) -> int:
+    """The fixed-order LUT lowering: a Shannon mux tree split on ``sels[-1]`` first.
+
+    A table and its complement are separate cones here, and every mux is two
+    ANDs and an OR, even with a constant child.
+    """
+    k = len(sels)
+    if k == 0:
+        return table & 1
+    full = (1 << (1 << k)) - 1
+    if table == 0:
+        return 0
+    if table == full:
+        return 1
+    key = (k, table)
+    cached = memo.get(key)
+    if cached is not None:
+        return cached
+    half = 1 << (k - 1)
+    lo = table & ((1 << half) - 1)
+    hi = table >> half
+    if lo == hi:
+        res = lut_cofactor_reference(g, lo, sels[:-1], memo)
+    else:
+        f0 = lut_cofactor_reference(g, lo, sels[:-1], memo)
+        f1 = lut_cofactor_reference(g, hi, sels[:-1], memo)
+        res = g.or2(g.and2(sels[-1], f1), g.and2(sels[-1] ^ 1, f0))
+    memo[key] = res
+    return res
+
+
+def permute_table_reference(table: int, order) -> int:
+    """``table`` with its selects reordered so that ``order[0]`` is split first.
+
+    ``order`` lists the old select indices top first; new select k - 1 - i
+    is old select ``order[i]``.
+    """
+    k = len(order)
+    out = 0
+    for new_pattern in range(1 << k):
+        old_pattern = 0
+        for i, old in enumerate(order):
+            old_pattern |= ((new_pattern >> (k - 1 - i)) & 1) << old
+        out |= ((table >> old_pattern) & 1) << new_pattern
+    return out
+
+
+def shannon_cost_reference(table: int, k: int) -> int:
+    """Model AND cost of the Shannon tree split on the highest select first.
+
+    One mux per distinct subfunction, up to complement, that depends on its
+    split select: 1 AND if a cofactor is constant, else 3.
+    """
+    seen = set()
+
+    def walk(t: int, k: int) -> int:
+        if k == 0:
+            return 0
+        if t & 1:
+            t ^= (1 << (1 << k)) - 1
+        if t == 0 or (k, t) in seen:
+            return 0
+        seen.add((k, t))
+        half = 1 << (k - 1)
+        ones = (1 << half) - 1
+        lo, hi = t & ones, t >> half
+        if lo == hi:
+            return walk(lo, k - 1)
+        own = 1 if lo in (0, ones) or hi in (0, ones) else 3
+        return own + walk(lo, k - 1) + walk(hi, k - 1)
+
+    return walk(table, k)
+
+
+def best_shannon_order_reference(table: int, k: int) -> tuple[int, tuple[int, ...]]:
+    """(least model cost, order) over all k! split orders, top first.
+
+    Orders go in lexicographic order and the first minimum is kept, so ties
+    go to the order with the lowest top select, then the lowest next one.
+    """
+    best = None
+    for order in itertools.permutations(range(k)):
+        cost = shannon_cost_reference(permute_table_reference(table, order), k)
+        if best is None or cost < best[0]:
+            best = (cost, order)
+    return best
 
 
 def tseitin_reference(g: AigGraph, output_index: int = 0) -> tuple[int, list[list[int]]]:

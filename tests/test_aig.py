@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from nn2logic.aig import (
     AigGraph,
     _and_all,
+    _shannon_orders,
     import_graph,
     lower_netlist,
     read_aiger,
@@ -22,9 +23,16 @@ from nn2logic.datasets import LabeledDataset
 from nn2logic.fixedpoint import FixedPointFormat, from_int, to_signed
 from nn2logic.mlp import DenseLayer, Mlp, extract_distillation_sets
 from nn2logic.netlist import Netlist, build_network_direct, build_neuron, simulate_netlist
-from nn2logic.pipeline import compile_rf
+from nn2logic.pipeline import compile_logicnet, compile_rf
 
-from oracles import levels_reference, sweep_reference
+from oracles import (
+    best_shannon_order_reference,
+    levels_reference,
+    lut_cofactor_reference,
+    permute_table_reference,
+    shannon_cost_reference,
+    sweep_reference,
+)
 
 
 def two_input_netlist(kind, width=4, params=()):
@@ -95,6 +103,17 @@ def test_mux_lowering_exhaustive_and_small():
             for bv in (0, 1):
                 want = av if sv else bv
                 assert simulate_aig(g, [sv, av, bv]) == [want]
+    # a constant-1 child costs one AND: mux(s, 1, b) is s | b, mux(s, a, 1) is ~s | a
+    for a_is_one in (True, False):
+        g = AigGraph()
+        s, a, b = g.add_input(), g.add_input(), g.add_input()
+        g.add_output(g.mux(s, 1, b) if a_is_one else g.mux(s, a, 1))
+        assert g.and_count() == 1
+        for sv in (0, 1):
+            for av in (0, 1):
+                for bv in (0, 1):
+                    want = (1 if a_is_one else av) if sv else (bv if a_is_one else 1)
+                    assert simulate_aig(g, [sv, av, bv]) == [want]
 
 
 WSUM_PARAMS = ((-8, 5), 37)  # weights on a and b, then the bias
@@ -156,6 +175,66 @@ def test_lut_gate_lowering_exhaustive():
         for p in range(1 << k):
             got = simulate_aig(g, feed(p, k))
             assert got == [(table >> p) & 1]
+
+
+def lowered_lut(table, k, lower=None):
+    """A k-input graph of one LUT: ``lower_netlist``'s, or ``lower`` of the table as given."""
+    if lower is None:
+        net = Netlist()
+        sels = [net.add_input(1) for _ in range(k)]
+        net.set_output(net.add_gate("LUT", sels, (table, k)))
+        return lower_netlist(net)
+    g = AigGraph()
+    sels = [g.add_input() for _ in range(k)]
+    g.add_output(lower(g, table, sels, {}))
+    return g
+
+
+def check_lut_orders(tables, k):
+    """The order program against the k! brute force, and each lowered LUT on every row."""
+    permuted, perm = _shannon_orders(tables, k)
+    rows = [sum(((p >> j) & 1) << p for p in range(1 << k)) for j in range(k)]
+    for table, new, order in zip(tables, permuted, perm.tolist()):
+        top_first = tuple(reversed(order))
+        assert new == permute_table_reference(table, top_first)
+        cost, best = best_shannon_order_reference(table, k)
+        assert shannon_cost_reference(new, k) == cost
+        assert top_first == best  # the first minimum: lowest top select, then the next
+        assert simulate_batch(lowered_lut(table, k), rows, 1 << k) == [table]
+
+
+def test_lut_orders_all_three_input_tables():
+    check_lut_orders(list(range(256)), 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([0, 1, 2, 4, 5]).flatmap(
+        lambda k: st.tuples(
+            st.just(k),
+            st.lists(st.integers(0, (1 << (1 << k)) - 1), min_size=1, max_size=4, unique=True),
+        )
+    )
+)
+def test_lut_orders_match_brute_force(case):
+    """Tables of up to five inputs, a few per batch, as `lower_netlist` batches them."""
+    k, tables = case
+    check_lut_orders(tables, k)
+
+
+def test_lut_orders_shrink_random_tables_in_total():
+    """Real AND counts, summed over 300 random tables of four and of five inputs.
+
+    The cost model ignores structural-hash sharing inside a table's tree, so
+    a few tables come out larger than under the fixed order; only the totals
+    are bounded.
+    """
+    rng = np.random.default_rng(0)
+    for k in (4, 5):
+        tables = [int(t) for t in rng.integers(0, 1 << (1 << k), size=300)]
+        ordered = sum(lowered_lut(t, k).and_count() for t in tables)
+        fixed = sum(lowered_lut(t, k, lut_cofactor_reference).and_count() for t in tables)
+        assert ordered < 0.8 * fixed
 
 
 def test_netlist_vs_aig_on_neuron():
@@ -316,10 +395,13 @@ def test_direct_aiger_matches_golden_digest(tmp_path):
     The digests cover the lowered graph and the swept AIGER file up to its
     symbol table.  They pin the WSUM lowering: canonical signed digit rows,
     level-ordered carry-save columns and one ripple adder; and the GT and CLIP
-    lowerings, whose nonzero and fits tests join their bits lowest level first.
-    That circuit gave the same outputs as the earlier binary shift-and-add
-    lowering (11,506 nodes) and as the serial OR and AND chains (2,862 swept
-    nodes, 110 levels; now 2,810 and 93) on 120,000 seeded random input rows.
+    lowerings, whose nonzero and fits tests join their bits lowest level first;
+    and the one-AND MUX with a constant child.  That circuit gave the same
+    outputs as the earlier binary shift-and-add lowering (11,506 nodes) and
+    as the serial OR and AND chains (2,862 swept nodes, 110 levels; then
+    2,810 and 93) on 120,000 seeded random input rows, and the same outputs
+    as the two-AND constant-child MUX (2,867 lowered nodes, 2,810 swept) on
+    20,000 seeded random input rows.
     """
     rng = np.random.default_rng(11)
     mlp_net = Mlp([
@@ -327,18 +409,18 @@ def test_direct_aiger_matches_golden_digest(tmp_path):
         DenseLayer(rng.normal(0.0, 0.8, size=(2, 3)), rng.normal(0.0, 0.3, size=2), "identity"),
     ])
     lowered = lower_netlist(build_network_direct(mlp_net, FixedPointFormat(8, 6)))
-    assert lowered.and_count() == 2867
+    assert lowered.and_count() == 2845
     unswept = repr((lowered.fanin0, lowered.fanin1, lowered.outputs)).encode()
     assert hashlib.sha256(unswept).hexdigest() == (
-        "65812580db88a8a8851319e478fac000809bd8e42dee996e940a20e216c51f08"
+        "f1ea29df5919a18f5d6ffa855acc3d6a151c2f7aa9bbaff5e2936ce145ce7046"
     )
     path = tmp_path / "direct.aag"
     write_aiger(sweep(lowered), path)
     lines = path.read_text().splitlines()
-    assert lines[0] == "aag 2842 32 0 17 2810"
-    body = "\n".join(lines[: 1 + 32 + 17 + 2810]) + "\n"
+    assert lines[0] == "aag 2820 32 0 17 2788"
+    body = "\n".join(lines[: 1 + 32 + 17 + 2788]) + "\n"
     assert hashlib.sha256(body.encode()).hexdigest() == (
-        "f2fa924ce374e4ce62d8825030dc946bef232648c6ad1e92460191ea78075769"
+        "46db7070ec34f0f784e3e5194aeee236e5ec8c492f3548e88abdd9102b69df8c"
     )
 
 
@@ -347,7 +429,9 @@ def test_rf_aiger_matches_golden_digest(tmp_path):
 
     Weights and inputs are multiples of 1/64, so every activation is exact in
     floating point and the distillation sets do not depend on the BLAS.  The
-    digest was computed with one signed vote word per tree.
+    digest was computed with one signed vote word per tree and the one-AND
+    MUX with a constant child; the circuit (8,388 AND nodes) gave the same
+    outputs as with the two-AND MUX (8,593) on 20,000 seeded random input rows.
     """
     rng = np.random.default_rng(12)
 
@@ -365,18 +449,19 @@ def test_rf_aiger_matches_golden_digest(tmp_path):
     path = tmp_path / "rf.aag"
     write_aiger(graph, path)
     text = path.read_text()
-    assert text.splitlines()[0] == "aag 8625 32 0 17 8593"
+    assert text.splitlines()[0] == "aag 8420 32 0 17 8388"
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "bba02808cebcb24822bd3b3882d3d565086112aa1e200968317bc8ebafc3818c"
+        "25727e515b6e361c1c6e65b3933aff9fa23a887e8c27407befb84e5898888eea"
     )
 
 
 def test_two_tree_rf_aiger_matches_golden_digest(tmp_path):
     """The rf AIGER file of the same MLP and data set with two trees per bit.
 
-    Two-tree forests lower as threshold decision diagrams.  This circuit
-    (915 AND nodes) gave the same outputs as the two trees' summed vote words
-    (4,567 nodes) on 20,000 seeded random input rows.
+    Two-tree forests lower as threshold decision diagrams.  The circuit with
+    the two-AND constant-child MUX (915 AND nodes) gave the same outputs as
+    the two trees' summed vote words (4,567 nodes) on 20,000 seeded random
+    input rows, and so did this one (879 nodes) with the one-AND MUX.
     """
     rng = np.random.default_rng(12)
 
@@ -394,9 +479,40 @@ def test_two_tree_rf_aiger_matches_golden_digest(tmp_path):
     path = tmp_path / "rf.aag"
     write_aiger(graph, path)
     text = path.read_text()
-    assert text.splitlines()[0] == "aag 947 32 0 17 915"
+    assert text.splitlines()[0] == "aag 911 32 0 17 879"
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "a647a8c878209e79c2616620506dbd5b383de9975bb3a829c6f31202edce00b3"
+        "70694bea53b46929dab7196f9b9e63369fbdec17987ffaf67d0de9836f92a8e7"
+    )
+
+
+def test_logicnet_aiger_matches_golden_digest(tmp_path):
+    """The logicnet AIGER file of the same MLP and data set, K = 4.
+
+    It pins the LUT lowering: each distinct table split in its cheapest
+    order, a table and its complement sharing one cone, and the one-AND MUX
+    with a constant child.  This circuit (2,123 AND nodes, 50 levels) gave
+    the same outputs as the fixed-order lowering (2,816 nodes, 56 levels) on
+    20,000 seeded random input rows.
+    """
+    rng = np.random.default_rng(12)
+
+    def dyadic(*shape):
+        return rng.integers(-48, 48, size=shape) / 64
+
+    mlp_net = Mlp([
+        DenseLayer(dyadic(3, 4), dyadic(3), "relu"),
+        DenseLayer(dyadic(2, 3), dyadic(2), "identity"),
+    ])
+    fmt = FixedPointFormat(8, 6)
+    data = LabeledDataset(dyadic(120, 4), rng.integers(0, 2, size=120))
+    sets = extract_distillation_sets(mlp_net, data, fmt)
+    graph, _ = compile_logicnet(mlp_net, sets, fmt, 2, 8, 4, seed=5)
+    path = tmp_path / "logicnet.aag"
+    write_aiger(graph, path)
+    text = path.read_text()
+    assert text.splitlines()[0] == "aag 2155 32 0 17 2123"
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "7ad6d2b55e7125620911e7123982f497e285747d0c547837a1d19f7739bc53b8"
     )
 
 
