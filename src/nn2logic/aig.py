@@ -441,8 +441,17 @@ def lower_netlist(net: Netlist) -> AigGraph:
         kind = gate.kind
         if kind == "CONST":
             word = [int(c) for c in reversed(gate.params[0])]
-        elif kind == "WSUM":
-            word = _weighted_sum(g, ops, *gate.params)
+        elif kind == "NEURON":
+            weights, bias, shift, relu = gate.params
+            m = len(ops[0])
+            # shift, saturate, then the ReLU: saturating first gives the same
+            # word, and the ReLU's AND with the inverted sign makes the sign 0
+            src = _weighted_sum(g, ops, weights, bias)[shift:]
+            sign = src[-1]
+            fits = _and_all(g, [g.xor2(src[j], sign) ^ 1 for j in range(m - 1, len(src) - 1)])
+            word = [g.mux(fits, src[j], sign if j == m - 1 else sign ^ 1) for j in range(m)]
+            if relu:
+                word = [g.and2(bit, word[-1] ^ 1) for bit in word]
         elif kind == "ADD":
             word = _ripple_add(g, ops[0], ops[1])
         elif kind == "GT":
@@ -450,11 +459,6 @@ def lower_netlist(net: Netlist) -> AigGraph:
         elif kind == "MUX":
             sel = ops[0][0]
             word = [g.mux(sel, x, y) for x, y in zip(ops[1], ops[2])]
-        elif kind == "SHR":
-            amount, arith = gate.params
-            w = len(ops[0])
-            fill = ops[0][-1] if arith else 0
-            word = [ops[0][j + amount] if j + amount < w else fill for j in range(w)]
         elif kind == "SLICE":
             lo, hi = gate.params
             word = ops[0][lo : hi + 1]
@@ -462,12 +466,6 @@ def lower_netlist(net: Netlist) -> AigGraph:
             word = []
             for op in reversed(ops):  # last operand holds the low bits
                 word.extend(op)
-        elif kind == "CLIP":
-            (to,) = gate.params
-            src = ops[0]
-            sign = src[-1]
-            fits = _and_all(g, [g.xor2(src[j], sign) ^ 1 for j in range(to - 1, len(src) - 1)])
-            word = [g.mux(fits, src[j], sign if j == to - 1 else sign ^ 1) for j in range(to)]
         elif kind == "LUT":
             table, order = lut_orders[gate.params]
             word = [_lut_cofactor(g, table, [ops[i][0] for i in order], {})]

@@ -2,8 +2,8 @@
 
 Features and labels are bits, so every split threshold is 0.5 and a CART
 split is just a choice of feature column.  Trees grow on bootstrap samples
-with ceil(sqrt(F)) candidate features per split by default; leaves keep the
-empirical class frequencies.
+with ceil(sqrt(F)) candidate features per split; leaves keep the empirical
+class frequencies.
 
 A forest bit votes ``sum(q(p1) - q(p0)) > 0`` over its trees' leaves, with
 ``q`` the 8-bit quantized probability.  It lowers in one of two forms, chosen
@@ -111,23 +111,17 @@ def _grow(x, y, depth, max_depth, n_candidates, rng) -> TreeNode:
 
 
 def train_forest(
-    features,
-    labels,
-    n_estimators: int,
-    max_depth: int,
-    seed: int = 0,
-    bootstrap: bool = True,
-    feature_subsample: bool = True,
+    features, labels, n_estimators: int, max_depth: int, seed: int = 0
 ) -> RandomForestModel:
     x, y = bit_training_set(features, labels)
     if n_estimators < 1:
         raise ValueError("need at least one estimator")
     n, f = x.shape
-    n_candidates = math.ceil(math.sqrt(f)) if feature_subsample else f
+    n_candidates = math.ceil(math.sqrt(f))
     rng = np.random.default_rng(seed)
     trees = []
     for _ in range(n_estimators):
-        rows = rng.integers(0, n, size=n) if bootstrap else np.arange(n)
+        rows = rng.integers(0, n, size=n)
         root = _grow(x[rows], y[rows], 0, max_depth, n_candidates, rng)
         trees.append(DecisionTree(root, max_depth, f))
     return RandomForestModel(trees, n_estimators, max_depth, seed, f)

@@ -82,15 +82,19 @@ class Mlp:
         return self.scaler.transform(x) if self.scaler is not None else x
 
 
-def forward_batch(net: Mlp, x: np.ndarray) -> list[np.ndarray]:
-    """Per-layer activations for a batch; entry l has shape (n, N_l)."""
-    a = net.scale(np.asarray(x, dtype=float))
+def _activations(layers: list[DenseLayer], a: np.ndarray) -> list[np.ndarray]:
+    """Each layer's output for the batch ``a`` of scaled inputs."""
     captured = []
-    for layer in net.layers:
+    for layer in layers:
         z = a @ layer.weights.T + layer.bias
         a = np.maximum(z, 0.0) if layer.activation == "relu" else z
         captured.append(a)
     return captured
+
+
+def forward_batch(net: Mlp, x: np.ndarray) -> list[np.ndarray]:
+    """Per-layer activations for a batch; entry l has shape (n, N_l)."""
+    return _activations(net.layers, net.scale(np.asarray(x, dtype=float)))
 
 
 def predict_batch(net: Mlp, x: np.ndarray) -> np.ndarray:
@@ -109,10 +113,8 @@ def loss_and_grad(layers: list[DenseLayer], x: np.ndarray, y: np.ndarray):
     identity.  Returns (loss, [(dW, db), ...]) matching ``layers``.
     """
     n = len(x)
-    acts = [np.asarray(x, dtype=float)]
-    for layer in layers:
-        z = acts[-1] @ layer.weights.T + layer.bias
-        acts.append(np.maximum(z, 0.0) if layer.activation == "relu" else z)
+    x = np.asarray(x, dtype=float)
+    acts = [x, *_activations(layers, x)]
     probs = _softmax(acts[-1])
     eps = 1e-12
     loss = -np.mean(np.log(probs[np.arange(n), y] + eps))

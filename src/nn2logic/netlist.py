@@ -4,12 +4,14 @@ Gates are appended in topological order by construction; a completed netlist
 is treated as immutable.  Values are unsigned words at the declared widths,
 bit 0 least significant.  The gate kinds, all emitted by some builder:
 
-* WSUM(x_1..x_n), params ``(weights, bias)``: one neuron's weighted sum
-  ``bias + sum(weights[k] * x_k)`` of signed m-bit words, signed m-bit
-  integer weights and an integer bias, wrapped to 3m bits,
+* NEURON(x_1..x_n), params ``(weights, bias, shift, relu)``: one step of
+  ``mlp.quantized_forward`` over signed m-bit words with signed m-bit integer
+  weights and an integer bias.  ``acc = bias + sum(weights[k] * x_k)``
+  wrapped to 3m-bit signed, then 0 if ``relu`` and ``acc < 0``, then
+  ``acc >> shift`` saturated to m-bit signed,
 * ADD (wrapping) and GT (signed) on two equal-width words,
 * MUX(sel, a, b) yields ``a`` when sel is 1,
-* CONST, SHR (logical or arithmetic), SLICE, CLIP (signed saturation),
+* CONST, SLICE,
 * CONCAT lists its operands most significant first,
 * LUT select operand q carries pattern weight 2**q.
 """
@@ -77,20 +79,22 @@ class Netlist:
 
     def _infer_width(self, kind: str, operands, params) -> int:
         w = [self.widths[o] for o in operands]
-        if kind == "WSUM":
-            weights, bias = params
+        if kind == "NEURON":
+            weights, bias, shift, relu = params
             self._need(
-                all(_is_integer(c) for c in (*weights, bias)),
-                "WSUM weights and bias must be integers",
+                all(_is_integer(c) for c in (*weights, bias, shift)),
+                "NEURON weights, bias and shift must be integers",
             )
             limit = 1 << (w[0] - 1) if w else 0
             self._need(
                 len(w) == len(weights) >= 1
                 and len(set(w)) == 1
                 and all(-limit <= c < limit for c in weights),
-                "WSUM needs words of one width m and one signed m-bit weight per word",
+                "NEURON needs words of one width m and one signed m-bit weight per word",
             )
-            return 3 * w[0]
+            self._need(0 <= shift <= 2 * w[0], "NEURON shift must be in 0..2m")
+            self._need(isinstance(relu, bool), "NEURON relu must be a bool")
+            return w[0]
         if kind == "ADD":
             self._need(len(w) == 2 and w[0] == w[1], "ADD needs two equal-width operands")
             return w[0]
@@ -103,10 +107,6 @@ class Netlist:
                 "MUX needs a 1-bit select and two equal-width data operands",
             )
             return w[1]
-        if kind == "SHR":
-            amount, _arith = params
-            self._need(len(w) == 1 and 0 <= amount < w[0], "SHR amount out of range")
-            return w[0]
         if kind == "SLICE":
             lo, hi = params
             self._need(len(w) == 1 and 0 <= lo <= hi < w[0], "SLICE range out of bounds")
@@ -114,10 +114,6 @@ class Netlist:
         if kind == "CONCAT":
             self._need(len(w) >= 1, "CONCAT needs at least one operand")
             return sum(w)
-        if kind == "CLIP":
-            (to,) = params
-            self._need(len(w) == 1 and 0 < to <= w[0], "CLIP target must not grow")
-            return to
         if kind == "LUT":
             table, k = params
             self._need(
@@ -163,21 +159,21 @@ def _eval_gate(net: Netlist, g: Gate, values: dict[int, int]) -> int:
     kind = g.kind
     if kind == "CONST":
         return int(g.params[0], 2)
-    if kind == "WSUM":
-        weights, bias = g.params
-        acc = bias + sum(c * signed_value(v, width) for c, v, width in zip(weights, ops, w))
-        return acc & ((1 << net.widths[g.output]) - 1)
+    if kind == "NEURON":
+        weights, bias, shift, relu = g.params
+        m = w[0]
+        acc = bias + sum(c * signed_value(v, m) for c, v in zip(weights, ops))
+        acc = signed_value(acc & ((1 << 3 * m) - 1), 3 * m)
+        if relu and acc < 0:
+            acc = 0
+        hi = (1 << (m - 1)) - 1
+        return max(-hi - 1, min(hi, acc >> shift)) & ((1 << m) - 1)
     if kind == "ADD":
         return (ops[0] + ops[1]) & ((1 << w[0]) - 1)
     if kind == "GT":
         return int(signed_value(ops[0], w[0]) > signed_value(ops[1], w[1]))
     if kind == "MUX":
         return ops[1] if ops[0] else ops[2]
-    if kind == "SHR":
-        amount, arith = g.params
-        if arith:
-            return (signed_value(ops[0], w[0]) >> amount) & ((1 << w[0]) - 1)
-        return ops[0] >> amount
     if kind == "SLICE":
         lo, hi = g.params
         return (ops[0] >> lo) & ((1 << (hi - lo + 1)) - 1)
@@ -186,13 +182,6 @@ def _eval_gate(net: Netlist, g: Gate, values: dict[int, int]) -> int:
         for v, width in zip(ops, w):  # first operand is most significant
             acc = (acc << width) | v
         return acc
-    if kind == "CLIP":
-        (to,) = g.params
-        v = signed_value(ops[0], w[0])
-        hi = (1 << (to - 1)) - 1
-        lo = -(1 << (to - 1))
-        v = max(lo, min(hi, v))
-        return v & ((1 << to) - 1)
     if kind == "LUT":
         table, _k = g.params
         pattern = 0
@@ -223,32 +212,6 @@ def merge_into(dst: Netlist, src: Netlist, input_map: dict[int, int]) -> dict[in
     return mapping
 
 
-def _emit_neuron(
-    net: Netlist,
-    input_sids: list[int],
-    weights_q: list[str],
-    bias_q: str | None,
-    has_relu: bool,
-    fmt: FixedPointFormat,
-) -> int:
-    m, i = fmt.total_bits, fmt.fractional_bits
-    for wq in weights_q if bias_q is None else [*weights_q, bias_q]:
-        if len(wq) != m:
-            raise ValueError(f"weight width {len(wq)} does not match format width {m}")
-    # the bias is an extra weight on a constant quantized 1.0
-    bias = to_signed(bias_q) * quantize_int(1.0, fmt) if bias_q is not None else 0
-    weights = tuple(to_signed(wq) for wq in weights_q)
-    acc = net.add_gate("WSUM", input_sids, (weights, bias))
-    if has_relu:
-        zero = net.add_const("0" * (3 * m))
-        sel = net.add_gate("GT", (acc, zero))
-        acc = net.add_gate("MUX", (sel, acc, zero))
-    # drop the extra fractional bits; the ReLU output is non-negative, so a
-    # logical shift suffices there, while the identity path needs the sign in
-    shifted = net.add_gate("SHR", (acc,), (i, not has_relu))
-    return net.add_gate("CLIP", (shifted,), (m,))
-
-
 def build_neuron(
     weights_q: list[str],
     has_relu: bool,
@@ -256,18 +219,22 @@ def build_neuron(
     bias_q: str | None = None,
     input_names: list[str] | None = None,
 ) -> Netlist:
-    """Single-neuron module: one weighted sum, ReLU, shift, clip.
+    """Single-neuron module: one NEURON gate over the m-bit inputs.
 
-    The weighted sum is a WSUM gate over the m-bit inputs: exact products,
-    the bias times the quantized 1.0, accumulated at 3m bits with wrap.
+    Its weights are the signed quantized weights, its bias is the quantized
+    bias times the quantized 1.0, and it shifts out the extra fractional bits.
     """
+    m = fmt.total_bits
+    for wq in weights_q if bias_q is None else [*weights_q, bias_q]:
+        if len(wq) != m:
+            raise ValueError(f"weight width {len(wq)} does not match format width {m}")
+    bias = to_signed(bias_q) * quantize_int(1.0, fmt) if bias_q is not None else 0
+    params = (tuple(to_signed(wq) for wq in weights_q), bias, fmt.fractional_bits, has_relu)
     net = Netlist()
     sids = [
-        net.add_input(fmt.total_bits, input_names[k] if input_names else None)
-        for k in range(len(weights_q))
+        net.add_input(m, input_names[k] if input_names else None) for k in range(len(weights_q))
     ]
-    out = _emit_neuron(net, sids, weights_q, bias_q, has_relu, fmt)
-    net.set_output(out)
+    net.set_output(net.add_gate("NEURON", sids, params))
     return net
 
 

@@ -10,6 +10,7 @@ All randomness is derived from the config seeds, so reruns are byte-stable.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from dataclasses import dataclass, field, fields
 from functools import partial
@@ -66,11 +67,36 @@ def _read_key_values(path) -> list[tuple[str, str, str]]:
     return entries
 
 
+_NON_NEGATIVE = (lambda v: v >= 0, "an integer >= 0")
+_POSITIVE = (lambda v: v >= 1, "an integer >= 1")
+# config and grid key -> (test, what it admits): the values the trainers take
+# without failing or quietly training on nothing; depth 0 grows one leaf or LUT
+_RANGES = {
+    "seed": _NON_NEGATIVE,
+    "split_seed": _NON_NEGATIVE,
+    "total_bits": (lambda v: 1 <= v <= 64, "an integer in 1..64"),
+    "test_fraction": (lambda v: 0 < v < 1, "a number strictly between 0 and 1"),
+    "hidden_nodes": _POSITIVE,
+    "epochs": _POSITIVE,
+    "learning_rate": (lambda v: math.isfinite(v) and v > 0, "a finite number > 0"),
+    "rf_estimators": _POSITIVE,
+    "rf_max_depth": _NON_NEGATIVE,
+    "lgn_depth": _NON_NEGATIVE,
+    "lgn_width": _POSITIVE,
+    "lgn_lut_size": _POSITIVE,
+}
+
+
 def _convert(cast, key: str, val, where: str):
+    """``cast(val)``, in the range ``_RANGES`` gives for ``key`` if it gives one."""
     try:
-        return cast(val)
+        value = cast(val)
     except ValueError:
         raise _error(where, f"{key}: expected {cast.__name__}, got {val!r}") from None
+    rule = _RANGES.get(key)
+    if rule and not rule[0](value):
+        raise _error(where, f"{key}: expected {rule[1]}, got {value!r}")
+    return value
 
 
 def _check_pipeline(name: str, where: str) -> None:
@@ -84,12 +110,19 @@ def parse_config(path=None, overrides: dict | None = None) -> PipelineConfig:
     entries += [(k, v, "") for k, v in (overrides or {}).items() if v is not None]
     cfg = PipelineConfig()
     casts = {f.name: type(getattr(cfg, f.name)) for f in fields(PipelineConfig)}
+    set_at = {}
     for key, val, where in entries:
         if key not in casts:
             raise _error(where, f"unknown config key {key!r}")
         if key == "pipeline":
             _check_pipeline(val, where)
         setattr(cfg, key, _convert(casts[key], key, val, where))
+        set_at[key] = where
+    m, i = cfg.total_bits, cfg.fractional_bits
+    if not 0 <= i < m:  # as FixedPointFormat requires
+        where = set_at.get("fractional_bits", set_at.get("total_bits", ""))
+        raise _error(where, f"fractional_bits: expected an integer in 0..{m - 1} "
+                            f"for {m} total bits, got {i}")
     return cfg
 
 

@@ -36,10 +36,10 @@ def neuron_reference(weights: list[int], x: list[int], bias: int | None,
     """Integer semantics of the single-neuron arithmetic circuit.
 
     ``weights``/``x``/``bias`` are signed m-bit integers.  Products are exact
-    (they fit in 2m bits), accumulation wraps at 3m bits, the ReLU is a
-    compare-against-zero driving a mux, the shift drops the extra i
-    fractional bits, and the final clip saturates to the m-bit signed range.
-    Returns the m-bit output as an unsigned word.
+    (they fit in 2m bits), accumulation wraps at 3m bits, the ReLU zeroes a
+    sum that is not positive, the shift drops the extra i fractional bits,
+    and the final clip saturates to the m-bit signed range.  Returns the
+    m-bit output as an unsigned word.
     """
     acc = 0
     for w, v in zip(weights, x):

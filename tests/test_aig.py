@@ -116,12 +116,12 @@ def test_mux_lowering_exhaustive_and_small():
                     assert simulate_aig(g, [sv, av, bv]) == [want]
 
 
-WSUM_PARAMS = ((-8, 5), 37)  # weights on a and b, then the bias
+NEURON_PARAMS = ((-8, 5), 37, 2, False)  # weights on a and b, bias, shift, relu
 
 
-@pytest.mark.parametrize("kind", ["ADD", "WSUM", "GT"])
+@pytest.mark.parametrize("kind", ["ADD", "NEURON", "GT"])
 def test_lowering_exhaustive_width4(kind):
-    net = two_input_netlist(kind, params=WSUM_PARAMS if kind == "WSUM" else ())
+    net = two_input_netlist(kind, params=NEURON_PARAMS if kind == "NEURON" else ())
     g = lower_netlist(net)
     out_width = net.widths[net.outputs[0]]
     for a in range(16):
@@ -131,9 +131,9 @@ def test_lowering_exhaustive_width4(kind):
             sa, sb = to_signed(from_int(a, 4)), to_signed(from_int(b, 4))
             if kind == "ADD":
                 want = (a + b) % 16
-            elif kind == "WSUM":
-                (wa, wb), bias = WSUM_PARAMS
-                want = (wa * sa + wb * sb + bias) % (1 << 12)
+            elif kind == "NEURON":
+                (wa, wb), bias, shift, _ = NEURON_PARAMS
+                want = max(-8, min(7, (wa * sa + wb * sb + bias) >> shift)) % 16
             else:
                 want = int(sa > sb)
             assert got == want, (kind, a, b)
@@ -153,15 +153,14 @@ def test_and_all_joins_n_inputs_in_log_depth(n):
 
 
 def test_clip_lowering_exhaustive():
-    net = Netlist()
-    a = net.add_input(8, "a")
-    net.set_output(net.add_gate("CLIP", (a,), (4,)))
+    """A NEURON at shift 0 saturates its sum to m signed bits: every pair of 4-bit words."""
+    net = two_input_netlist("NEURON", params=((7, -8), 3, 0, False))
     g = lower_netlist(net)
-    for v in range(256):
-        got = read_word(simulate_aig(g, feed(v, 8)))
-        sv = to_signed(from_int(v, 8))
-        want = max(-8, min(7, sv)) & 15
-        assert got == want
+    for a in range(16):
+        for b in range(16):
+            got = read_word(simulate_aig(g, feed(a, 4) + feed(b, 4)))
+            sa, sb = to_signed(from_int(a, 4)), to_signed(from_int(b, 4))
+            assert got == max(-8, min(7, 7 * sa - 8 * sb + 3)) & 15, (a, b)
 
 
 def test_lut_gate_lowering_exhaustive():
@@ -251,13 +250,25 @@ def test_netlist_vs_aig_on_neuron():
                 assert got == int(want, 2)
 
 
-# -- WSUM lowering against simulate_netlist and the integer formula ----------
+# -- NEURON lowering against simulate_netlist and the integer formula --------
+
+
+def neuron_shifts(m):
+    """Shifts 0, i = m - 2 (the fractional bits of the (8, 6) format at m = 8), m and 2m.
+
+    The shifts m and 2m bring the middle and top bits of the 3m-bit sum into
+    the m-bit output.
+    """
+    return sorted({0, max(m - 2, 0), m, 2 * m})
 
 
 def wsum_netlist(m, weights, bias):
+    """One NEURON per (shift, relu) over the same inputs; they share one weighted sum."""
     net = Netlist()
     xs = [net.add_input(m, f"x{k}") for k in range(len(weights))]
-    net.set_output(net.add_gate("WSUM", xs, (tuple(weights), bias)))
+    for shift in neuron_shifts(m):
+        for relu in (False, True):
+            net.set_output(net.add_gate("NEURON", xs, (tuple(weights), bias, shift, relu)))
     return net
 
 
@@ -276,10 +287,7 @@ def lane_values(outs, n):
     size = (n + 7) // 8
     raw = np.frombuffer(b"".join(o.to_bytes(size, "little") for o in outs), dtype=np.uint8)
     bits = np.unpackbits(raw.reshape(len(outs), size), axis=1, bitorder="little")[:, :n]
-    packed = np.packbits(bits.T, axis=1, bitorder="little")  # lane s's word as bytes
-    lanes = np.zeros((n, 8), dtype=np.uint8)
-    lanes[:, : packed.shape[1]] = packed
-    return lanes.view("<u8").ravel().astype(np.int64)
+    return (1 << np.arange(len(outs), dtype=np.int64)) @ bits.astype(np.int64)
 
 
 def wsum_reference(m, weights, bias, columns):
@@ -289,16 +297,37 @@ def wsum_reference(m, weights, bias, columns):
     return acc % (1 << (3 * m))
 
 
+def requantize_reference(m, acc, shift, relu):
+    """Straight-line ReLU, shift and saturation of the wrapped 3m-bit sums ``acc``."""
+    acc = np.where(acc >= 1 << (3 * m - 1), acc - (1 << (3 * m)), acc)
+    if relu:
+        acc = np.maximum(acc, 0)
+    return np.clip(acc >> shift, -(1 << (m - 1)), (1 << (m - 1)) - 1) % (1 << m)
+
+
+def check_neuron_words(net, outs, acc, lanes):
+    """Each NEURON's output words in ``outs`` against the wrapped sums ``acc``.
+
+    ``lanes`` lists (lane number, input words) for a check of ``simulate_netlist``.
+    """
+    m = net.widths[net.inputs[0]]
+    want = []
+    for k, gate in enumerate(net.gates):
+        want.append(requantize_reference(m, acc, *gate.params[2:]))
+        assert outs[k * m : (k + 1) * m] == lane_words([want[-1]], m), gate.params
+    for s, row in lanes:
+        got = [int(w, 2) for w in simulate_netlist(net, row)]
+        assert got == [int(word[s]) for word in want], (net.gates[0].params[:2], row)
+
+
 def check_wsum_lanes(net, g, columns, netlist_stride=1):
-    """Simulate ``g`` on the lanes ``columns``; compare with the formula and ``simulate_netlist``."""
+    """Simulate ``g`` on the lanes ``columns``; check it and ``simulate_netlist`` on the formula."""
     m = net.widths[net.inputs[0]]
     n = len(columns[0])
-    got = lane_values(simulate_batch(g, lane_words(columns, m), n), n)
-    (weights, bias) = net.gates[-1].params
-    np.testing.assert_array_equal(got, wsum_reference(m, weights, bias, columns))
-    for s in range(0, n, netlist_stride):
-        want = simulate_netlist(net, [int(col[s]) for col in columns])[0]
-        assert int(want, 2) == got[s], (weights, bias, [int(col[s]) for col in columns])
+    weights, bias = net.gates[0].params[:2]
+    lanes = [(s, [int(col[s]) for col in columns]) for s in range(0, n, netlist_stride)]
+    outs = simulate_batch(g, lane_words(columns, m), n)
+    check_neuron_words(net, outs, wsum_reference(m, weights, bias, columns), lanes)
 
 
 EDGE_WEIGHTS = (-128, 127, 0, 1, -1, 2, 64, -64, 85, -86)
@@ -346,12 +375,9 @@ def test_wsum_exhaustive_three_inputs(weights, entry):
     full = (1 << (1 << 16)) - 1
     for third in range(256):
         words = low_words + [full if (third >> j) & 1 else 0 for j in range(8)]
-        got = lane_values(simulate_batch(g, words, 1 << 16), 1 << 16)
-        want = (partial + weights[2] * to_signed(from_int(third, 8))) % (1 << 24)
-        np.testing.assert_array_equal(got, want)
-        for s in range(third, 1 << 16, 1 << 14):
-            out = simulate_netlist(net, [s & 255, s >> 8, third])[0]
-            assert int(out, 2) == got[s]
+        acc = (partial + weights[2] * to_signed(from_int(third, 8))) % (1 << 24)
+        lanes = [(s, [s & 255, s >> 8, third]) for s in range(third, 1 << 16, 1 << 14)]
+        check_neuron_words(net, simulate_batch(g, words, 1 << 16), acc, lanes)
 
 
 @settings(max_examples=60, deadline=None)
@@ -378,49 +404,79 @@ def test_wsum_wraps_when_interval_exceeds_3m_bits():
         col[:2] = (8, 7)  # lane 0 at the top of the interval, lane 1 at the bottom
     g = lower_netlist(net)
     check_wsum_lanes(net, g, columns)
-    got = lane_values(simulate_batch(g, lane_words(columns, 4), 2), 2)
-    assert list(got) == [2560 % 4096, -2240 % 4096]
+    outs = simulate_batch(g, lane_words(columns, 4), 2)
+    top = [k for k, gate in enumerate(net.gates) if gate.params[2] == 8]  # the sum's top 4 bits
+    got = [list(lane_values(outs[4 * k : 4 * k + 4], 2)) for k in top]
+    # wrapped to -1536 and 1856, then shifted by 8, without and with the ReLU
+    assert got == [[-6 % 16, 7], [0, 7]]
 
 
 def test_wsum_zero_weights_zero_bias_is_constant_zero():
     net = wsum_netlist(8, [0, 0, 0], 0)
     g = lower_netlist(net)
     assert g.and_count() == 0
-    assert g.outputs == [0] * 24
+    assert g.outputs == [0] * (8 * len(net.gates))
+
+
+def seeded_direct_mlp(hidden_activation):
+    """The seeded 4-3-2 MLP of the direct digests; the weights do not depend on the activation."""
+    rng = np.random.default_rng(11)
+    return Mlp([
+        DenseLayer(rng.normal(0.0, 0.8, size=(3, 4)), rng.normal(0.0, 0.3, size=3),
+                   hidden_activation),
+        DenseLayer(rng.normal(0.0, 0.8, size=(2, 3)), rng.normal(0.0, 0.3, size=2), "identity"),
+    ])
+
+
+def check_direct_digests(mlp_net, tmp_path, and_count, unswept_digest, header, body_digest):
+    """The lowered graph node for node, and the swept AIGER file up to its symbol table."""
+    lowered = lower_netlist(build_network_direct(mlp_net, FixedPointFormat(8, 6)))
+    assert lowered.and_count() == and_count
+    unswept = repr((lowered.fanin0, lowered.fanin1, lowered.outputs)).encode()
+    assert hashlib.sha256(unswept).hexdigest() == unswept_digest
+    path = tmp_path / "direct.aag"
+    write_aiger(sweep(lowered), path)
+    lines = path.read_text().splitlines()
+    assert lines[0] == header
+    _, _, n_in, _, n_out, n_and = header.split()
+    body = "\n".join(lines[: 1 + int(n_in) + int(n_out) + int(n_and)]) + "\n"
+    assert hashlib.sha256(body.encode()).hexdigest() == body_digest
 
 
 def test_direct_aiger_matches_golden_digest(tmp_path):
     """The direct flow's AIG of a seeded 4-3-2 MLP, node for node.
 
-    The digests cover the lowered graph and the swept AIGER file up to its
-    symbol table.  They pin the WSUM lowering: canonical signed digit rows,
-    level-ordered carry-save columns and one ripple adder; and the GT and CLIP
-    lowerings, whose nonzero and fits tests join their bits lowest level first;
-    and the one-AND MUX with a constant child.  That circuit gave the same
-    outputs as the earlier binary shift-and-add lowering (11,506 nodes) and
-    as the serial OR and AND chains (2,862 swept nodes, 110 levels; then
-    2,810 and 93) on 120,000 seeded random input rows, and the same outputs
-    as the two-AND constant-child MUX (2,867 lowered nodes, 2,810 swept) on
-    20,000 seeded random input rows.
+    The digests pin the NEURON lowering: canonical signed digit rows,
+    level-ordered carry-save columns and one ripple adder; the saturation,
+    whose fits test joins its bits lowest level first; the ReLU as one AND
+    per bit with the saturated word's inverted sign; and the argmax GT, whose
+    nonzero test does the same.  This circuit (2,744 lowered, 2,659 swept
+    nodes, 91 levels) gave the same outputs on 20,000 seeded random input
+    rows as the earlier chain of a weighted-sum gate, a GT and MUX ReLU on
+    the 3m-bit sum, a shift and a clip (2,845 lowered, 2,788 swept nodes, 92
+    levels).  That chain in turn matched the binary shift-and-add lowering
+    (11,506 nodes) and the serial OR and AND chains on 120,000 rows.
     """
-    rng = np.random.default_rng(11)
-    mlp_net = Mlp([
-        DenseLayer(rng.normal(0.0, 0.8, size=(3, 4)), rng.normal(0.0, 0.3, size=3), "relu"),
-        DenseLayer(rng.normal(0.0, 0.8, size=(2, 3)), rng.normal(0.0, 0.3, size=2), "identity"),
-    ])
-    lowered = lower_netlist(build_network_direct(mlp_net, FixedPointFormat(8, 6)))
-    assert lowered.and_count() == 2845
-    unswept = repr((lowered.fanin0, lowered.fanin1, lowered.outputs)).encode()
-    assert hashlib.sha256(unswept).hexdigest() == (
-        "f1ea29df5919a18f5d6ffa855acc3d6a151c2f7aa9bbaff5e2936ce145ce7046"
+    check_direct_digests(
+        seeded_direct_mlp("relu"), tmp_path, 2744,
+        "4cb5e1eafc889ac8a4c012339065f39099f88dc77df6511c4ce54f085c60275b",
+        "aag 2691 32 0 17 2659",
+        "4287a55dddb1f4ee4e37c6a0097f25a081ce4e1f370a7856e388821389094792",
     )
-    path = tmp_path / "direct.aag"
-    write_aiger(sweep(lowered), path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "aag 2820 32 0 17 2788"
-    body = "\n".join(lines[: 1 + 32 + 17 + 2788]) + "\n"
-    assert hashlib.sha256(body.encode()).hexdigest() == (
-        "46db7070ec34f0f784e3e5194aeee236e5ec8c492f3548e88abdd9102b69df8c"
+
+
+def test_identity_network_lowers_as_the_shift_and_clip_chain(tmp_path):
+    """The same MLP with no ReLU: every NEURON lowers node for node as before.
+
+    The digests were taken from the earlier chain of a weighted-sum gate, an
+    arithmetic shift and a clip; without a ReLU the NEURON lowering makes
+    the same calls in the same order.
+    """
+    check_direct_digests(
+        seeded_direct_mlp("identity"), tmp_path, 2800,
+        "8a514d922d524b0548199f28e9281851314f50a178620c3853d1fcc6bd88c405",
+        "aag 2747 32 0 17 2715",
+        "842312d9337a05c354b366cae9c16596e1f0be1be185d889b2b88120a629a0a8",
     )
 
 
@@ -526,9 +582,9 @@ def test_strash_idempotent_double_lowering():
 
 
 def test_sweep_preserves_function_and_shrinks():
-    net = two_input_netlist("WSUM", params=((-3, 7), -5))
+    net = two_input_netlist("NEURON", params=((-3, 7), -5, 2, True))
     g = lower_netlist(net)
-    # keep only output bit 1 so most of the weighted sum goes dead
+    # keep only output bit 1 so the other bits' saturation and ReLU go dead
     keep = g.outputs[1]
     g.outputs, g.output_names = [keep], [g.output_names[1]]
     swept = sweep(g)

@@ -200,6 +200,18 @@ def test_sweep_rejects_an_unknown_pipeline_at_its_line(tmp_path, capsys):
     assert f"{grid_path}:1: unknown pipeline 'rff'" in capsys.readouterr().err
 
 
+def test_train_rejects_an_out_of_range_config_value_at_its_line(tmp_path, capsys):
+    csv = str(tmp_path / "data.csv")
+    write_csv(make_overlapping_gaussians(40, 5, seed=2), csv)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("epochs=3\nlearning_rate=nan\n")
+    out = tmp_path / "out"
+    assert cli.main(["train", csv, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{cfg}:2: learning_rate: expected a finite number > 0, got nan" in err
+    assert not out.exists()
+
+
 def test_compile_rejects_a_nan_weight_at_its_line(tmp_path, capsys):
     csv = str(tmp_path / "data.csv")
     write_csv(make_overlapping_gaussians(40, 5, seed=2), csv)

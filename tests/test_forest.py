@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -31,6 +33,16 @@ def rows_to_words(rows: np.ndarray, m: int) -> list[int]:
     return words
 
 
+def full_data_forest(x, y, n_trees: int, max_depth: int) -> RandomForestModel:
+    """Trees grown on every row with every feature a candidate at each split."""
+    x, y = np.asarray(x, dtype=np.uint8), np.asarray(y, dtype=np.int64)
+    f = x.shape[1]
+    rng = np.random.default_rng(0)  # unused when every feature is a candidate
+    trees = [DecisionTree(forest._grow(x, y, 0, max_depth, f, rng), max_depth, f)
+             for _ in range(n_trees)]
+    return RandomForestModel(trees, n_trees, max_depth, 0, f)
+
+
 def test_all_zero_labels_single_leaf():
     x = np.random.default_rng(0).integers(0, 2, size=(50, 6))
     model = train_forest(x, np.zeros(50, dtype=int), 3, 4, seed=1)
@@ -44,16 +56,15 @@ def test_label_equals_feature_three():
     rng = np.random.default_rng(1)
     x = rng.integers(0, 2, size=(200, 8)).astype(np.uint8)
     y = x[:, 3]
-    model = train_forest(x, y, 4, 1, seed=2, feature_subsample=False)
-    for tree in model.trees:
-        assert tree.root.feature == 3
+    model = full_data_forest(x, y, 1, 1)
+    assert model.trees[0].root.feature == 3
     assert all(predict_forest(model, row) == row[3] for row in x)
 
 
 def test_xor_exhaustive():
     x = np.array([[0, 0], [0, 1], [1, 0], [1, 1]], dtype=np.uint8)
     y = (x[:, 0] ^ x[:, 1]).astype(int)
-    model = train_forest(x, y, 1, 2, seed=0, bootstrap=False, feature_subsample=False)
+    model = full_data_forest(x, y, 1, 2)
     assert all(predict_forest(model, row) == (row[0] ^ row[1]) for row in x)
 
 
@@ -69,6 +80,20 @@ def test_determinism():
     a = train_forest(x, y, 3, 5, seed=9)
     b = train_forest(x, y, 3, 5, seed=9)
     assert forest_to_text(a) == forest_to_text(b)
+
+
+def test_trained_forest_matches_golden_digest():
+    """Bootstrap rows and ceil(sqrt(F)) candidate features, as every forest is trained.
+
+    The digest was taken when both were still options, on by default.
+    """
+    rng = np.random.default_rng(7)
+    x = rng.integers(0, 2, size=(300, 24))
+    y = (x[:, 0] ^ x[:, 5]) | (rng.random(300) < 0.1)
+    text = forest_to_text(train_forest(x, y, 4, 4, seed=3))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "c5b1821833cd79967902b1a97347ecd15421fad68854a447c6e8b9911b35f1ed"
+    )
 
 
 def test_max_depth_respected():
@@ -104,7 +129,7 @@ def test_tree_circuit_shape_depth2():
         [[0, 0, 0, 0], [0, 1, 0, 1], [1, 0, 1, 0], [1, 1, 1, 1]] * 4, dtype=np.uint8
     )
     y = np.array([0, 1, 1, 0] * 4)
-    model = train_forest(x, y, 1, 2, seed=1, bootstrap=False, feature_subsample=False)
+    model = full_data_forest(x, y, 1, 2)
     tree = model.trees[0]
     assert tree_depth(tree.root) == 2
     net = forest_module([model], word_width=1)
@@ -120,7 +145,7 @@ def test_three_tree_circuit_shape_depth2():
         [[0, 0, 0, 0], [0, 1, 0, 1], [1, 0, 1, 0], [1, 1, 1, 1]] * 4, dtype=np.uint8
     )
     y = np.array([0, 1, 1, 0] * 4)
-    model = train_forest(x, y, 3, 2, seed=1, bootstrap=False, feature_subsample=False)
+    model = full_data_forest(x, y, 3, 2)
     assert [tree_depth(tree.root) for tree in model.trees] == [2, 2, 2]
     net = forest_module([model], word_width=1)
     kinds = [g.kind for g in net.gates]
@@ -133,7 +158,7 @@ def test_three_tree_circuit_shape_depth2():
 def test_stump_selects_right_leaf():
     x = np.array([[0], [1]] * 10, dtype=np.uint8)
     y = np.array([0, 1] * 10)
-    model = train_forest(x, y, 1, 1, seed=0, bootstrap=False)
+    model = full_data_forest(x, y, 1, 1)
     net = forest_module([model], word_width=1)
     assert simulate_netlist(net, ["1"]) == ["1"]
     assert simulate_netlist(net, ["0"]) == ["0"]

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -34,8 +36,8 @@ def test_gate_width_rules():
     net = Netlist()
     a = net.add_input(4)
     b = net.add_input(4)
-    assert net.widths[net.add_gate("WSUM", (a, b), ((-8, 7), 1000))] == 12
-    assert net.widths[net.add_gate("WSUM", (a,), ((0,), 0))] == 12
+    assert net.widths[net.add_gate("NEURON", (a, b), ((-8, 7), 1000, 0, False))] == 4
+    assert net.widths[net.add_gate("NEURON", (a,), ((0,), 0, 8, True))] == 4
     assert net.widths[net.add_gate("ADD", (a, b))] == 4
     assert net.widths[net.add_gate("GT", (a, b))] == 1
     c = net.add_input(2)
@@ -44,23 +46,34 @@ def test_gate_width_rules():
     with pytest.raises(ValueError):
         net.add_gate("MUX", (a, a, b))
     for operands, weights in [((a, c), (1, 1)), ((a, b), (1,)), ((a,), (8,)), ((a,), (-9,))]:
-        with pytest.raises(ValueError, match="WSUM"):
-            net.add_gate("WSUM", operands, (weights, 0))
-    with pytest.raises(ValueError, match="WSUM"):
-        net.add_gate("WSUM", (), ((), 3))
+        with pytest.raises(ValueError, match="NEURON needs words of one width m"):
+            net.add_gate("NEURON", operands, (weights, 0, 0, False))
+    with pytest.raises(ValueError, match="NEURON needs words of one width m"):
+        net.add_gate("NEURON", (), ((), 3, 0, False))
+    # at least m bits of the 3m-bit sum remain after the shift
+    for shift in (-1, 9):
+        with pytest.raises(ValueError, match=r"NEURON shift must be in 0\.\.2m"):
+            net.add_gate("NEURON", (a,), ((1,), 0, shift, False))
+    for relu in (1, None, "yes", np.bool_(True)):
+        with pytest.raises(ValueError, match="NEURON relu must be a bool"):
+            net.add_gate("NEURON", (a,), ((1,), 0, 2, relu))
 
 
 @pytest.mark.parametrize(
     "weights, bias", [((1.0, 2), 0), ((1, 2), 0.5), ((1, 2), 64.0), ((1, "2"), 0), ((1, 2), None)]
 )
 def test_wsum_rejects_non_integer_params(weights, bias):
+    """A NEURON's weighted sum takes integers only; so does its shift."""
     net = Netlist()
     a = net.add_input(4)
     b = net.add_input(4)
-    with pytest.raises(ValueError, match="WSUM weights and bias must be integers"):
-        net.add_gate("WSUM", (a, b), (weights, bias))
+    message = "NEURON weights, bias and shift must be integers"
+    with pytest.raises(ValueError, match=message):
+        net.add_gate("NEURON", (a, b), (weights, bias, 0, False))
+    with pytest.raises(ValueError, match=message):
+        net.add_gate("NEURON", (a, b), ((1, 2), 0, 1.0, False))
     assert net.gates == []
-    net.add_gate("WSUM", (a, b), ((np.int64(-8), True), np.int64(640)))
+    net.add_gate("NEURON", (a, b), ((np.int64(-8), True), np.int64(640), np.int64(2), False))
 
 
 @given(
@@ -69,37 +82,43 @@ def test_wsum_rejects_non_integer_params(weights, bias):
     st.integers(-8, 7),
     st.integers(-8, 7),
     st.integers(-3000, 3000),
+    st.integers(0, 8),
+    st.booleans(),
 )
-def test_arith_gates_match_integers(a, b, wa, wb, bias):
+def test_arith_gates_match_integers(a, b, wa, wb, bias, shift, relu):
     net = Netlist()
     sa = net.add_input(4)
     sb = net.add_input(4)
-    net.set_output(net.add_gate("WSUM", (sa, sb), ((wa, wb), bias)))
+    net.set_output(net.add_gate("NEURON", (sa, sb), ((wa, wb), bias, shift, relu)))
     for kind in ("ADD", "GT"):
         net.set_output(net.add_gate(kind, (sa, sb)))
     out = simulate_netlist(net, [a, b])
     sa_, sb_ = to_signed(from_int(a, 4)), to_signed(from_int(b, 4))
-    assert int(out[0], 2) == (wa * sa_ + wb * sb_ + bias) % (1 << 12)
+    acc = to_signed(from_int(wa * sa_ + wb * sb_ + bias, 12))  # wrapped to 3m = 12 bits
+    if relu:
+        acc = max(acc, 0)
+    assert to_signed(out[0]) == max(-8, min(7, acc >> shift))
     assert int(out[1], 2) == (a + b) % 16
     assert out[2] == str(int(sa_ > sb_))
 
 
 @given(st.integers(0, 255))
 def test_shift_slice_clip_gates(v):
+    """A NEURON's arithmetic shift, ReLU and clip on one word, and SLICE."""
     net = Netlist()
     s = net.add_input(8)
-    net.set_output(net.add_gate("SHR", (s,), (3, False)))
-    net.set_output(net.add_gate("SHR", (s,), (3, True)))
+    net.set_output(net.add_gate("NEURON", (s,), ((1,), 0, 3, False)))
+    net.set_output(net.add_gate("NEURON", (s,), ((1,), 0, 3, True)))
     net.set_output(net.add_gate("SLICE", (s,), (2, 5)))
-    net.set_output(net.add_gate("CLIP", (s,), (4,)))
-    net.set_output(net.add_gate("WSUM", (s,), ((1,), 0)))
+    net.set_output(net.add_gate("NEURON", (s,), ((-3,), 5, 0, False)))
+    net.set_output(net.add_gate("NEURON", (s,), ((1,), 0, 0, False)))
     out = simulate_netlist(net, [v])
     sv = to_signed(from_int(v, 8))
-    assert int(out[0], 2) == v >> 3
-    assert to_signed(out[1]) == sv >> 3
+    assert to_signed(out[0]) == sv >> 3
+    assert int(out[1], 2) == max(sv, 0) >> 3
     assert int(out[2], 2) == (v >> 2) & 0xF
-    assert to_signed(out[3]) == max(-8, min(7, sv))
-    assert len(out[4]) == 24 and to_signed(out[4]) == sv
+    assert to_signed(out[3]) == max(-128, min(127, 5 - 3 * sv))
+    assert out[4] == from_int(v, 8)
 
 
 def test_concat_msb_first():
@@ -239,18 +258,16 @@ def test_cascade_preserves_module_simulation():
         assert got[2] == str(int(to_signed(final[1]) > to_signed(final[0])))
 
 
-def test_direct_network_emits_one_wsum_per_neuron():
+def test_direct_network_emits_one_neuron_gate_per_neuron():
     rng = np.random.default_rng(1)
     mlp_net = Mlp([
         DenseLayer(rng.normal(size=(3, 4)), rng.normal(size=3), "relu"),
         DenseLayer(rng.normal(size=(2, 3)), rng.normal(size=2), "identity"),
     ])
     net = build_network_direct(mlp_net, FixedPointFormat(8, 6))
-    kinds = [g.kind for g in net.gates]
-    assert kinds.count("WSUM") == 5
-    # ReLU neurons: WSUM, zero, GT, MUX, SHR, CLIP; identity ones: WSUM, SHR, CLIP; argmax GT
-    assert len(kinds) == 3 * 6 + 2 * 3 + 1
-    assert set(kinds) == {"WSUM", "CONST", "GT", "MUX", "SHR", "CLIP"}
+    assert [g.kind for g in net.gates] == ["NEURON"] * 5 + ["GT"]
+    # (shift, relu): the 6 fractional bits go, and only the hidden layer has a ReLU
+    assert [g.params[2:] for g in net.gates[:5]] == [(6, True)] * 3 + [(6, False)] * 2
 
 
 def _seeded_module_rows(flow: str) -> list[list[Netlist]]:
@@ -289,6 +306,35 @@ def test_cascade_copies_gates_as_add_gate_would(flow, monkeypatch):
     assert net.widths == want.widths
     assert net.names == want.names
     assert (net.inputs, net.outputs) == (want.inputs, want.outputs)
+
+
+GATE_KINDS = {"NEURON", "ADD", "GT", "MUX", "CONST", "SLICE", "CONCAT", "LUT"}
+
+
+def test_builders_emit_exactly_the_documented_gate_kinds():
+    """The kinds the module docstring lists are the ones the three flows emit, cascaded."""
+    bullets = [line for line in netlist.__doc__.splitlines() if line.startswith("* ")]
+    assert {kind for line in bullets for kind in re.findall(r"\b[A-Z]{2,}\b", line)} == GATE_KINDS
+    emitted = set()
+    for flow in ("direct", "rf-2", "rf-3", "logicnet"):
+        net = cascade_modules(_seeded_module_rows(flow), [4, 3, 2], FMT)
+        emitted |= {g.kind for g in net.gates}
+    assert emitted == GATE_KINDS
+
+
+def test_unknown_gate_kinds_are_rejected():
+    """The kinds the NEURON gate replaced are unknown to building, simulation and lowering."""
+    for kind in ("WSUM", "SHR", "CLIP"):
+        net = Netlist()
+        a = net.add_input(4)
+        with pytest.raises(ValueError, match=f"unknown gate kind '{kind}'"):
+            net.add_gate(kind, (a,), (2,))
+        net.set_output(net._new_signal(4))
+        net.gates.append(netlist.Gate(kind, (a,), net.outputs[0], (2,)))
+        with pytest.raises(ValueError, match=f"unknown gate kind '{kind}'"):
+            simulate_netlist(net, [0])
+        with pytest.raises(ValueError, match=f"cannot lower gate kind '{kind}'"):
+            lower_netlist(net)
 
 
 def test_merge_into_rejects_a_width_mismatch():

@@ -40,6 +40,50 @@ def test_config_unknown_pipeline_names_line(tmp_path):
         pipeline.parse_config(path)
 
 
+@pytest.mark.parametrize(
+    "text, match",
+    [
+        ("seed=-1\n", r"run\.cfg:1: seed: expected an integer >= 0, got -1$"),
+        ("seed=1\nsplit_seed=-2\n", r"run\.cfg:2: split_seed: expected an integer >= 0, got -2$"),
+        ("epochs=5\nepochs=-3\n", r"run\.cfg:2: epochs: expected an integer >= 1, got -3$"),
+        ("hidden_nodes=0\n", r"run\.cfg:1: hidden_nodes: expected an integer >= 1, got 0$"),
+        ("learning_rate=nan\n", r"run\.cfg:1: learning_rate: expected a finite number > 0, "
+                                r"got nan$"),
+        ("learning_rate=inf\n", r"run\.cfg:1: learning_rate: .* got inf$"),
+        ("learning_rate=0\n", r"run\.cfg:1: learning_rate: .* got 0\.0$"),
+        ("test_fraction=0\n", r"run\.cfg:1: test_fraction: expected a number strictly between 0 "
+                              r"and 1, got 0\.0$"),
+        ("test_fraction=1.5\n", r"run\.cfg:1: test_fraction: .* got 1\.5$"),
+        ("total_bits=0\n", r"run\.cfg:1: total_bits: expected an integer in 1\.\.64, got 0$"),
+        ("total_bits=65\n", r"run\.cfg:1: total_bits: expected an integer in 1\.\.64, got 65$"),
+        ("total_bits=4\n", r"run\.cfg:1: fractional_bits: expected an integer in 0\.\.3 for 4 "
+                           r"total bits, got 6$"),
+        ("fractional_bits=8\ntotal_bits=16\nfractional_bits=-1\n",
+         r"run\.cfg:3: fractional_bits: expected an integer in 0\.\.15 for 16 total bits, got -1$"),
+        ("rf_estimators=0\n", r"run\.cfg:1: rf_estimators: expected an integer >= 1, got 0$"),
+        ("rf_max_depth=-1\n", r"run\.cfg:1: rf_max_depth: expected an integer >= 0, got -1$"),
+        ("lgn_depth=-1\n", r"run\.cfg:1: lgn_depth: expected an integer >= 0, got -1$"),
+        ("lgn_width=0\n", r"run\.cfg:1: lgn_width: expected an integer >= 1, got 0$"),
+        ("lgn_lut_size=0\n", r"run\.cfg:1: lgn_lut_size: expected an integer >= 1, got 0$"),
+    ],
+    ids=["seed", "split-seed", "epochs", "hidden-nodes", "nan-rate", "inf-rate", "zero-rate",
+         "no-test-rows", "fraction-above-1", "no-bits", "65-bits", "default-frac-too-wide",
+         "negative-frac", "no-estimators", "negative-max-depth", "negative-lgn-depth",
+         "no-lgn-width", "no-lut-inputs"],
+)
+def test_config_value_out_of_range_names_line_and_key(tmp_path, text, match):
+    path = _write(tmp_path, "run.cfg", text)
+    with pytest.raises(ValueError, match=match):
+        pipeline.parse_config(path)
+
+
+def test_config_accepts_the_edge_values(tmp_path):
+    text = ("seed=0\nepochs=1\nhidden_nodes=1\ntest_fraction=0.01\ntotal_bits=1\n"
+            "fractional_bits=0\nrf_max_depth=0\nlgn_depth=0\nlearning_rate=1e-9\n")
+    cfg = pipeline.parse_config(_write(tmp_path, "run.cfg", text))
+    assert (cfg.fmt.total_bits, cfg.fmt.fractional_bits, cfg.lgn_depth) == (1, 0, 0)
+
+
 def test_flag_values_name_the_key():
     with pytest.raises(ValueError, match=r"^epochs: expected int, got 'abc'$"):
         pipeline.parse_config(None, {"epochs": "abc"})
@@ -78,6 +122,25 @@ def test_grid_non_integer_value_names_line_and_key(tmp_path):
 def test_grid_unknown_key_names_line(tmp_path):
     path = _write(tmp_path, "g.grid", "pipelines=direct\npoints=1\n")
     with pytest.raises(ValueError, match=r"g\.grid:2: unknown grid key 'points'"):
+        pipeline.parse_grid(path)
+
+
+@pytest.mark.parametrize(
+    "text, match",
+    [
+        ("rf_estimators=2,0\n", r"g\.grid:1: rf_estimators: expected an integer >= 1, got 0$"),
+        ("pipelines=rf\nrf_max_depth=5,-1\n",
+         r"g\.grid:2: rf_max_depth: expected an integer >= 0, got -1$"),
+        ("lgn_depth=-2\n", r"g\.grid:1: lgn_depth: expected an integer >= 0, got -2$"),
+        ("lgn_width=0,50\n", r"g\.grid:1: lgn_width: expected an integer >= 1, got 0$"),
+        ("lgn_lut_size=4,-4\n", r"g\.grid:1: lgn_lut_size: expected an integer >= 1, got -4$"),
+    ],
+    ids=["no-estimators", "negative-max-depth", "negative-lgn-depth", "no-lgn-width",
+         "negative-lut-size"],
+)
+def test_grid_value_out_of_range_names_line_and_key(tmp_path, text, match):
+    path = _write(tmp_path, "g.grid", text)
+    with pytest.raises(ValueError, match=match):
         pipeline.parse_grid(path)
 
 
