@@ -7,8 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from nn2logic.aig import AigGraph, live_nodes, simulate_batch, stats
-from nn2logic.fixedpoint import FixedPointFormat
-from nn2logic.mlp import quantize_to_bits
+from nn2logic.fixedpoint import FixedPointFormat, quantize_array
 
 
 @dataclass
@@ -38,21 +37,19 @@ def results_table(reports: list[EvaluationReport]) -> str:
     return "\n".join([RESULTS_HEADER] + [r.csv_row() for r in reports]) + "\n"
 
 
-def pack_column(col: np.ndarray) -> int:
-    """Bit s of the result is sample s's bit."""
-    return int.from_bytes(np.packbits(col, bitorder="little").tobytes(), "little")
-
-
 def dataset_input_words(features: np.ndarray, fmt: FixedPointFormat, scaler=None):
-    """Pack quantized samples into bit-parallel AIG input words (lsb-first)."""
+    """Quantized samples as bit-parallel AIG input words.
+
+    Word k*m + j holds bit j, least significant first, of feature k's m-bit
+    word; bit s of it belongs to sample s.  Returns (words, sample count).
+    """
     x = np.asarray(features, dtype=float)
     if scaler is not None:
         x = scaler.transform(x)
-    bits = quantize_to_bits(x, fmt)  # columns are msb-first per word
-    m = fmt.total_bits
-    n, total = bits.shape
-    words = [pack_column(bits[:, k * m + m - 1 - j]) for k in range(total // m) for j in range(m)]
-    return words, n
+    ints = quantize_array(x, fmt)
+    bits = ((ints[:, :, None] >> np.arange(fmt.total_bits)) & 1).astype(np.uint8)
+    packed = np.packbits(bits.reshape(len(ints), -1), axis=0, bitorder="little")
+    return [int.from_bytes(col.tobytes(), "little") for col in packed.T], len(ints)
 
 
 def evaluate(

@@ -2,13 +2,14 @@
 
 A format (m, i) has m total bits of which i are fractional; one sign bit is
 always implied, so the integer part carries k = m - i bits including sign.
-Quantized values are carried around as bit strings, most significant bit
-first, exactly as produced by ``format(v, "b").zfill(m)``.
+``quantize_array`` is the one quantization rule: scale by 2**i, truncate
+toward zero and saturate to the signed m-bit range, giving signed integers.
+``quantize`` and ``dequantize`` write and read a single value as an m-bit
+string, most significant bit first.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 
@@ -35,10 +36,6 @@ class FixedPointFormat:
         return -(1 << (self.total_bits - 1))
 
 
-def to_signed(bits: str) -> int:
-    return signed_value(int(bits, 2), len(bits))
-
-
 def from_int(value: int, width: int) -> str:
     """Two's-complement bit string of ``value`` at the given width."""
     return format(value & ((1 << width) - 1), "b").zfill(width)
@@ -51,24 +48,35 @@ def signed_value(word: int, width: int) -> int:
     return word
 
 
-def quantize_int(x: float, fmt: FixedPointFormat) -> int:
-    """Scaled, truncated, and clipped integer representation of ``x``.
+def quantize_array(values, fmt: FixedPointFormat):
+    """Signed int64 words of ``values``: scaled by 2**i, truncated, saturated.
 
     Scaling by a power of two is exact in binary floating point, so the
-    truncation below sees the mathematically exact product unless it
-    overflows the float range, in which case the value clips anyway.
+    truncation sees the exact product unless it overflows to infinity, which
+    saturates anyway.  Saturation is decided on the float, against the exact
+    power of two 2**(m-1), before the cast: ``max_int`` itself is not a
+    float64 from m = 55 on.
     """
-    if not math.isfinite(x):
-        raise ValueError(f"cannot quantize non-finite value {x!r}")
-    scaled = x * (1 << fmt.fractional_bits)
-    if isinstance(scaled, float) and math.isinf(scaled):
-        return fmt.max_int if scaled > 0 else fmt.min_int
-    v = int(scaled)  # truncation toward zero
-    if v > fmt.max_int:
-        return fmt.max_int
-    if v < fmt.min_int:
-        return fmt.min_int
-    return v
+    import numpy as np  # not at import time: ``cli`` pins BLAS threads before NumPy loads
+
+    x = np.asarray(values, dtype=float)
+    bad = ~np.isfinite(x)
+    if bad.any():
+        pos = np.argwhere(bad)[0]
+        at = f" at row {pos[0]}, column {pos[1]}" if x.ndim == 2 else ""
+        raise ValueError(f"cannot quantize non-finite value {x[tuple(pos)].item()!r}{at}")
+    with np.errstate(over="ignore"):
+        scaled = np.trunc(x * float(1 << fmt.fractional_bits))
+    limit = float(1 << (fmt.total_bits - 1))
+    over = scaled >= limit
+    ints = np.where(over, 0.0, np.maximum(scaled, -limit)).astype(np.int64)
+    ints[over] = fmt.max_int
+    return ints
+
+
+def quantize_int(x: float, fmt: FixedPointFormat) -> int:
+    """``quantize_array`` of one value, as a Python int."""
+    return int(quantize_array(x, fmt))
 
 
 def quantize(x: float, fmt: FixedPointFormat) -> str:
@@ -82,5 +90,4 @@ def dequantize(bits: str, fmt: FixedPointFormat) -> float:
         raise ValueError(
             f"width mismatch: got {len(bits)} bits for a {fmt.total_bits}-bit format"
         )
-    return to_signed(bits) / (1 << fmt.fractional_bits)
-
+    return signed_value(int(bits, 2), len(bits)) / (1 << fmt.fractional_bits)

@@ -116,6 +116,8 @@ def train_forest(
     x, y = bit_training_set(features, labels)
     if n_estimators < 1:
         raise ValueError("need at least one estimator")
+    if max_depth < 0:
+        raise ValueError(f"max_depth must be at least 0, got {max_depth}")
     n, f = x.shape
     n_candidates = math.ceil(math.sqrt(f))
     rng = np.random.default_rng(seed)

@@ -94,6 +94,9 @@ def _layer_outputs(prev_bits: np.ndarray, luts: list[Lut]) -> np.ndarray:
 def train_logicnet(
     features, labels, depth: int, width: int, lut_size: int, seed: int = 0
 ) -> LutNetwork:
+    for name, value, least in (("depth", depth, 0), ("width", width, 1), ("lut_size", lut_size, 1)):
+        if value < least:
+            raise ValueError(f"{name} must be at least {least}, got {value}")
     x, y = bit_training_set(features, labels)
     n_features = x.shape[1]
     if lut_size > n_features:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from nn2logic.fixedpoint import FixedPointFormat, quantize_int
+from nn2logic.fixedpoint import FixedPointFormat, quantize_array, quantize_int
 
 ACTIVATIONS = ("relu", "identity")
 
@@ -276,40 +276,49 @@ def load_weights(path) -> Mlp:
     return Mlp(layers, scaler)
 
 
+def quantize_layers(net: Mlp, fmt: FixedPointFormat) -> list[list[tuple]]:
+    """Each neuron's ``NEURON`` gate params ``(weights, bias, shift, relu)``, by layer.
+
+    ``weights`` are the neuron's quantized weights, ``bias`` is its quantized
+    bias times the quantized 1.0, ``shift`` drops the i extra fractional bits
+    of the products, and ``relu`` is the layer's activation.  This is the one
+    quantized form of the network that the circuit and the reference share.
+    """
+    one = quantize_int(1.0, fmt)
+    layers = []
+    for layer in net.layers:
+        relu = layer.activation == "relu"
+        rows = quantize_array(np.column_stack([layer.weights, layer.bias]), fmt).tolist()
+        layers.append([(tuple(r[:-1]), r[-1] * one, fmt.fractional_bits, relu) for r in rows])
+    return layers
+
+
 def quantized_forward(
     net: Mlp, x, fmt: FixedPointFormat
-) -> tuple[list[list[int]], int]:
-    """Fixed-point reference forward pass with the arithmetic-circuit semantics.
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """Fixed-point reference forward pass over a batch, with the circuit semantics.
 
-    Works on signed integer representations throughout: exact 2m-bit
-    products, 3m-bit wrapping accumulation with the bias folded in as an
-    extra weight on a constant quantized 1.0, compare/mux ReLU, arithmetic
-    right shift by the fractional bit count, and a saturating clip back to m
-    bits.  Returns ([per-layer signed activation ints], predicted class).
+    Each layer applies its ``quantize_layers`` params on signed integers:
+    exact products, a 3m-bit wrapping accumulator, ReLU, arithmetic right
+    shift and a saturating clip back to m bits.  Arithmetic is on Python
+    ints, so it is exact for every m.  Returns ([per-layer (n, N_l) signed
+    activations], (n,) predicted classes, 1 where class 1's word exceeds
+    class 0's).
     """
-    m, i = fmt.total_bits, fmt.fractional_bits
-    mask3 = (1 << (3 * m)) - 1
-    sign3 = 1 << (3 * m - 1)
-    one = quantize_int(1.0, fmt)
-    acts = [quantize_int(float(v), fmt) for v in net.scale(np.asarray(x, dtype=float))]
+    m = fmt.total_bits
+    wrap, half = 1 << (3 * m), 1 << (3 * m - 1)
+    a = quantize_array(net.scale(x), fmt).astype(object)
     per_layer = []
-    for layer in net.layers:
-        wq = [[quantize_int(float(w), fmt) for w in row] for row in layer.weights]
-        bq = [quantize_int(float(b), fmt) for b in layer.bias]
-        outs = []
-        for row, b in zip(wq, bq):
-            acc = sum(w * a for w, a in zip(row, acts)) + b * one
-            acc &= mask3
-            if acc & sign3:
-                acc -= mask3 + 1
-            if layer.activation == "relu" and acc <= 0:
-                acc = 0
-            v = acc >> i
-            outs.append(max(fmt.min_int, min(fmt.max_int, v)))
-        acts = outs
-        per_layer.append(outs)
-    pred = 1 if per_layer[-1][1] > per_layer[-1][0] else 0
-    return per_layer, pred
+    for neurons in quantize_layers(net, fmt):
+        weights = np.array([p[0] for p in neurons], dtype=object)
+        bias = np.array([p[1] for p in neurons], dtype=object)
+        acc = (a @ weights.T + bias + half) % wrap - half
+        _, _, shift, relu = neurons[0]
+        if relu:
+            acc = np.maximum(acc, 0)
+        a = np.clip(acc >> shift, fmt.min_int, fmt.max_int)
+        per_layer.append(a.astype(np.int64))
+    return per_layer, (per_layer[-1][:, 1] > per_layer[-1][:, 0]).astype(int)
 
 
 @dataclass
@@ -337,18 +346,9 @@ class QuantizedActivationDataset:
 
 
 def quantize_to_bits(values: np.ndarray, fmt: FixedPointFormat) -> np.ndarray:
-    """Vectorized quantization of (n, k) floats to (n, k*m) bit columns."""
-    m, i = fmt.total_bits, fmt.fractional_bits
-    values = np.asarray(values, dtype=float)
-    bad = ~np.isfinite(values)
-    if bad.any():
-        r, c = np.argwhere(bad)[0]
-        raise ValueError(
-            f"cannot quantize non-finite value {values[r, c].item()!r} at row {r}, column {c}"
-        )
-    scaled = np.trunc(values * float(1 << i))
-    ints = np.clip(scaled, fmt.min_int, fmt.max_int).astype(np.int64)
-    words = ints & ((1 << m) - 1)
+    """(n, k) floats to (n, k*m) bit columns, most significant bit first per word."""
+    m = fmt.total_bits
+    words = quantize_array(values, fmt)
     n, k = words.shape
     bits = np.zeros((n, k * m), dtype=np.uint8)
     for j in range(m):  # column j is the MSB-first j-th bit of each word

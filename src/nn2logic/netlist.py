@@ -4,7 +4,8 @@ Gates are appended in topological order by construction; a completed netlist
 is treated as immutable.  Values are unsigned words at the declared widths,
 bit 0 least significant.  The gate kinds, all emitted by some builder:
 
-* NEURON(x_1..x_n), params ``(weights, bias, shift, relu)``: one step of
+* NEURON(x_1..x_n), params ``(weights, bias, shift, relu)`` as
+  ``mlp.quantize_layers`` gives them for one neuron: one step of
   ``mlp.quantized_forward`` over signed m-bit words with signed m-bit integer
   weights and an integer bias.  ``acc = bias + sum(weights[k] * x_k)``
   wrapped to 3m-bit signed, then 0 if ``relu`` and ``acc < 0``, then
@@ -21,14 +22,8 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 
-from nn2logic.fixedpoint import (
-    FixedPointFormat,
-    from_int,
-    quantize,
-    quantize_int,
-    signed_value,
-    to_signed,
-)
+from nn2logic.fixedpoint import FixedPointFormat, from_int, signed_value
+from nn2logic.mlp import quantize_layers
 
 
 @dataclass(frozen=True)
@@ -212,29 +207,14 @@ def merge_into(dst: Netlist, src: Netlist, input_map: dict[int, int]) -> dict[in
     return mapping
 
 
-def build_neuron(
-    weights_q: list[str],
-    has_relu: bool,
-    fmt: FixedPointFormat,
-    bias_q: str | None = None,
-    input_names: list[str] | None = None,
-) -> Netlist:
-    """Single-neuron module: one NEURON gate over the m-bit inputs.
+def build_neuron(params: tuple, m: int) -> Netlist:
+    """Single-neuron module: one NEURON gate with ``params`` over m-bit inputs.
 
-    Its weights are the signed quantized weights, its bias is the quantized
-    bias times the quantized 1.0, and it shifts out the extra fractional bits.
+    ``params`` is one neuron's ``(weights, bias, shift, relu)`` record from
+    ``mlp.quantize_layers``; ``add_gate`` checks it against the width m.
     """
-    m = fmt.total_bits
-    for wq in weights_q if bias_q is None else [*weights_q, bias_q]:
-        if len(wq) != m:
-            raise ValueError(f"weight width {len(wq)} does not match format width {m}")
-    bias = to_signed(bias_q) * quantize_int(1.0, fmt) if bias_q is not None else 0
-    params = (tuple(to_signed(wq) for wq in weights_q), bias, fmt.fractional_bits, has_relu)
     net = Netlist()
-    sids = [
-        net.add_input(m, input_names[k] if input_names else None) for k in range(len(weights_q))
-    ]
-    net.set_output(net.add_gate("NEURON", sids, params))
+    net.set_output(net.add_gate("NEURON", [net.add_input(m) for _ in params[0]], params))
     return net
 
 
@@ -281,16 +261,11 @@ def cascade_modules(
 
 
 def build_network_direct(net_mlp, fmt: FixedPointFormat, input_names=None) -> Netlist:
-    """Direct arithmetic lowering of a trained network, one neuron at a time."""
-    modules: list[list[Netlist]] = []
-    for layer in net_mlp.layers:
-        has_relu = layer.activation == "relu"
-        row = []
-        for weights, bias in zip(layer.weights, layer.bias):
-            wq = [quantize(float(w), fmt) for w in weights]
-            bq = quantize(float(bias), fmt)
-            row.append(build_neuron(wq, has_relu, fmt, bias_q=bq))
-        modules.append(row)
+    """Direct arithmetic lowering of a trained network, one NEURON gate per neuron."""
+    modules = [
+        [build_neuron(params, fmt.total_bits) for params in layer]
+        for layer in quantize_layers(net_mlp, fmt)
+    ]
     return cascade_modules(modules, net_mlp.layer_sizes, fmt, input_names)
 
 

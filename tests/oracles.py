@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import csv
 import itertools
+from fractions import Fraction
 
 from nn2logic.aig import AigGraph
 
 
 def quantize_reference(x: float, m: int, i: int) -> str:
-    """Straight-line reference for the quantization scheme."""
-    x_int = int((1 << i) * x)
+    """Straight-line reference for the quantization scheme, in exact rationals."""
+    x_int = int((1 << i) * Fraction(x))  # truncation toward zero
     largest_signed_int = (1 << (m - 1)) - 1
     x_int = min(largest_signed_int, x_int)
     smallest_signed_int = -(1 << (m - 1))

@@ -20,7 +20,7 @@ from nn2logic.aig import (
     write_aiger,
 )
 from nn2logic.datasets import LabeledDataset
-from nn2logic.fixedpoint import FixedPointFormat, from_int, to_signed
+from nn2logic.fixedpoint import FixedPointFormat
 from nn2logic.mlp import DenseLayer, Mlp, extract_distillation_sets
 from nn2logic.netlist import Netlist, build_network_direct, build_neuron, simulate_netlist
 from nn2logic.pipeline import compile_logicnet, compile_rf
@@ -31,6 +31,7 @@ from oracles import (
     lut_cofactor_reference,
     permute_table_reference,
     shannon_cost_reference,
+    signed,
     sweep_reference,
 )
 
@@ -128,7 +129,7 @@ def test_lowering_exhaustive_width4(kind):
         for b in range(16):
             bits = feed(a, 4) + feed(b, 4)
             got = read_word(simulate_aig(g, bits))
-            sa, sb = to_signed(from_int(a, 4)), to_signed(from_int(b, 4))
+            sa, sb = signed(a, 4), signed(b, 4)
             if kind == "ADD":
                 want = (a + b) % 16
             elif kind == "NEURON":
@@ -159,7 +160,7 @@ def test_clip_lowering_exhaustive():
     for a in range(16):
         for b in range(16):
             got = read_word(simulate_aig(g, feed(a, 4) + feed(b, 4)))
-            sa, sb = to_signed(from_int(a, 4)), to_signed(from_int(b, 4))
+            sa, sb = signed(a, 4), signed(b, 4)
             assert got == max(-8, min(7, 7 * sa - 8 * sb + 3)) & 15, (a, b)
 
 
@@ -237,15 +238,14 @@ def test_lut_orders_shrink_random_tables_in_total():
 
 
 def test_netlist_vs_aig_on_neuron():
-    fmt = FixedPointFormat(4, 2)
     rng = np.random.default_rng(1)
     for _ in range(5):
-        weights = [from_int(int(w), 4) for w in rng.integers(-8, 8, size=2)]
-        net = build_neuron(weights, True, fmt)
+        weights = tuple(int(w) for w in rng.integers(-8, 8, size=2))
+        net = build_neuron((weights, 0, 2, True), 4)
         g = lower_netlist(net)
         for a in range(16):
             for b in range(16):
-                want = simulate_netlist(net, [from_int(a, 4), from_int(b, 4)])[0]
+                want = simulate_netlist(net, [a, b])[0]
                 got = read_word(simulate_aig(g, feed(a, 4) + feed(b, 4)))
                 assert got == int(want, 2)
 
@@ -375,7 +375,7 @@ def test_wsum_exhaustive_three_inputs(weights, entry):
     full = (1 << (1 << 16)) - 1
     for third in range(256):
         words = low_words + [full if (third >> j) & 1 else 0 for j in range(8)]
-        acc = (partial + weights[2] * to_signed(from_int(third, 8))) % (1 << 24)
+        acc = (partial + weights[2] * signed(third, 8)) % (1 << 24)
         lanes = [(s, [s & 255, s >> 8, third]) for s in range(third, 1 << 16, 1 << 14)]
         check_neuron_words(net, simulate_batch(g, words, 1 << 16), acc, lanes)
 
@@ -573,8 +573,7 @@ def test_logicnet_aiger_matches_golden_digest(tmp_path):
 
 
 def test_strash_idempotent_double_lowering():
-    fmt = FixedPointFormat(4, 2)
-    net = build_neuron(["0100", "1110"], True, fmt)
+    net = build_neuron(((4, -2), 0, 2, True), 4)
     g = lower_netlist(net)
     before = g.num_nodes
     import_graph(g, lower_netlist(net), [node << 1 for node in g.inputs])
@@ -625,7 +624,7 @@ def test_import_graph_shares_structure():
 
 
 def neuron_aiger(tmp_path):
-    g = lower_netlist(build_neuron(["0100", "1101"], True, FixedPointFormat(4, 2), bias_q="0010"))
+    g = lower_netlist(build_neuron(((4, -3), 8, 2, True), 4))  # bias 2 on q(1.0) = 4
     path = tmp_path / "n.aag"
     write_aiger(g, path)
     return g, path, path.read_text().splitlines()

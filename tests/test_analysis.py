@@ -2,13 +2,19 @@ import numpy as np
 import pytest
 
 from nn2logic.aig import AigGraph, lower_netlist, simulate_aig, sweep
-from nn2logic.analysis import RESULTS_HEADER, emit_equations, evaluate, results_table
+from nn2logic.analysis import (
+    RESULTS_HEADER,
+    dataset_input_words,
+    emit_equations,
+    evaluate,
+    results_table,
+)
 from nn2logic.datasets import LabeledDataset, make_overlapping_gaussians
-from nn2logic.fixedpoint import FixedPointFormat, quantize
+from nn2logic.fixedpoint import FixedPointFormat, quantize_int
 from nn2logic.mlp import quantized_forward, train
 from nn2logic.netlist import build_network_direct, build_neuron
 
-from oracles import parse_equations
+from oracles import parse_equations, signed
 
 FMT = FixedPointFormat(8, 6)
 
@@ -36,21 +42,37 @@ def test_evaluate_empty_dataset_rejected():
         evaluate(constant_zero_graph(8), data, FMT)
 
 
+@pytest.mark.parametrize("m, i", [(56, 54), (64, 62)])
+def test_dataset_input_words_saturate_wide_formats(m, i):
+    """Out-of-range features give quantize_int's words, lsb-first, at wide formats."""
+    fmt = FixedPointFormat(m, i)
+    x = np.array([[3.0, -3.0], [1e308, -1e308], [0.5, -2.0]])
+    words, n = dataset_input_words(x, fmt)
+    assert n == 3 and len(words) == 2 * m
+    got = [
+        [signed(sum(((words[k * m + j] >> s) & 1) << j for j in range(m)), m) for k in range(2)]
+        for s in range(n)
+    ]
+    want = [[quantize_int(v, fmt) for v in row] for row in x.tolist()]
+    assert want[0] == [(1 << (m - 1)) - 1, -(1 << (m - 1))]
+    assert got == want
+
+
 def test_evaluate_matches_quantized_forward():
     data = make_overlapping_gaussians(150, 5, seed=1)
     net = train(data, hidden_nodes=4, epochs=150, seed=0)
     graph = sweep(lower_netlist(build_network_direct(net, FMT)))
     report = evaluate(graph, data, FMT, scaler=net.scaler)
-    preds = np.array([quantized_forward(net, x, FMT)[1] for x in data.features])
+    _, preds = quantized_forward(net, data.features, FMT)
     assert report.accuracy == float(np.mean(preds == data.labels))
     assert report.aig_nodes > 0 and report.aig_levels > 0
 
 
 def test_emit_equations_roundtrip():
-    fmt = FixedPointFormat(4, 2)
     names = ["age", "bmi", "pulse", "glucose"]
-    weights = [quantize(w, fmt) for w in (1.0, -0.75, 0.5, 0.25)]
-    net = build_neuron(weights, True, fmt, input_names=names)
+    net = build_neuron(((4, -3, 2, 1), 0, 2, True), 4)  # 1.0, -0.75, 0.5, 0.25 at (4, 2)
+    for sid, name in zip(net.inputs, names):
+        net.names[sid] = name
     g = sweep(lower_netlist(net))
     report = emit_equations(g, title="module")
     assert report.inputs == names

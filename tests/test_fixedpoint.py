@@ -1,13 +1,16 @@
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nn2logic.fixedpoint import (
     FixedPointFormat,
     dequantize,
+    from_int,
     quantize,
+    quantize_array,
 )
 
 from oracles import quantize_reference
@@ -118,3 +121,40 @@ def test_huge_magnitude_clips():
     assert quantize(1e300, fmt) == "01111111"
     assert quantize(-1e300, fmt) == "10000000"
     assert math.isclose(dequantize(quantize(1e300, fmt), fmt), 127 / 64)
+
+
+def assert_array_matches_reference(values, fmt):
+    m, i = fmt.total_bits, fmt.fractional_bits
+    got = quantize_array(values, fmt)
+    assert got.dtype == np.int64 and got.shape == np.shape(values)
+    assert [from_int(int(v), m) for v in got.ravel()] == [
+        quantize_reference(float(x), m, i) for x in np.ravel(values)
+    ]
+
+
+def test_quantize_array_matches_reference_at_every_format():
+    """Every (m, i) with m in 1..64, on values at and past the range edges."""
+    for m in range(1, 65):
+        for i in range(m):
+            edge, step = 2.0 ** (m - 1 - i), 2.0**-i
+            probes = [0.0, step, -step, 1.0, -1.0, edge, -edge, edge - step, -edge - step,
+                      float(np.nextafter(edge, 0.0)), 3.0, -3.0, 1e308, -1e308, 5e-324]
+            assert_array_matches_reference(probes, FixedPointFormat(m, i))
+
+
+@st.composite
+def format_and_values(draw):
+    m = draw(st.integers(1, 64))
+    i = draw(st.integers(0, m - 1))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    values = draw(st.lists(st.one_of(st.floats(-8.0, 8.0), finite), min_size=1, max_size=8))
+    return FixedPointFormat(m, i), values
+
+
+@given(format_and_values())
+@example((FixedPointFormat(64, 62), [1e308, -1e308, 3.0, -3.0]))
+@example((FixedPointFormat(56, 54), [3.0, -3.0, 1.7976931348623157e308]))
+def test_quantize_array_matches_reference(case):
+    """Scaled products that overflow to +-inf still saturate like the exact oracle."""
+    fmt, values = case
+    assert_array_matches_reference(values, fmt)

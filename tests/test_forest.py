@@ -73,6 +73,17 @@ def test_empty_dataset_rejected():
         train_forest(np.zeros((0, 3)), np.zeros(0), 1, 2)
 
 
+@pytest.mark.parametrize(
+    "n_estimators, max_depth, match",
+    [(0, 2, "need at least one estimator"), (1, -3, "max_depth must be at least 0, got -3")],
+    ids=["estimators-0", "max_depth-negative"],
+)
+def test_rejects_out_of_range_arguments(n_estimators, max_depth, match):
+    x, y = np.zeros((4, 3), dtype=np.uint8), np.array([0, 1, 0, 1])
+    with pytest.raises(ValueError, match=match):
+        train_forest(x, y, n_estimators, max_depth)
+
+
 def test_determinism():
     rng = np.random.default_rng(3)
     x = rng.integers(0, 2, size=(80, 10))

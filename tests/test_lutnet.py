@@ -63,6 +63,21 @@ def test_lut_size_too_large_rejected():
         train_logicnet(x, np.zeros(5, dtype=int), depth=2, width=2, lut_size=3, seed=0)
 
 
+@pytest.mark.parametrize(
+    "depth, width, lut_size, match",
+    [
+        (1, 2, 0, "lut_size must be at least 1, got 0"),
+        (1, 0, 2, "width must be at least 1, got 0"),
+        (-1, 2, 2, "depth must be at least 0, got -1"),
+    ],
+    ids=["lut_size-0", "width-0", "depth-negative"],
+)
+def test_rejects_out_of_range_arguments(depth, width, lut_size, match):
+    x = np.zeros((5, 3), dtype=np.uint8)
+    with pytest.raises(ValueError, match=match):
+        train_logicnet(x, np.zeros(5, dtype=int), depth=depth, width=width, lut_size=lut_size)
+
+
 def test_determinism():
     rng = np.random.default_rng(2)
     x = rng.integers(0, 2, size=(60, 8)).astype(np.uint8)

@@ -7,7 +7,7 @@ from nn2logic.datasets import (
     read_dataset,
     stratified_split,
 )
-from nn2logic.fixedpoint import FixedPointFormat, from_int, quantize
+from nn2logic.fixedpoint import FixedPointFormat, from_int, quantize, quantize_int
 from nn2logic.mlp import (
     DenseLayer,
     Mlp,
@@ -18,12 +18,13 @@ from nn2logic.mlp import (
     load_weights,
     loss_and_grad,
     predict_batch,
+    quantize_layers,
     quantize_to_bits,
     save_weights,
     train,
 )
 
-from oracles import write_csv
+from oracles import quantize_reference, signed, write_csv
 
 
 def identity_net(n: int) -> Mlp:
@@ -242,11 +243,56 @@ def test_quantize_to_bits_matches_scalar():
     assert got == "".join(expect)
 
 
-@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_quantize_to_bits_rejects_non_finite_values(value):
     vals = np.array([[0.0, 1.0], [-0.5, value]])
     with pytest.raises(ValueError, match=f"non-finite value {value!r} at row 1, column 1"):
         quantize_to_bits(vals, FMT)
+
+
+@pytest.mark.parametrize("m, i", [(8, 6), (4, 3), (12, 5), (64, 63)])
+def test_quantize_layers_matches_reference(m, i):
+    """Per neuron: the oracle's weights, q(b) * q(1.0), shift i and the layer's ReLU."""
+    rng = np.random.default_rng(7)
+    net = Mlp([
+        DenseLayer(rng.normal(0.0, 1.5, size=(3, 4)), rng.normal(0.0, 1.0, size=3), "relu"),
+        DenseLayer(rng.normal(0.0, 1.5, size=(2, 3)), rng.normal(0.0, 1.0, size=2), "identity"),
+    ])
+
+    def q(x):
+        return signed(int(quantize_reference(float(x), m, i), 2), m)
+
+    one = q(1.0)
+    if i == m - 1:
+        assert one == (1 << (m - 1)) - 1  # 1.0 saturates
+    layers = quantize_layers(net, FixedPointFormat(m, i))
+    assert [len(neurons) for neurons in layers] == [3, 2]
+    for layer, neurons in zip(net.layers, layers):
+        for row, b, (weights, bias, shift, relu) in zip(layer.weights, layer.bias, neurons):
+            assert weights == tuple(q(w) for w in row)
+            assert bias == q(b) * one
+            assert (shift, relu) == (i, layer.activation == "relu")
+            assert all(type(c) is int for c in (*weights, bias))
+
+
+def _msb_first_words(bits: np.ndarray, m: int) -> list[list[int]]:
+    """(n, k*m) MSB-first bit columns back to n rows of k signed words."""
+    words = [[int("".join(map(str, row[k : k + m])), 2) for k in range(0, len(row), m)]
+             for row in bits.tolist()]
+    return [[signed(w, m) for w in row] for row in words]
+
+
+@pytest.mark.parametrize("m, i", [(56, 54), (64, 62)])
+def test_distillation_sets_saturate_wide_formats(m, i):
+    """Out-of-range inputs and activations give quantize_int's words at wide formats."""
+    fmt = FixedPointFormat(m, i)
+    x = np.array([[3.0, -3.0], [1e308, -1e308], [0.5, -2.0]])
+    data = LabeledDataset(x, np.array([0, 1, 0]))
+    sets = extract_distillation_sets(identity_net(2), data, fmt)
+    want = [[quantize_int(v, fmt) for v in row] for row in x.tolist()]
+    assert want[0] == [(1 << (m - 1)) - 1, -(1 << (m - 1))]
+    assert _msb_first_words(sets[0].feature_bits, m) == want
+    assert _msb_first_words(np.hstack([s.label_bits for s in sets]), m) == want
 
 
 def test_distillation_set_count_and_shapes():

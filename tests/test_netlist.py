@@ -8,10 +8,17 @@ from hypothesis import strategies as st
 from nn2logic import netlist
 from nn2logic.aig import lower_netlist, simulate_batch
 from nn2logic.datasets import LabeledDataset, make_overlapping_gaussians
-from nn2logic.fixedpoint import FixedPointFormat, from_int, quantize, to_signed
+from nn2logic.fixedpoint import FixedPointFormat, from_int, quantize
 from nn2logic.forest import forest_module
 from nn2logic.lutnet import logicnet_module
-from nn2logic.mlp import DenseLayer, Mlp, extract_distillation_sets, quantized_forward, train
+from nn2logic.mlp import (
+    DenseLayer,
+    Mlp,
+    extract_distillation_sets,
+    quantize_layers,
+    quantized_forward,
+    train,
+)
 from nn2logic.netlist import (
     Netlist,
     build_network_direct,
@@ -21,7 +28,7 @@ from nn2logic.netlist import (
 )
 from nn2logic.pipeline import train_lgn_modules, train_rf_modules
 
-from oracles import merge_into_reference, neuron_reference
+from oracles import merge_into_reference, neuron_reference, signed
 
 FMT = FixedPointFormat(4, 2)
 
@@ -93,11 +100,11 @@ def test_arith_gates_match_integers(a, b, wa, wb, bias, shift, relu):
     for kind in ("ADD", "GT"):
         net.set_output(net.add_gate(kind, (sa, sb)))
     out = simulate_netlist(net, [a, b])
-    sa_, sb_ = to_signed(from_int(a, 4)), to_signed(from_int(b, 4))
-    acc = to_signed(from_int(wa * sa_ + wb * sb_ + bias, 12))  # wrapped to 3m = 12 bits
+    sa_, sb_ = signed(a, 4), signed(b, 4)
+    acc = signed((wa * sa_ + wb * sb_ + bias) & 0xFFF, 12)  # wrapped to 3m = 12 bits
     if relu:
         acc = max(acc, 0)
-    assert to_signed(out[0]) == max(-8, min(7, acc >> shift))
+    assert signed(int(out[0], 2), 4) == max(-8, min(7, acc >> shift))
     assert int(out[1], 2) == (a + b) % 16
     assert out[2] == str(int(sa_ > sb_))
 
@@ -113,11 +120,11 @@ def test_shift_slice_clip_gates(v):
     net.set_output(net.add_gate("NEURON", (s,), ((-3,), 5, 0, False)))
     net.set_output(net.add_gate("NEURON", (s,), ((1,), 0, 0, False)))
     out = simulate_netlist(net, [v])
-    sv = to_signed(from_int(v, 8))
-    assert to_signed(out[0]) == sv >> 3
+    sv = signed(v, 8)
+    assert signed(int(out[0], 2), 8) == sv >> 3
     assert int(out[1], 2) == max(sv, 0) >> 3
     assert int(out[2], 2) == (v >> 2) & 0xF
-    assert to_signed(out[3]) == max(-128, min(127, 5 - 3 * sv))
+    assert signed(int(out[3], 2), 8) == max(-128, min(127, 5 - 3 * sv))
     assert out[4] == from_int(v, 8)
 
 
@@ -140,30 +147,30 @@ def test_mux_select():
 
 
 def test_neuron_identity_product():
-    net = build_neuron(["0100"], True, FMT)
+    net = build_neuron(((4,), 0, 2, True), 4)
     assert simulate_netlist(net, ["0100"]) == ["0100"]
 
 
 def test_neuron_relu_kills_negative():
-    net = build_neuron(["1110"], True, FMT)
+    net = build_neuron(((-2,), 0, 2, True), 4)
     assert simulate_netlist(net, ["0100"]) == ["0000"]
 
 
 def test_neuron_zero_weights():
-    net = build_neuron(["0000", "0000"], True, FMT)
+    net = build_neuron(((0, 0), 0, 2, True), 4)
     assert simulate_netlist(net, ["0111", "1000"]) == ["0000"]
 
 
 def test_neuron_empty_weights_rejected():
     with pytest.raises(ValueError):
-        build_neuron([], True, FMT)
+        build_neuron(((), 0, 2, True), 4)
 
 
 def test_neuron_weight_width_mismatch():
-    with pytest.raises(ValueError):
-        build_neuron(["010"], True, FMT)
-    with pytest.raises(ValueError):
-        build_neuron(["0100"], True, FMT, bias_q="010")
+    """A weight that needs more than the m input bits is rejected."""
+    for weight in (8, -9):
+        with pytest.raises(ValueError, match="one signed m-bit weight per word"):
+            build_neuron(((4, weight), 0, 2, True), 4)
 
 
 @given(st.data())
@@ -175,9 +182,7 @@ def test_neuron_matches_integer_oracle(data):
     xs = data.draw(st.lists(st.integers(-8, 7), min_size=n_inputs, max_size=n_inputs))
     bias = data.draw(st.one_of(st.none(), st.integers(-8, 7)))
     has_relu = data.draw(st.booleans())
-    wq = [from_int(w, 4) for w in weights]
-    bq = from_int(bias, 4) if bias is not None else None
-    net = build_neuron(wq, has_relu, FMT, bias_q=bq)
+    net = build_neuron((tuple(weights), (bias or 0) * 4, 2, has_relu), 4)  # q(1.0) = 4
     got = simulate_netlist(net, [from_int(x, 4) for x in xs])[0]
     want = neuron_reference(weights, xs, bias, has_relu, 4, 2)
     assert int(got, 2) == want
@@ -195,13 +200,12 @@ def test_neuron_lowering_exhaustive_m4(weights):
     lanes = [sum(((row[k] >> j) & 1) << s for s, row in enumerate(xs))
              for k in range(n) for j in range(m)]
     for bias in (None, -8, 6):
-        bq = from_int(bias, m) if bias is not None else None
         for has_relu in (True, False):
-            net = build_neuron([from_int(w, m) for w in weights], has_relu, FMT, bias_q=bq)
+            net = build_neuron((tuple(weights), (bias or 0) * 4, i, has_relu), m)  # q(1.0) = 4
             out = simulate_batch(lower_netlist(net), lanes, len(xs))
             for s, row in enumerate(xs):
                 want = neuron_reference(
-                    weights, [to_signed(from_int(x, m)) for x in row], bias, has_relu, m, i
+                    weights, [signed(x, m) for x in row], bias, has_relu, m, i
                 )
                 got = sum(((out[j] >> s) & 1) << j for j in range(m))
                 assert got == want
@@ -214,7 +218,7 @@ def test_neuron_oracle_random_m8():
     for _ in range(30):
         n = int(rng.integers(1, 5))
         weights = [int(v) for v in rng.integers(-128, 128, size=n)]
-        net = build_neuron([from_int(w, 8) for w in weights], True, fmt)
+        net = build_neuron((tuple(weights), 0, 4, True), 8)
         for _ in range(20):
             xs = [int(v) for v in rng.integers(-128, 128, size=n)]
             got = simulate_netlist(net, [from_int(x, 8) for x in xs])[0]
@@ -226,12 +230,11 @@ def test_direct_network_matches_quantized_forward():
     mlp_net = train(data, hidden_nodes=4, epochs=120, seed=0)
     fmt = FixedPointFormat(8, 6)
     circuit = build_network_direct(mlp_net, fmt)
-    for x in data.features[:40]:
-        acts, pred = quantized_forward(mlp_net, x, fmt)
-        scaled = mlp_net.scale(x)
-        inputs = [quantize(float(v), fmt) for v in scaled]
+    acts, preds = quantized_forward(mlp_net, data.features[:40], fmt)
+    for x, final, pred in zip(data.features[:40], acts[-1].tolist(), preds):
+        inputs = [quantize(float(v), fmt) for v in mlp_net.scale(x)]
         out = simulate_netlist(circuit, inputs)
-        assert [to_signed(w) for w in out[:2]] == acts[-1]
+        assert [signed(int(w, 2), 8) for w in out[:2]] == final
         assert out[2] == str(pred)
 
 
@@ -239,12 +242,12 @@ def test_cascade_preserves_module_simulation():
     fmt = FMT
     mods = [
         [
-            build_neuron(["0100", "0010"], True, fmt, bias_q="0001"),
-            build_neuron(["1110", "0100"], True, fmt),
+            build_neuron(((4, 2), 4, 2, True), 4),
+            build_neuron(((-2, 4), 0, 2, True), 4),
         ],
         [
-            build_neuron(["0100", "0000"], False, fmt),
-            build_neuron(["0000", "0100"], False, fmt),
+            build_neuron(((4, 0), 0, 2, False), 4),
+            build_neuron(((0, 4), 0, 2, False), 4),
         ],
     ]
     net = cascade_modules(mods, [2, 2, 2], fmt)
@@ -255,7 +258,7 @@ def test_cascade_preserves_module_simulation():
         final = [simulate_netlist(m, hidden)[0] for m in mods[1]]
         got = simulate_netlist(net, xs)
         assert got[:2] == final
-        assert got[2] == str(int(to_signed(final[1]) > to_signed(final[0])))
+        assert got[2] == str(int(signed(int(final[1], 2), 4) > signed(int(final[0], 2), 4)))
 
 
 def test_direct_network_emits_one_neuron_gate_per_neuron():
@@ -278,14 +281,8 @@ def _seeded_module_rows(flow: str) -> list[list[Netlist]]:
         DenseLayer(rng.normal(0.0, 0.8, size=(2, 3)), rng.normal(0.0, 0.3, size=2), "identity"),
     ])
     if flow == "direct":
-        return [
-            [
-                build_neuron([quantize(float(w), FMT) for w in weights], layer.activation == "relu",
-                             FMT, bias_q=quantize(float(bias), FMT))
-                for weights, bias in zip(layer.weights, layer.bias)
-            ]
-            for layer in mlp_net.layers
-        ]
+        return [[build_neuron(p, FMT.total_bits) for p in layer]
+                for layer in quantize_layers(mlp_net, FMT)]
     data = LabeledDataset(rng.uniform(-1.0, 1.0, size=(80, 4)), rng.integers(0, 2, size=80))
     sets = extract_distillation_sets(mlp_net, data, FMT)
     if flow == "logicnet":
@@ -338,7 +335,7 @@ def test_unknown_gate_kinds_are_rejected():
 
 
 def test_merge_into_rejects_a_width_mismatch():
-    module = build_neuron(["0100", "0010"], True, FMT)
+    module = build_neuron(((4, 2), 0, 2, True), 4)
     dst = Netlist()
     words = [dst.add_input(4), dst.add_input(3)]
     with pytest.raises(ValueError, match="width mismatch binding module input 1"):

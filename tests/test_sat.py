@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from oracles import propagate_reference, solver_load_reference, tseitin_reference
 
 from nn2logic.aig import AigGraph, import_graph, lower_netlist, simulate_aig
-from nn2logic.fixedpoint import FixedPointFormat, from_int
 from nn2logic.netlist import Netlist, build_neuron
 from nn2logic.sat import (
     CnfFormula,
@@ -138,12 +137,11 @@ def test_find_onset_vector_constant_false():
 
 
 def test_find_onset_vector_on_neurons():
-    fmt = FixedPointFormat(4, 2)
     rng = np.random.default_rng(5)
     found = 0
     for _ in range(10):
-        weights = [from_int(int(w), 4) for w in rng.integers(-8, 8, size=2)]
-        g = lower_netlist(build_neuron(weights, True, fmt))
+        weights = tuple(int(w) for w in rng.integers(-8, 8, size=2))
+        g = lower_netlist(build_neuron((weights, 0, 2, True), 4))
         for out_idx in range(len(g.outputs)):
             vec = find_onset_vector(g, out_idx)
             if vec is not None:
@@ -269,12 +267,11 @@ def test_random_3cnf_at_threshold_restarts():
 
 
 def test_heap_search_matches_scan_on_neuron_queries():
-    fmt = FixedPointFormat(4, 2)
     rng = np.random.default_rng(11)
     graphs = []
     for _ in range(4):
-        weights = [from_int(int(w), 4) for w in rng.integers(-8, 8, size=3)]
-        g = lower_netlist(build_neuron(weights, True, fmt))
+        weights = tuple(int(w) for w in rng.integers(-8, 8, size=3))
+        g = lower_netlist(build_neuron((weights, 0, 2, True), 4))
         graphs.append(g)
         for out_idx in range(len(g.outputs)):
             formula, _ = tseitin(g, out_idx)
@@ -320,11 +317,9 @@ def test_propagate_matches_reference_past_restarts():
 
 
 def test_propagate_matches_reference_on_neuron_queries():
-    fmt = FixedPointFormat(4, 2)
     rng = np.random.default_rng(13)
     graphs = [
-        lower_netlist(build_neuron([from_int(int(w), 4) for w in rng.integers(-8, 8, size=3)],
-                                   True, fmt))
+        lower_netlist(build_neuron((tuple(rng.integers(-8, 8, size=3).tolist()), 0, 2, True), 4))
         for _ in range(4)
     ]
     for g in graphs:
