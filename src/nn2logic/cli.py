@@ -98,7 +98,7 @@ def cmd_evaluate(args) -> int:
     if args.split:
         _, test_idx = pipeline.read_split_manifest(args.split, len(data))
         data = data.subset(test_idx)
-    scaler = mlp.load_weights(args.weights).scaler if args.weights else None
+    scaler = mlp.load_weights(args.weights).scaler
     report = analysis.evaluate(graph, data, cfg.fmt, scaler, pipeline=cfg.pipeline)
     print(analysis.RESULTS_HEADER)
     print(report.csv_row())
@@ -192,8 +192,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="score a compiled AIG on a dataset")
     p.add_argument("aig")
     p.add_argument("dataset")
+    p.add_argument("weights", help="weights file providing the feature scaler")
     p.add_argument("--split", help="split manifest selecting the test rows")
-    p.add_argument("--weights", help="weights file providing the feature scaler")
     _common_flags(p)
     p.set_defaults(func=cmd_evaluate)
 

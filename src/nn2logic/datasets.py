@@ -112,14 +112,15 @@ def stratified_split(
     return np.sort(np.array(train_idx)), np.sort(np.array(test_idx))
 
 
+# The synthetic data's shape: the class means differ in this many columns,
+# and this fraction of each column's rows is stretched by this factor.
+INFORMATIVE_FEATURES = 6
+OUTLIER_FRACTION = 0.01
+OUTLIER_SCALE = 6.0
+
+
 def make_overlapping_gaussians(
-    n_samples: int = 3000,
-    n_features: int = 27,
-    seed: int = 0,
-    separation: float = 2.5,
-    outlier_fraction: float = 0.01,
-    outlier_scale: float = 6.0,
-    informative_features: int | None = 6,
+    n_samples: int = 3000, n_features: int = 27, seed: int = 0, separation: float = 2.5
 ) -> LabeledDataset:
     """Two isotropic Gaussian classes with tunable overlap.
 
@@ -132,8 +133,7 @@ def make_overlapping_gaussians(
     """
     rng = np.random.default_rng(seed)
     direction = np.zeros(n_features)
-    k = informative_features if informative_features else n_features
-    cols = rng.choice(n_features, size=min(k, n_features), replace=False)
+    cols = rng.choice(n_features, size=min(INFORMATIVE_FEATURES, n_features), replace=False)
     direction[cols] = rng.normal(size=len(cols))
     direction /= np.linalg.norm(direction)
     offset = direction * (separation / 2.0)
@@ -143,10 +143,10 @@ def make_overlapping_gaussians(
     x1 = rng.normal(size=(n1, n_features)) + offset
     features = np.vstack([x0, x1])
     labels = np.concatenate([np.zeros(n0, dtype=int), np.ones(n1, dtype=int)])
-    n_out = int(round(outlier_fraction * n_samples))
+    n_out = int(round(OUTLIER_FRACTION * n_samples))
     if n_out:
         for j in range(n_features):  # heavy tails per measurement column
             rows = rng.choice(n_samples, size=n_out, replace=False)
-            features[rows, j] *= outlier_scale
+            features[rows, j] *= OUTLIER_SCALE
     perm = rng.permutation(n_samples)
     return LabeledDataset(features[perm], labels[perm])

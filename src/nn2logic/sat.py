@@ -15,8 +15,9 @@ built and searched, which once took more time than the search itself.  So
 ``solve`` pauses the collector and restores the caller's setting on return.
 
 The solver is deterministic: it decides on the unassigned variable of highest
-activity, ties broken toward the lowest variable index, taken from a binary
-heap in O(log n), and saved phases start at False.
+activity, ties broken toward the lowest variable index, popped from a
+``heapq`` list of ``(-activity, var)`` entries, and saved phases start at
+False.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from __future__ import annotations
 import gc
 import operator
 from collections.abc import Iterable, Iterator
+from heapq import heapify, heappop, heappush
 
 import numpy as np
 
@@ -145,13 +147,12 @@ class _Cdcl:
     opposite units make ``ok`` false, and every other clause is stored and
     watched on its first two literals.
 
-    Decisions come from an indexed binary max-heap of variables (VSIDS as in
-    MiniSat, Eén & Sörensson 2003): ``heap`` holds variables ordered by
-    activity descending, then variable index ascending, and ``pos[v]`` is the
-    slot of ``v`` in ``heap`` or -1.  That order is total, so the root is the
-    same variable a scan of all unassigned variables would pick.  Every
-    unassigned variable is in the heap; assigned ones leave it lazily when
-    ``decide`` pops them and return when ``backjump`` unassigns them.
+    Decisions pop a ``heapq`` list of ``(-activity, var)`` entries (VSIDS as
+    in MiniSat, Eén & Sörensson 2003), a total order, so the first unassigned
+    variable popped is the one a scan would pick.  ``bump`` pushes a fresh
+    entry and leaves the stale one behind; ``queued[v]`` is 1 while ``v`` has
+    a current entry, which every unassigned variable has: ``decide`` pops
+    assigned ones and ``backjump`` re-pushes them once unassigned.
     ``decisions`` and ``conflicts`` count the search steps.
     """
 
@@ -165,8 +166,8 @@ class _Cdcl:
         self.var_inc = 1.0
         self.phase = [False] * num_vars
         # All activities are 0, so ascending index order is already a heap.
-        self.heap = list(range(num_vars))
-        self.pos = self.heap[:]
+        self.heap = [(0.0, v) for v in range(num_vars)]
+        self.queued = bytearray(b"\x01" * num_vars)
         self.decisions = 0
         self.conflicts = 0
         self.assigns = [-1] * num_vars
@@ -291,58 +292,26 @@ class _Cdcl:
                 return conflict
         return -1
 
-    def _sift_up(self, i: int) -> None:
-        heap, pos, act = self.heap, self.pos, self.activity
-        v = heap[i]
-        a = act[v]
-        while i > 0:
-            parent = (i - 1) >> 1
-            p = heap[parent]
-            ap = act[p]
-            if ap > a or (ap == a and p < v):
-                break
-            heap[i] = p
-            pos[p] = i
-            i = parent
-        heap[i] = v
-        pos[v] = i
-
-    def _sift_down(self, i: int) -> None:
-        heap, pos, act = self.heap, self.pos, self.activity
-        n = len(heap)
-        v = heap[i]
-        a = act[v]
-        while True:
-            child = 2 * i + 1
-            if child >= n:
-                break
-            c = heap[child]
-            ac = act[c]
-            if child + 1 < n:
-                r = heap[child + 1]
-                ar = act[r]
-                if ar > ac or (ar == ac and r < c):
-                    child, c, ac = child + 1, r, ar
-            if a > ac or (a == ac and v < c):
-                break
-            heap[i] = c
-            pos[c] = i
-            i = child
-        heap[i] = v
-        pos[v] = i
+    def _rebuild_heap(self) -> None:
+        """One current entry per queued variable; also compacts the list."""
+        act = self.activity
+        self.heap = [(-act[v], v) for v in range(self.nv) if self.queued[v]]
+        heapify(self.heap)
 
     def bump(self, var: int) -> None:
-        self.activity[var] += self.var_inc
-        if self.activity[var] > 1e100:
+        act = self.activity
+        act[var] += self.var_inc
+        if act[var] > 1e100:
             for v in range(self.nv):
-                self.activity[v] *= 1e-100
+                act[v] *= 1e-100
             self.var_inc *= 1e-100
             # Rounding can make two activities equal, which may flip their
-            # order under the index tie-break: rebuild the heap.
-            for i in range(len(self.heap) // 2 - 1, -1, -1):
-                self._sift_down(i)
-        elif self.pos[var] >= 0:
-            self._sift_up(self.pos[var])
+            # order under the index tie-break; every entry is stale anyway.
+            self._rebuild_heap()
+        elif self.queued[var]:
+            heappush(self.heap, (-act[var], var))
+            if len(self.heap) > 2 * self.nv:
+                self._rebuild_heap()
 
     def analyze(self, conflict: int) -> tuple[list[int], int]:
         current = len(self.trail_lim)
@@ -380,17 +349,18 @@ class _Cdcl:
 
     def backjump(self, level: int) -> None:
         limit = self.trail_lim[level] if level < len(self.trail_lim) else len(self.trail)
-        heap, pos = self.heap, self.pos
+        heap, queued, act = self.heap, self.queued, self.activity
         while len(self.trail) > limit:
             e = self.trail.pop()
             var = e >> 1
             self.phase[var] = self.assigns[var] == 1
             self.assigns[var] = -1
             self.reason[var] = -1
-            if pos[var] < 0:
-                pos[var] = len(heap)
-                heap.append(var)
-                self._sift_up(pos[var])
+            if not queued[var]:
+                queued[var] = 1
+                heappush(heap, (-act[var], var))
+        if len(heap) > 2 * self.nv:
+            self._rebuild_heap()
         del self.trail_lim[level:]
         self.qhead = len(self.trail)
 
@@ -407,15 +377,12 @@ class _Cdcl:
         self.enqueue(learnt[0], ci)
 
     def decide(self) -> bool:
-        heap, pos, assigns = self.heap, self.pos, self.assigns
+        heap, queued, assigns = self.heap, self.queued, self.assigns
+        # Activities only grow between rebuilds, so a variable's stale entries
+        # pop after its current one, hence only while it is assigned.
         while heap:
-            best = heap[0]
-            last = heap.pop()
-            pos[best] = -1
-            if heap:
-                heap[0] = last
-                pos[last] = 0
-                self._sift_down(0)
+            best = heappop(heap)[1]
+            queued[best] = 0
             if assigns[best] < 0:
                 break
         else:

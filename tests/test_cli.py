@@ -46,6 +46,16 @@ def test_equiv_of_a_file_with_itself(decision_aiger, capsys):
     assert capsys.readouterr().out.strip() == "EQUIVALENT"
 
 
+def test_evaluate_requires_the_weights_file(decision_aiger, tmp_path, capsys):
+    # Compiled circuits read min-max scaled features, and the scaler is in
+    # the weights file: without it evaluate would score unscaled inputs.
+    _, path = decision_aiger
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["evaluate", path, str(tmp_path / "data.csv")])
+    assert exit_info.value.code == 2
+    assert "weights" in capsys.readouterr().err
+
+
 # -- train -> compile -> evaluate -> report -> sat -> equiv on a tiny CSV -----
 
 TINY_CONFIG = """\
@@ -136,8 +146,8 @@ def test_cli_flow_end_to_end(trained, flow, capsys):
         assert all(len(models) == m for models in modules.values())
     capsys.readouterr()
 
-    assert cli.main(["evaluate", aag, run["csv"], "--split", run["split"],
-                     "--weights", run["weights"], *common]) == 0
+    assert cli.main(["evaluate", aag, run["csv"], run["weights"], "--split", run["split"],
+                     *common]) == 0
     header, row = capsys.readouterr().out.strip().splitlines()
     data = read_dataset(run["csv"])
     _, test_idx = pipeline.read_split_manifest(run["split"], len(data))

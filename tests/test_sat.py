@@ -225,19 +225,14 @@ class ScanCdcl(_Cdcl):
 
 
 def assert_heap_valid(s: _Cdcl) -> None:
-    """Heap order (activity descending, index ascending), ``pos`` and membership."""
-    def key(v):
-        return (-s.activity[v], v)
-
-    for i, v in enumerate(s.heap):
-        assert s.pos[v] == i
-        if i:
-            assert key(s.heap[(i - 1) >> 1]) < key(v)
-    in_heap = set(s.heap)
+    """Lazy heap: ``queued`` marks the variables with exactly one current entry."""
+    assert all(s.heap[(i - 1) >> 1] <= e for i, e in enumerate(s.heap) if i)
+    current = [0] * s.nv
+    for key, v in s.heap:
+        current[v] += key == -s.activity[v]
+    assert current == list(s.queued)
     for v in range(s.nv):
-        if v not in in_heap:
-            assert s.pos[v] == -1
-            assert s.assigns[v] >= 0, f"unassigned variable {v} missing from the heap"
+        assert s.queued[v] or s.assigns[v] >= 0, f"unassigned variable {v} has no current entry"
 
 
 def assert_same_search(formula: CnfFormula, var_inc: float = 1.0, solver=_Cdcl) -> _Cdcl:
@@ -357,17 +352,39 @@ def test_heap_survives_activity_rescale_mid_search():
 
 def test_rescale_rounding_tie_reorders_heap():
     # Two activities one ulp apart that the 1e-100 rescale rounds to the same
-    # value: the lower index must then come first.
+    # value: the lower index must then be decided first.
     low, high = 7.493860291067043e99, 7.493860291067044e99
     assert low < high and low * 1e-100 == high * 1e-100
     s = _Cdcl(CnfFormula(3, []))
     s.activity[:2] = [low, high]
-    s._sift_up(s.pos[1])
-    assert s.heap[0] == 1
+    s._rebuild_heap()
     s.var_inc = 1.5e100
     s.bump(2)
-    assert s.heap == [2, 0, 1]
     assert_heap_valid(s)
+    assert [s.decide() and s.trail[-1] >> 1 for _ in range(3)] == [2, 0, 1]
+    assert not s.decide()
+
+
+class HeapSizeCdcl(_Cdcl):
+    """Records the longest the decision list gets after a bump or a backjump."""
+
+    longest = 0
+
+    def bump(self, var: int) -> None:
+        super().bump(var)
+        self.longest = max(self.longest, len(self.heap))
+
+    def backjump(self, level: int) -> None:
+        super().backjump(level)
+        self.longest = max(self.longest, len(self.heap))
+
+
+def test_heap_compaction_bounds_stale_entries():
+    # Thousands of conflicts leave behind far more stale entries than there
+    # are variables; compaction keeps the list within 2 * nv entries.
+    s = assert_same_search(CnfFormula(150, random_3cnf(150, 639, 1)), solver=HeapSizeCdcl)
+    assert s.conflicts > 2000
+    assert s.longest <= 2 * s.nv + 1
 
 
 @st.composite
