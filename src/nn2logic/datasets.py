@@ -41,29 +41,44 @@ class LabeledDataset:
         )
 
 
-def bit_training_set(features, labels) -> tuple[np.ndarray, np.ndarray]:
-    """Check a distiller's training input; return uint8 features and int64 labels.
+def bit_training_set(features, labels, seeds) -> tuple[np.ndarray, np.ndarray]:
+    """Check one layer's distiller input; return uint8 features and uint8 labels.
 
-    ``features`` is an (n, F) matrix and ``labels`` an (n,) vector, all
-    values 0 or 1.  Anything else raises ``ValueError`` naming the first
-    offending value, so no distiller trains on a value its counters or
-    splits would misread.
+    ``features`` is an (n, F) matrix and ``labels`` an (n, B) matrix, one
+    column per distilled bit, all values 0 or 1; ``seeds`` holds one seed per
+    label column.  Anything else raises ``ValueError`` naming the first
+    offending value by row and column, so no distiller trains on a value its
+    counters or splits would misread.
     """
     x = np.asarray(features)
     y = np.asarray(labels)
     if x.ndim != 2 or len(x) == 0:
         raise ValueError("features must be a non-empty bit matrix")
-    if y.shape != (len(x),):
+    if y.ndim != 2 or len(y) != len(x):
         raise ValueError(
             f"row mismatch: {len(x)} feature rows, labels of shape {y.shape}"
         )
+    if len(seeds) != y.shape[1]:
+        raise ValueError(f"{y.shape[1]} label columns need as many seeds, got {len(seeds)}")
     for name, values in (("feature", x), ("label", y)):
         bad = (values != 0) & (values != 1)
         if bad.any():
-            at = tuple(np.argwhere(bad)[0])
-            place = f"row {at[0]}" + (f", column {at[1]}" if len(at) > 1 else "")
-            raise ValueError(f"{name} value {values[at].item()!r} at {place} is not 0 or 1")
-    return x.astype(np.uint8, copy=False), y.astype(np.int64, copy=False)
+            row, col = np.argwhere(bad)[0]
+            raise ValueError(
+                f"{name} value {values[row, col].item()!r} at row {row}, column {col} "
+                "is not 0 or 1"
+            )
+    return x.astype(np.uint8, copy=False), y.astype(np.uint8, copy=False)
+
+
+def pack_bits(bits: np.ndarray) -> np.ndarray:
+    """(..., n) 0/1 array to (..., ceil(n / 64)) words; sample i is bit i % 64 of word i // 64.
+
+    The padding bits past sample n - 1 are 0.
+    """
+    packed = np.packbits(np.ascontiguousarray(bits), axis=-1, bitorder="little")
+    pad = [(0, 0)] * (packed.ndim - 1) + [(0, -packed.shape[-1] % 8)]
+    return np.pad(packed, pad).view("<u8")
 
 
 def read_dataset(path) -> LabeledDataset:

@@ -5,6 +5,23 @@ split is just a choice of feature column.  Trees grow on bootstrap samples
 with ceil(sqrt(F)) candidate features per split; leaves keep the empirical
 class frequencies.
 
+Training counts on packed columns (``datasets.pack_bits``): sample i is bit
+i % 64 of word i // 64.  A tree holds its bootstrap as bit planes of the row
+multiplicities, plane b holding bit b of each row's draw count, with as many
+planes as the largest count needs, plus the same planes ANDed with the
+packed labels.  A node is both sets of planes masked to its rows; its
+weighted row and one counts are popcounts weighted by 2**b.  A candidate's
+counts on its 1 side are the popcounts of the node's planes ANDed with the
+candidate's column; a split's right child takes them and its left child the
+parent's counts minus them, so no child is counted again.
+
+All forests of one MLP layer read one feature matrix and grow in lockstep:
+each step takes, for every forest, the next node of its DFS pre-order that
+needs a split decision, counts the candidates of all those nodes with one
+``bitwise_count`` and scores them with one Gini expression.  Each forest
+keeps its own generator and draws what a recursive grower draws, in its
+order, so a forest does not depend on the others it grew beside.
+
 A forest bit votes ``sum(q(p1) - q(p0)) > 0`` over its trees' leaves, with
 ``q`` the 8-bit quantized probability.  It lowers in one of two forms, chosen
 by the tree count T: at T <= 2 a reduced threshold decision diagram of 1-bit
@@ -20,11 +37,12 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from nn2logic import netlist as nl
-from nn2logic.datasets import bit_training_set
+from nn2logic.datasets import bit_training_set, pack_bits
 from nn2logic.fixedpoint import from_int
 
 PROB_FRAC_BITS = 8  # leaf class probabilities as unsigned fixed point
@@ -60,73 +78,163 @@ class RandomForestModel:
     n_features: int = 0
 
 
-def _gini_best_split(x: np.ndarray, y: np.ndarray, candidates: np.ndarray):
-    """Lowest-impurity valid split among candidate columns, or None.
+def _best_splits(rows: np.ndarray, ones: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Per node, the candidate index of its lowest-impurity valid split, or -1.
 
-    Zero-gain splits of impure nodes are allowed (parity-style targets such
-    as XOR have no single informative bit, yet the children become
-    separable); both children must be non-empty, so recursion terminates.
+    ``rows`` and ``ones`` are (A,) weighted counts of A nodes, ``right`` the
+    (A, C, 2) rows and ones on the 1 side of each node's C candidates in
+    ascending feature order.  A split is valid when both sides are non-empty;
+    zero-gain splits of impure nodes are allowed (parity-style targets such as
+    XOR have no single informative bit, yet the children become separable).
+    A later candidate wins only below the best so far minus 1e-12, so ties
+    keep the lowest feature.
     """
-    n = len(y)
-    ones = int(y.sum())
-    sub = x[:, candidates]
-    right_n = sub.sum(axis=0)
-    right_ones = y @ sub
-    best_feature = -1
-    best_impurity = float("inf")
-    for k in range(len(candidates)):  # ascending feature order; ties stay low
-        rn = int(right_n[k])
-        if rn == 0 or rn == n:
-            continue
-        ro = int(right_ones[k])
-        ln, lo = n - rn, ones - ro
-        gl = 1.0 - (lo / ln) ** 2 - ((ln - lo) / ln) ** 2
-        gr = 1.0 - (ro / rn) ** 2 - ((rn - ro) / rn) ** 2
-        impurity = (ln * gl + rn * gr) / n
-        if impurity < best_impurity - 1e-12:
-            best_impurity = impurity
-            best_feature = int(candidates[k])
-    return best_feature if best_feature >= 0 else None
+    rows, ones = rows[:, None], ones[:, None]
+    rn, ro = right[..., 0], right[..., 1]
+    valid = (rn > 0) & (rn < rows)
+    ln = np.where(valid, rows - rn, 1)
+    rn = np.where(valid, rn, 1)
+    lo = ones - ro
+    gl = 1.0 - (lo / ln) ** 2 - ((ln - lo) / ln) ** 2
+    gr = 1.0 - (ro / rn) ** 2 - ((rn - ro) / rn) ** 2
+    impurity = np.where(valid, (ln * gl + rn * gr) / rows, np.inf)
+    best = np.full(len(rows), np.inf)
+    best_k = np.full(len(rows), -1)
+    for k in range(impurity.shape[1]):
+        better = impurity[:, k] < best - 1e-12
+        best = np.where(better, impurity[:, k], best)
+        best_k = np.where(better, k, best_k)
+    return best_k
 
 
-def _grow(x, y, depth, max_depth, n_candidates, rng) -> TreeNode:
-    n = len(y)
-    ones = int(y.sum())
-    node = TreeNode(p0=(n - ones) / n, p1=ones / n)
-    if depth >= max_depth or ones == 0 or ones == n:
+def _multiplicity_planes(draws: np.ndarray, n: int) -> np.ndarray:
+    """(P, words) planes of a bootstrap: plane b holds bit b of each row's draw count.
+
+    P is the bit length of the largest count, so a row drawn 8 times gets a
+    fourth plane.
+    """
+    counts = np.bincount(draws, minlength=n)
+    bits = counts >> np.arange(int(counts.max()).bit_length())[:, None]
+    return pack_bits((bits & 1).astype(np.uint8))
+
+
+class _Split(NamedTuple):
+    """A node that needs a split decision, with its candidate columns."""
+
+    node: TreeNode
+    planes: np.ndarray  # (2, P, words): rows and ones planes masked to the node
+    rows: int
+    ones: int
+    depth: int
+    candidates: np.ndarray
+
+
+class _Grower:
+    """One forest grown in DFS pre-order, one split decision at a time.
+
+    The stack holds the nodes that may still split, as the first five fields
+    of a ``_Split``.
+    """
+
+    def __init__(self, labels, packed_labels, seed, n_estimators, max_depth, n_features):
+        self.labels = labels
+        self.packed_labels = packed_labels
+        self.rng = np.random.default_rng(seed)
+        self.model = RandomForestModel([], n_estimators, max_depth, seed, n_features)
+        self.stack: list[tuple] = []
+
+    def _node(self, rows: int, ones: int, depth: int, planes, mask) -> TreeNode:
+        """A node with its class frequencies, stacked if it is impure above ``max_depth``."""
+        node = TreeNode(p0=(rows - ones) / rows, p1=ones / rows)
+        if depth < self.model.max_depth and 0 < ones < rows:
+            self.stack.append((node, planes & mask, rows, ones, depth))
         return node
-    n_features = x.shape[1]
-    if n_candidates >= n_features:
-        candidates = np.arange(n_features)
-    else:
-        candidates = np.sort(rng.choice(n_features, size=n_candidates, replace=False))
-    feature = _gini_best_split(x, y, candidates)
-    if feature is None:
-        return node
-    mask = x[:, feature].astype(bool)
-    node.feature = feature
-    node.left = _grow(x[~mask], y[~mask], depth + 1, max_depth, n_candidates, rng)
-    node.right = _grow(x[mask], y[mask], depth + 1, max_depth, n_candidates, rng)
-    return node
+
+    def next_split(self, n_candidates: int):
+        """The next node to split with its candidate columns, or None when the forest is done.
+
+        The generator draws what the recursive grower drew, in its order: the
+        bootstrap rows at each tree's start, then the candidate columns at
+        each impure node above ``max_depth``, none when every column is one.
+        """
+        model, rng = self.model, self.rng
+        n_rows = len(self.labels)
+        while not self.stack:
+            if len(model.trees) == model.n_estimators:
+                return None
+            draws = rng.integers(0, n_rows, size=n_rows)
+            planes = _multiplicity_planes(draws, n_rows)
+            planes = np.stack([planes, planes & self.packed_labels])
+            root = self._node(n_rows, int(self.labels[draws].sum()), 0, planes, ~np.uint64(0))
+            model.trees.append(DecisionTree(root, model.max_depth, model.n_features))
+        f = model.n_features
+        if n_candidates >= f:
+            candidates = np.arange(f)
+        else:
+            candidates = np.sort(rng.choice(f, size=n_candidates, replace=False))
+        return _Split(*self.stack.pop(), candidates)
+
+    def split(self, decision: _Split, feature: int, column: np.ndarray, right: list[int]) -> None:
+        """Attach the children of a split on ``feature``; the left one grows first."""
+        node, planes, rows, ones, depth, _ = decision
+        rn, ro = right
+        node.feature = feature
+        node.right = self._node(rn, ro, depth + 1, planes, column)
+        node.left = self._node(rows - rn, ones - ro, depth + 1, planes, ~column)
 
 
-def train_forest(
-    features, labels, n_estimators: int, max_depth: int, seed: int = 0
-) -> RandomForestModel:
-    x, y = bit_training_set(features, labels)
+def _count_right(cols: np.ndarray, decisions: tuple[_Split, ...]) -> np.ndarray:
+    """(A, C, 2) weighted rows and ones on the 1 side of each node's candidates.
+
+    One ``bitwise_count`` covers every candidate of every node; each node's
+    planes are padded with zero planes to the step's largest plane count.
+    """
+    n_planes = max(d.planes.shape[1] for d in decisions)
+    planes = np.zeros((len(decisions), 2, n_planes, cols.shape[1]), dtype=cols.dtype)
+    for i, d in enumerate(decisions):
+        planes[i, :, : d.planes.shape[1]] = d.planes
+    candidates = cols[np.array([d.candidates for d in decisions])]  # (A, C, words)
+    hits = planes[:, None] & candidates[:, :, None, None, :]
+    counts = np.bitwise_count(hits).sum(axis=-1, dtype=np.int64)  # (A, C, 2, P)
+    return counts @ (1 << np.arange(n_planes, dtype=np.int64))
+
+
+def train_forests(
+    features, labels, seeds, n_estimators: int, max_depth: int
+) -> list[RandomForestModel]:
+    """One forest per label column over one shared feature matrix, grown in lockstep.
+
+    Forest j trains on ``labels[:, j]`` with ``default_rng(seeds[j])`` and
+    is the forest that column would grow alone.
+    """
+    x, y = bit_training_set(features, labels, seeds)
     if n_estimators < 1:
         raise ValueError("need at least one estimator")
     if max_depth < 0:
         raise ValueError(f"max_depth must be at least 0, got {max_depth}")
-    n, f = x.shape
+    f = x.shape[1]
     n_candidates = math.ceil(math.sqrt(f))
-    rng = np.random.default_rng(seed)
-    trees = []
-    for _ in range(n_estimators):
-        rows = rng.integers(0, n, size=n)
-        root = _grow(x[rows], y[rows], 0, max_depth, n_candidates, rng)
-        trees.append(DecisionTree(root, max_depth, f))
-    return RandomForestModel(trees, n_estimators, max_depth, seed, f)
+    cols = pack_bits(x.T)
+    growers = [
+        _Grower(y[:, j], packed, seed, n_estimators, max_depth, f)
+        for j, (packed, seed) in enumerate(zip(pack_bits(y.T), seeds))
+    ]
+    active = growers
+    while True:
+        steps = [(g, d) for g in active if (d := g.next_split(n_candidates)) is not None]
+        if not steps:
+            break
+        active, decisions = zip(*steps)
+        right = _count_right(cols, decisions)
+        rows = np.array([d.rows for d in decisions])
+        ones = np.array([d.ones for d in decisions])
+        best = _best_splits(rows, ones, right)
+        chosen = right[np.arange(len(best)), best].tolist()
+        for g, d, k, counts in zip(active, decisions, best.tolist(), chosen):
+            if k >= 0:
+                feature = int(d.candidates[k])
+                g.split(d, feature, cols[feature], counts)
+    return [g.model for g in growers]
 
 
 def quantize_prob(p: float) -> int:

@@ -17,7 +17,8 @@ counter[p][0] with ``zeros = valid & ~ones``.  The padding bits past sample
 n - 1 in the last word are set in some minterms, but ``valid`` keeps them
 out of both masks, so they never reach a counter.  A LUT's output column
 is the OR of the minterms its table maps to 1, so each layer forms its
-patterns once.
+patterns once.  ``train_logicnets`` trains every bit of one MLP layer and
+packs their shared feature columns once.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from nn2logic import netlist as nl
-from nn2logic.datasets import bit_training_set
+from nn2logic.datasets import bit_training_set, pack_bits
 
 
 @dataclass
@@ -53,13 +54,6 @@ class LutNetwork:
 
 def _sample_wiring(rng, pool: int, k: int) -> tuple[int, ...]:
     return tuple(np.sort(rng.choice(pool, size=k, replace=False)).tolist())
-
-
-def _pack(bits: np.ndarray) -> np.ndarray:
-    """(..., n) 0/1 array to (..., ceil(n / 64)) words; sample i is bit i % 64 of word i // 64."""
-    packed = np.packbits(np.ascontiguousarray(bits), axis=-1, bitorder="little")
-    pad = [(0, 0)] * (packed.ndim - 1) + [(0, -packed.shape[-1] % 8)]
-    return np.pad(packed, pad).view("<u8")
 
 
 def _popcount(words: np.ndarray) -> np.ndarray:
@@ -91,18 +85,33 @@ def _layer_outputs(prev_bits: np.ndarray, luts: list[Lut]) -> np.ndarray:
     return tables[np.arange(len(luts)), patterns].astype(np.uint8)
 
 
-def train_logicnet(
-    features, labels, depth: int, width: int, lut_size: int, seed: int = 0
-) -> LutNetwork:
+def train_logicnets(
+    features, labels, seeds, depth: int, width: int, lut_size: int
+) -> list[LutNetwork]:
+    """One LUT network per label column over one shared feature matrix.
+
+    Network j trains on ``labels[:, j]`` and draws its wiring from
+    ``default_rng(seeds[j])``.  The feature columns are packed once for all.
+    """
     for name, value, least in (("depth", depth, 0), ("width", width, 1), ("lut_size", lut_size, 1)):
         if value < least:
             raise ValueError(f"{name} must be at least {least}, got {value}")
-    x, y = bit_training_set(features, labels)
+    x, y = bit_training_set(features, labels, seeds)
     n_features = x.shape[1]
     if lut_size > n_features:
         raise ValueError(f"lut_size {lut_size} exceeds the {n_features} feature bits")
     if depth >= 2 and lut_size > width:
         raise ValueError(f"lut_size {lut_size} exceeds the layer width {width}")
+    cols = pack_bits(x.T)
+    valid = pack_bits(np.ones(len(x), dtype=np.uint8))
+    return [
+        _train_net(cols, ones, valid & ~ones, depth, width, lut_size, seed)
+        for ones, seed in zip(pack_bits(y.T), seeds)
+    ]
+
+
+def _train_net(cols, ones, zeros, depth: int, width: int, lut_size: int, seed: int) -> LutNetwork:
+    n_features = len(cols)
     rng = np.random.default_rng(seed)
     net = LutNetwork(depth, width, lut_size, seed, n_features)
     # wiring is sampled up front so it does not depend on the training data
@@ -113,10 +122,6 @@ def train_logicnet(
     out_pool = width if depth else n_features
     out_wiring = _sample_wiring(rng, out_pool, min(lut_size, out_pool))
 
-    ones = _pack(y)
-    valid = _pack(np.ones_like(y))
-    zeros = valid & ~ones
-    cols = _pack(x.T)
     for wirings in layer_wirings:
         counts, tables, cols = _train_layer(cols, wirings, ones, zeros)
         net.layers.append([Lut(wire, counts[j], tables[j]) for j, wire in enumerate(wirings)])

@@ -1,7 +1,8 @@
 """End-to-end pipeline orchestration: train, distill, compile, sweep.
 
 ``DISTILLERS`` is the one place a per-bit distiller is registered: its
-per-bit training, its word-level module, its model dump and its parameters.
+training of one layer's bits at a time, its word-level module, its model
+dump and its parameters.
 Compiling, sweeping and the CLI all dispatch through it.
 Grid sweeps fan out over processes; NN2LOGIC_THREADS caps the worker count.
 All randomness is derived from the config seeds, so reruns are byte-stable.
@@ -173,21 +174,26 @@ def compile_direct(net_mlp: mlp.Mlp, fmt: FixedPointFormat, input_names=None) ->
     return aig.sweep(aig.lower_netlist(word_net))
 
 
-def _train_modules(sets: list[mlp.QuantizedActivationDataset], train_bit, seed: int) -> dict:
+def _train_modules(sets: list[mlp.QuantizedActivationDataset], train_layer, seed: int) -> dict:
     """One model per (layer, node, bit), keyed by (layer, node).
 
-    ``train_bit(features, labels, seed=bit_seed)`` trains the model of one bit.
+    The sets of one layer share one feature matrix, as
+    ``mlp.extract_distillation_sets`` builds them, so each layer is one call
+    ``train_layer(feature_bits, labels, seeds)``: ``labels`` is the (n, B)
+    matrix of every node's label bits side by side in set order, and
+    ``seeds[j]`` the ``_bit_seed`` of column j.  It returns one model per
+    column, which are split back per node.
     """
-    modules = {}
+    layers: dict[int, list[mlp.QuantizedActivationDataset]] = {}
     for z in sets:
-        modules[(z.layer_index, z.node_index)] = [
-            train_bit(
-                z.feature_bits,
-                z.label_bits[:, j],
-                seed=_bit_seed(seed, z.layer_index, z.node_index, j),
-            )
-            for j in range(z.fmt.total_bits)
-        ]
+        layers.setdefault(z.layer_index, []).append(z)
+    modules = {}
+    for layer, zs in layers.items():
+        m = zs[0].fmt.total_bits
+        seeds = [_bit_seed(seed, layer, z.node_index, j) for z in zs for j in range(m)]
+        models = train_layer(zs[0].feature_bits, np.hstack([z.label_bits for z in zs]), seeds)
+        for k, z in enumerate(zs):
+            modules[(layer, z.node_index)] = models[k * m : (k + 1) * m]
     return modules
 
 
@@ -197,8 +203,8 @@ def train_rf_modules(
     max_depth: int,
     seed: int,
 ) -> dict[tuple[int, int], list[forest.RandomForestModel]]:
-    train_bit = partial(forest.train_forest, n_estimators=n_estimators, max_depth=max_depth)
-    return _train_modules(sets, train_bit, seed)
+    train_layer = partial(forest.train_forests, n_estimators=n_estimators, max_depth=max_depth)
+    return _train_modules(sets, train_layer, seed)
 
 
 def train_lgn_modules(
@@ -208,8 +214,8 @@ def train_lgn_modules(
     lut_size: int,
     seed: int,
 ) -> dict[tuple[int, int], list[lutnet.LutNetwork]]:
-    train_bit = partial(lutnet.train_logicnet, depth=depth, width=width, lut_size=lut_size)
-    return _train_modules(sets, train_bit, seed)
+    train_layer = partial(lutnet.train_logicnets, depth=depth, width=width, lut_size=lut_size)
+    return _train_modules(sets, train_layer, seed)
 
 
 @dataclass(frozen=True)

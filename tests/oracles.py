@@ -9,9 +9,13 @@ from __future__ import annotations
 
 import csv
 import itertools
+import math
 from fractions import Fraction
 
+import numpy as np
+
 from nn2logic.aig import AigGraph
+from nn2logic.forest import DecisionTree, RandomForestModel, TreeNode
 
 
 def quantize_reference(x: float, m: int, i: int) -> str:
@@ -67,6 +71,74 @@ def exact_vote_sums(model, feature_row) -> tuple[float, float]:
         s0 += leaf.p0
         s1 += leaf.p1
     return s0, s1
+
+
+def _gini_best_split_reference(x, y, candidates):
+    """Lowest-impurity valid split among candidate columns, or None, one column at a time."""
+    n = len(y)
+    ones = int(y.sum())
+    sub = x[:, candidates]
+    right_n = sub.sum(axis=0)
+    right_ones = y @ sub
+    best_feature = -1
+    best_impurity = float("inf")
+    for k in range(len(candidates)):  # ascending feature order; ties stay low
+        rn = int(right_n[k])
+        if rn == 0 or rn == n:
+            continue
+        ro = int(right_ones[k])
+        ln, lo = n - rn, ones - ro
+        gl = 1.0 - (lo / ln) ** 2 - ((ln - lo) / ln) ** 2
+        gr = 1.0 - (ro / rn) ** 2 - ((rn - ro) / rn) ** 2
+        impurity = (ln * gl + rn * gr) / n
+        if impurity < best_impurity - 1e-12:
+            best_impurity = impurity
+            best_feature = int(candidates[k])
+    return best_feature if best_feature >= 0 else None
+
+
+def grow_reference(x, y, depth, max_depth, n_candidates, rng):
+    """One CART tree by recursion on row copies: the left child gets the rows with the split bit 0.
+
+    ``x`` is an (n, F) uint8 matrix and ``y`` an (n,) int64 vector.
+    """
+    n = len(y)
+    ones = int(y.sum())
+    node = TreeNode(p0=(n - ones) / n, p1=ones / n)
+    if depth >= max_depth or ones == 0 or ones == n:
+        return node
+    n_features = x.shape[1]
+    if n_candidates >= n_features:
+        candidates = np.arange(n_features)
+    else:
+        candidates = np.sort(rng.choice(n_features, size=n_candidates, replace=False))
+    feature = _gini_best_split_reference(x, y, candidates)
+    if feature is None:
+        return node
+    mask = x[:, feature].astype(bool)
+    node.feature = feature
+    node.left = grow_reference(x[~mask], y[~mask], depth + 1, max_depth, n_candidates, rng)
+    node.right = grow_reference(x[mask], y[mask], depth + 1, max_depth, n_candidates, rng)
+    return node
+
+
+def forest_reference(x, y, n_estimators: int, max_depth: int, seed: int):
+    """One bit's random forest, grown tree by tree on copied bootstrap rows.
+
+    The generator draws the bootstrap rows at each tree's start and
+    ceil(sqrt(F)) sorted candidate columns at each impure node above
+    ``max_depth``, none when that covers every column.
+    """
+    x, y = np.asarray(x, dtype=np.uint8), np.asarray(y, dtype=np.int64)
+    n, f = x.shape
+    n_candidates = math.ceil(math.sqrt(f))
+    rng = np.random.default_rng(seed)
+    trees = []
+    for _ in range(n_estimators):
+        rows = rng.integers(0, n, size=n)
+        root = grow_reference(x[rows], y[rows], 0, max_depth, n_candidates, rng)
+        trees.append(DecisionTree(root, max_depth, f))
+    return RandomForestModel(trees, n_estimators, max_depth, seed, f)
 
 
 def lut_counts_reference(rows, inputs, labels) -> list[list[int]]:

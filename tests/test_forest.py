@@ -16,11 +16,11 @@ from nn2logic.forest import (
     forest_to_text,
     predict_forest,
     quantize_prob,
-    train_forest,
+    train_forests,
 )
 from nn2logic.netlist import simulate_netlist
 
-from oracles import exact_vote_sums, tree_depth
+from oracles import exact_vote_sums, forest_reference, grow_reference, tree_depth
 
 
 def rows_to_words(rows: np.ndarray, m: int) -> list[int]:
@@ -33,12 +33,18 @@ def rows_to_words(rows: np.ndarray, m: int) -> list[int]:
     return words
 
 
+def train_forest(x, y, n_estimators: int, max_depth: int, seed: int = 0) -> RandomForestModel:
+    """The forest of one label vector ``y``."""
+    (model,) = train_forests(x, np.asarray(y)[:, None], [seed], n_estimators, max_depth)
+    return model
+
+
 def full_data_forest(x, y, n_trees: int, max_depth: int) -> RandomForestModel:
     """Trees grown on every row with every feature a candidate at each split."""
     x, y = np.asarray(x, dtype=np.uint8), np.asarray(y, dtype=np.int64)
     f = x.shape[1]
     rng = np.random.default_rng(0)  # unused when every feature is a candidate
-    trees = [DecisionTree(forest._grow(x, y, 0, max_depth, f, rng), max_depth, f)
+    trees = [DecisionTree(grow_reference(x, y, 0, max_depth, f, rng), max_depth, f)
              for _ in range(n_trees)]
     return RandomForestModel(trees, n_trees, max_depth, 0, f)
 
@@ -334,14 +340,84 @@ def test_vote_width_one_bit_narrower_wraps(n_trees, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "x, y, match",
+    "x, y, seeds, match",
     [
-        ([[0, 1], [2, 0]], [0, 1], "feature value 2 at row 1, column 0"),
-        ([[0, 1], [1, 0]], [0, 2], "label value 2 at row 1"),
-        ([[0, 1], [1, 0]], [0, 1, 1], "row mismatch: 2 feature rows"),
+        ([[0, 1], [2, 0]], [[0], [1]], [0], "feature value 2 at row 1, column 0"),
+        ([[0, 1], [1, 0]], [[0], [2]], [0], "label value 2 at row 1, column 0"),
+        ([[0, 1], [1, 0]], [[0], [1], [1]], [0], "row mismatch: 2 feature rows"),
+        ([[0, 1], [1, 0]], [[0, 1, 0], [1, 0, 3]], [0, 1, 2], "label value 3 at row 1, column 2"),
+        ([[0, 1], [1, 0]], [[0, 1], [1, 0]], [0], "2 label columns need as many seeds, got 1"),
     ],
-    ids=["feature-2", "label-2", "row-mismatch"],
+    ids=["feature-2", "label-2", "row-mismatch", "later-label-3", "seeds-short"],
 )
-def test_rejects_bad_training_input(x, y, match):
+def test_rejects_bad_training_input(x, y, seeds, match):
     with pytest.raises(ValueError, match=match):
-        train_forest(np.array(x), np.array(y), 1, 2)
+        train_forests(np.array(x), np.array(y), seeds, 1, 2)
+
+
+@st.composite
+def forest_layers(draw):
+    """A bit matrix, a few label columns of varied kinds, seeds and forest sizes."""
+    n = draw(st.sampled_from([1, 2, 5, 63, 64, 65, 130]))
+    f = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.integers(0, 2, size=(n, f)).astype(np.uint8)
+    kinds = draw(st.lists(st.sampled_from(["random", "zeros", "ones", "feature", "xor"]),
+                          min_size=1, max_size=4))
+    columns = {
+        "random": lambda: rng.integers(0, 2, size=n),
+        "zeros": lambda: np.zeros(n, dtype=int),
+        "ones": lambda: np.ones(n, dtype=int),
+        "feature": lambda: x[:, f - 1],
+        "xor": lambda: x[:, 0] ^ x[:, f // 2] ^ (rng.random(n) < 0.1),
+    }
+    y = np.stack([columns[kind]() for kind in kinds], axis=1).astype(np.uint8)
+    seeds = draw(st.lists(st.integers(0, 2**32 - 1), min_size=len(kinds), max_size=len(kinds)))
+    return x, y, seeds, draw(st.integers(1, 3)), draw(st.integers(0, 4))
+
+
+def _layer(n, f, y_kind, n_estimators, max_depth, seed=0):
+    rng = np.random.default_rng(seed)
+    x = rng.integers(0, 2, size=(n, f)).astype(np.uint8)
+    y = {"random": rng.integers(0, 2, size=(n, 2)), "zeros": np.zeros((n, 1), dtype=int)}[y_kind]
+    return x, y.astype(np.uint8), list(range(seed, seed + y.shape[1])), n_estimators, max_depth
+
+
+@settings(max_examples=80, deadline=None)
+@given(forest_layers())
+@example(_layer(70, 1, "random", 2, 3))  # one column: no candidate draw
+@example(_layer(70, 2, "random", 3, 4))  # two columns: ceil(sqrt(2)) = 2, no draw
+@example(_layer(65, 9, "random", 2, 0))  # max_depth 0: one leaf per tree
+@example(_layer(100, 6, "zeros", 1, 3))  # one constant label column
+def test_layer_forests_match_the_recursive_reference(layer):
+    """Each column's forest equals the one grown alone on copied rows."""
+    x, y, seeds, n_estimators, max_depth = layer
+    models = train_forests(x, y, seeds, n_estimators, max_depth)
+    assert len(models) == y.shape[1]
+    for j, model in enumerate(models):
+        want = forest_reference(x, y[:, j], n_estimators, max_depth, seeds[j])
+        assert forest_to_text(model) == forest_to_text(want)
+
+
+# sha256 of the forest_to_text dumps of the 16 forests below, computed with
+# the per-bit trainer that grew one forest at a time on copied rows
+LAYER_DIGESTS = {
+    (3, 5): "1e7e20d284ec582788474bfe041c232f7cea6c7891b501b95e5525448c1c4e10",
+    (2, 7): "05b4affead5826ca9d8401d1a700b4b438f4a80a89dcdc0f23ea1feaf5f82b3c",
+}
+
+
+@pytest.mark.parametrize("n_estimators, max_depth", list(LAYER_DIGESTS))
+def test_layer_scale_forests_match_golden_digest(n_estimators, max_depth):
+    """A layer the size of the benchmark's first: 2400 rows, 216 feature bits, 16 labels."""
+    rng = np.random.default_rng(19)
+    x = rng.integers(0, 2, size=(2400, 216), dtype=np.uint8)
+    noise = rng.random((2400, 16)) < 0.1
+    y = np.stack([(x[:, 3 * j] & x[:, 3 * j + 1]) ^ x[:, 7 * j + 2] for j in range(16)], axis=1)
+    seeds = [1900 + j for j in range(16)]
+    # a first bootstrap draws some row 8 or more times, so its counts need four bit planes
+    first_draws = [np.random.default_rng(s).integers(0, 2400, size=2400) for s in seeds]
+    assert max(np.bincount(d).max() for d in first_draws) >= 8
+    models = train_forests(x, y ^ noise, seeds, n_estimators, max_depth)
+    text = "".join(forest_to_text(m) for m in models)
+    assert hashlib.sha256(text.encode()).hexdigest() == LAYER_DIGESTS[(n_estimators, max_depth)]

@@ -14,11 +14,17 @@ from nn2logic.lutnet import (
     eval_logicnet_batch,
     logicnet_module,
     logicnet_to_text,
-    train_logicnet,
+    train_logicnets,
 )
 from nn2logic.netlist import simulate_netlist
 
 from oracles import lut_counts_reference, lut_output_reference
+
+
+def train_logicnet(x, y, depth: int, width: int, lut_size: int, seed: int = 0) -> LutNetwork:
+    """The LUT network of one label vector ``y``."""
+    (net,) = train_logicnets(x, np.asarray(y)[:, None], [seed], depth, width, lut_size)
+    return net
 
 
 def rows_to_words(rows: np.ndarray, m: int) -> list[int]:
@@ -164,17 +170,35 @@ def test_output_stage_shrinks_to_pool():
 
 
 @pytest.mark.parametrize(
-    "x, y, match",
+    "x, y, seeds, match",
     [
-        ([[0, 1], [2, 0]], [0, 1], "feature value 2 at row 1, column 0"),
-        ([[0, 1], [1, 0]], [0, 2], "label value 2 at row 1"),
-        ([[0, 1], [1, 0]], [0, 1, 1], "row mismatch: 2 feature rows"),
+        ([[0, 1], [2, 0]], [[0], [1]], [0], "feature value 2 at row 1, column 0"),
+        ([[0, 1], [1, 0]], [[0], [2]], [0], "label value 2 at row 1, column 0"),
+        ([[0, 1], [1, 0]], [[0], [1], [1]], [0], "row mismatch: 2 feature rows"),
+        ([[0, 1], [1, 0]], [[0, 1, 0], [1, 0, 3]], [0, 1, 2], "label value 3 at row 1, column 2"),
+        ([[0, 1], [1, 0]], [[0, 1], [1, 0]], [0], "2 label columns need as many seeds, got 1"),
     ],
-    ids=["feature-2", "label-2", "row-mismatch"],
+    ids=["feature-2", "label-2", "row-mismatch", "later-label-3", "seeds-short"],
 )
-def test_rejects_bad_training_input(x, y, match):
+def test_rejects_bad_training_input(x, y, seeds, match):
     with pytest.raises(ValueError, match=match):
-        train_logicnet(np.array(x), np.array(y), depth=1, width=2, lut_size=2)
+        train_logicnets(np.array(x), np.array(y), seeds, depth=1, width=2, lut_size=2)
+
+
+def test_layer_networks_match_per_column_training():
+    """Each column's network equals the one trained on that column alone."""
+    rng = np.random.default_rng(21)
+    x = rng.integers(0, 2, size=(130, 10)).astype(np.uint8)
+    y = np.stack([x[:, 0] ^ x[:, 4], np.zeros(130, dtype=np.uint8), rng.integers(0, 2, 130)],
+                 axis=1)
+    seeds = [7, 8, 9]
+    nets = train_logicnets(x, y, seeds, depth=2, width=6, lut_size=3)
+    for j, net in enumerate(nets):
+        alone = train_logicnet(x, y[:, j], depth=2, width=6, lut_size=3, seed=seeds[j])
+        assert logicnet_to_text(net) == logicnet_to_text(alone)
+        for a, b in zip([l for layer in net.layers for l in layer] + [net.output],
+                        [l for layer in alone.layers for l in layer] + [alone.output]):
+            assert np.array_equal(a.counts, b.counts)
 
 
 def _unpack(words: np.ndarray, n: int) -> list[list[int]]:

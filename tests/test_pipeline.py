@@ -2,6 +2,12 @@ import numpy as np
 import pytest
 
 from nn2logic import pipeline
+from nn2logic.datasets import LabeledDataset
+from nn2logic.fixedpoint import FixedPointFormat
+from nn2logic.forest import forest_to_text
+from nn2logic.mlp import DenseLayer, Mlp, extract_distillation_sets
+
+from oracles import forest_reference
 
 
 def _write(tmp_path, name, text):
@@ -178,3 +184,28 @@ def test_split_manifest_rejects_bad_rows_at_their_line(tmp_path, text, match):
     path = _write(tmp_path, "m.txt", text)
     with pytest.raises(ValueError, match=match):
         pipeline.read_split_manifest(path, 10)
+
+
+def _seeded_sets():
+    """Distillation sets of a seeded 4-3-2 MLP at (4, 2): 3 + 2 nodes of 4 bits."""
+    rng = np.random.default_rng(6)
+    net = Mlp([
+        DenseLayer(rng.normal(0.0, 0.8, size=(3, 4)), rng.normal(0.0, 0.3, size=3), "relu"),
+        DenseLayer(rng.normal(0.0, 0.8, size=(2, 3)), rng.normal(0.0, 0.3, size=2), "identity"),
+    ])
+    data = LabeledDataset(rng.uniform(-1.0, 1.0, size=(70, 4)), rng.integers(0, 2, size=70))
+    return extract_distillation_sets(net, data, FixedPointFormat(4, 2))
+
+
+def test_layer_training_gives_each_bit_its_own_forest():
+    """Trained a layer at a time, each (layer, node, bit) still gets its labels and seed."""
+    sets = _seeded_sets()
+    models = pipeline.train_rf_modules(sets, 2, 3, seed=9)
+    assert list(models) == [(z.layer_index, z.node_index) for z in sets]
+    for z in sets:
+        assert len(models[(z.layer_index, z.node_index)]) == 4
+        for j, model in enumerate(models[(z.layer_index, z.node_index)]):
+            seed = pipeline._bit_seed(9, z.layer_index, z.node_index, j)
+            want = forest_reference(z.feature_bits, z.label_bits[:, j], 2, 3, seed)
+            assert forest_to_text(model) == forest_to_text(want)
+
