@@ -82,7 +82,10 @@ def pack_bits(bits: np.ndarray) -> np.ndarray:
 
 
 def read_dataset(path) -> LabeledDataset:
-    """Read a comma-separated file: header row, last column integer label."""
+    """Read a comma-separated file: header row, last column label 0 or 1.
+
+    Bad input raises ValueError at ``path:line``.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -90,6 +93,9 @@ def read_dataset(path) -> LabeledDataset:
         except StopIteration:
             raise ValueError(f"{path}: empty dataset file") from None
         names = [h.strip() for h in header[:-1]]
+        repeated = [h for k, h in enumerate(names) if h in names[:k]]
+        if repeated:
+            raise ValueError(f"{path}:1: column name {repeated[0]!r} is repeated")
         feats, labels = [], []
         for lineno, row in enumerate(reader, start=2):
             if not row:
@@ -100,13 +106,16 @@ def read_dataset(path) -> LabeledDataset:
                 )
             try:
                 values = [float(v) for v in row[:-1]]
-                labels.append(int(row[-1]))
+                label = int(row[-1])
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
+            if label not in (0, 1):
+                raise ValueError(f"{path}:{lineno}: label {label} is not 0 or 1")
             bad = [h for h, v in zip(names, values) if not math.isfinite(v)]
             if bad:
                 raise ValueError(f"{path}:{lineno}: non-finite value in column {bad[0]!r}")
             feats.append(values)
+            labels.append(label)
     if not feats:
         raise ValueError(f"{path}: dataset has no rows")
     return LabeledDataset(np.array(feats), np.array(labels), names)

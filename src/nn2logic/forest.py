@@ -15,12 +15,12 @@ counts on its 1 side are the popcounts of the node's planes ANDed with the
 candidate's column; a split's right child takes them and its left child the
 parent's counts minus them, so no child is counted again.
 
-All forests of one MLP layer read one feature matrix and grow in lockstep:
-each step takes, for every forest, the next node of its DFS pre-order that
-needs a split decision, counts the candidates of all those nodes with one
-``bitwise_count`` and scores them with one Gini expression.  Each forest
-keeps its own generator and draws what a recursive grower draws, in its
-order, so a forest does not depend on the others it grew beside.
+Each forest is one generator, ``_grow_forest``, that grows its trees depth
+first from its own seed and yields every node it can split.  All forests of
+one MLP layer grow over one feature matrix: each step counts the candidates
+of every forest's pending node with one ``bitwise_count``, scores them with
+one Gini expression and sends each forest its split, so a forest does not
+depend on the others it grows beside.
 
 A forest bit votes ``sum(q(p1) - q(p0)) > 0`` over its trees' leaves, with
 ``q`` the 8-bit quantized probability.  It lowers in one of two forms, chosen
@@ -37,7 +37,6 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -60,8 +59,6 @@ class TreeNode:
 @dataclass
 class DecisionTree:
     root: TreeNode
-    max_depth: int
-    n_features: int
 
     def leaf_for(self, row) -> TreeNode:
         node = self.root
@@ -118,83 +115,62 @@ def _multiplicity_planes(draws: np.ndarray, n: int) -> np.ndarray:
     return pack_bits((bits & 1).astype(np.uint8))
 
 
-class _Split(NamedTuple):
-    """A node that needs a split decision, with its candidate columns."""
+def _grow_forest(model: RandomForestModel, labels, packed_labels, cols):
+    """Grow ``model``'s trees depth first, left child first, as a generator of split requests.
 
-    node: TreeNode
-    planes: np.ndarray  # (2, P, words): rows and ones planes masked to the node
-    rows: int
-    ones: int
-    depth: int
-    candidates: np.ndarray
-
-
-class _Grower:
-    """One forest grown in DFS pre-order, one split decision at a time.
-
-    The stack holds the nodes that may still split, as the first five fields
-    of a ``_Split``.
+    Draws come from ``default_rng(model.seed)``: a tree's bootstrap rows at
+    its start, then ceil(sqrt(F)) sorted candidate columns (all F, undrawn,
+    when that is F or more) at each node that can split, i.e. is impure
+    above ``max_depth``.  At each such node it
+    yields ``(planes, rows, ones, candidates)``, ``planes`` being the
+    (2, P, words) rows and ones planes masked to the node, and receives
+    ``(feature, right rows, right ones)``, or None to leave the node a leaf.
     """
+    rng = np.random.default_rng(model.seed)
+    n, f = len(labels), model.n_features
+    n_candidates = math.ceil(math.sqrt(f))
+    stack: list[tuple] = []
 
-    def __init__(self, labels, packed_labels, seed, n_estimators, max_depth, n_features):
-        self.labels = labels
-        self.packed_labels = packed_labels
-        self.rng = np.random.default_rng(seed)
-        self.model = RandomForestModel([], n_estimators, max_depth, seed, n_features)
-        self.stack: list[tuple] = []
+    def node(planes, mask, rows: int, ones: int, depth: int) -> TreeNode:
+        """A node with its class frequencies, stacked with its planes if it can split."""
+        tree_node = TreeNode(p0=(rows - ones) / rows, p1=ones / rows)
+        if depth < model.max_depth and 0 < ones < rows:
+            stack.append((tree_node, planes & mask, rows, ones, depth))
+        return tree_node
 
-    def _node(self, rows: int, ones: int, depth: int, planes, mask) -> TreeNode:
-        """A node with its class frequencies, stacked if it is impure above ``max_depth``."""
-        node = TreeNode(p0=(rows - ones) / rows, p1=ones / rows)
-        if depth < self.model.max_depth and 0 < ones < rows:
-            self.stack.append((node, planes & mask, rows, ones, depth))
-        return node
-
-    def next_split(self, n_candidates: int):
-        """The next node to split with its candidate columns, or None when the forest is done.
-
-        The generator draws what the recursive grower drew, in its order: the
-        bootstrap rows at each tree's start, then the candidate columns at
-        each impure node above ``max_depth``, none when every column is one.
-        """
-        model, rng = self.model, self.rng
-        n_rows = len(self.labels)
-        while not self.stack:
-            if len(model.trees) == model.n_estimators:
-                return None
-            draws = rng.integers(0, n_rows, size=n_rows)
-            planes = _multiplicity_planes(draws, n_rows)
-            planes = np.stack([planes, planes & self.packed_labels])
-            root = self._node(n_rows, int(self.labels[draws].sum()), 0, planes, ~np.uint64(0))
-            model.trees.append(DecisionTree(root, model.max_depth, model.n_features))
-        f = model.n_features
-        if n_candidates >= f:
-            candidates = np.arange(f)
-        else:
-            candidates = np.sort(rng.choice(f, size=n_candidates, replace=False))
-        return _Split(*self.stack.pop(), candidates)
-
-    def split(self, decision: _Split, feature: int, column: np.ndarray, right: list[int]) -> None:
-        """Attach the children of a split on ``feature``; the left one grows first."""
-        node, planes, rows, ones, depth, _ = decision
-        rn, ro = right
-        node.feature = feature
-        node.right = self._node(rn, ro, depth + 1, planes, column)
-        node.left = self._node(rows - rn, ones - ro, depth + 1, planes, ~column)
+    for _ in range(model.n_estimators):
+        draws = rng.integers(0, n, size=n)
+        planes = _multiplicity_planes(draws, n)
+        planes = np.stack([planes, planes & packed_labels])
+        root = node(planes, ~np.uint64(0), n, int(labels[draws].sum()), 0)
+        model.trees.append(DecisionTree(root))
+        while stack:
+            parent, planes, rows, ones, depth = stack.pop()
+            if n_candidates >= f:
+                candidates = np.arange(f)
+            else:
+                candidates = np.sort(rng.choice(f, size=n_candidates, replace=False))
+            split = yield planes, rows, ones, candidates
+            if split is not None:
+                feature, rn, ro = split
+                parent.feature = feature
+                parent.right = node(planes, cols[feature], rn, ro, depth + 1)
+                parent.left = node(planes, ~cols[feature], rows - rn, ones - ro, depth + 1)
 
 
-def _count_right(cols: np.ndarray, decisions: tuple[_Split, ...]) -> np.ndarray:
+def _count_right(cols: np.ndarray, planes: tuple, candidates: tuple) -> np.ndarray:
     """(A, C, 2) weighted rows and ones on the 1 side of each node's candidates.
 
-    One ``bitwise_count`` covers every candidate of every node; each node's
-    planes are padded with zero planes to the step's largest plane count.
+    ``planes[i]`` and ``candidates[i]`` are node i's (2, P_i, words) planes
+    and its C candidate columns.  One ``bitwise_count`` covers every
+    candidate of every node; each node's planes are padded with zero planes
+    to the largest plane count.
     """
-    n_planes = max(d.planes.shape[1] for d in decisions)
-    planes = np.zeros((len(decisions), 2, n_planes, cols.shape[1]), dtype=cols.dtype)
-    for i, d in enumerate(decisions):
-        planes[i, :, : d.planes.shape[1]] = d.planes
-    candidates = cols[np.array([d.candidates for d in decisions])]  # (A, C, words)
-    hits = planes[:, None] & candidates[:, :, None, None, :]
+    n_planes = max(p.shape[1] for p in planes)
+    padded = np.zeros((len(planes), 2, n_planes, cols.shape[1]), dtype=cols.dtype)
+    for i, p in enumerate(planes):
+        padded[i, :, : p.shape[1]] = p
+    hits = padded[:, None] & cols[np.array(candidates)][:, :, None, None, :]
     counts = np.bitwise_count(hits).sum(axis=-1, dtype=np.int64)  # (A, C, 2, P)
     return counts @ (1 << np.arange(n_planes, dtype=np.int64))
 
@@ -202,10 +178,13 @@ def _count_right(cols: np.ndarray, decisions: tuple[_Split, ...]) -> np.ndarray:
 def train_forests(
     features, labels, seeds, n_estimators: int, max_depth: int
 ) -> list[RandomForestModel]:
-    """One forest per label column over one shared feature matrix, grown in lockstep.
+    """One forest per label column over one shared feature matrix.
 
-    Forest j trains on ``labels[:, j]`` with ``default_rng(seeds[j])`` and
-    is the forest that column would grow alone.
+    Forest j trains on ``labels[:, j]`` from ``seeds[j]``.  Each forest is
+    one ``_grow_forest`` generator.  Each step counts every pending split
+    request with one ``_count_right``, scores them with one ``_best_splits``
+    and sends each forest its split, so forest j is the one column j would
+    grow alone.
     """
     x, y = bit_training_set(features, labels, seeds)
     if n_estimators < 1:
@@ -213,28 +192,30 @@ def train_forests(
     if max_depth < 0:
         raise ValueError(f"max_depth must be at least 0, got {max_depth}")
     f = x.shape[1]
-    n_candidates = math.ceil(math.sqrt(f))
     cols = pack_bits(x.T)
-    growers = [
-        _Grower(y[:, j], packed, seed, n_estimators, max_depth, f)
-        for j, (packed, seed) in enumerate(zip(pack_bits(y.T), seeds))
+    models = [RandomForestModel([], n_estimators, max_depth, seed, f) for seed in seeds]
+    sends = [
+        (_grow_forest(model, y[:, j], packed, cols), None)
+        for j, (model, packed) in enumerate(zip(models, pack_bits(y.T)))
     ]
-    active = growers
     while True:
-        steps = [(g, d) for g in active if (d := g.next_split(n_candidates)) is not None]
-        if not steps:
-            break
-        active, decisions = zip(*steps)
-        right = _count_right(cols, decisions)
-        rows = np.array([d.rows for d in decisions])
-        ones = np.array([d.ones for d in decisions])
-        best = _best_splits(rows, ones, right)
+        pending = []
+        for g, split in sends:
+            try:
+                pending.append((g, g.send(split)))
+            except StopIteration:
+                pass
+        if not pending:
+            return models
+        live, requests = zip(*pending)
+        planes, rows, ones, candidates = zip(*requests)
+        right = _count_right(cols, planes, candidates)
+        best = _best_splits(np.array(rows), np.array(ones), right).tolist()
         chosen = right[np.arange(len(best)), best].tolist()
-        for g, d, k, counts in zip(active, decisions, best.tolist(), chosen):
-            if k >= 0:
-                feature = int(d.candidates[k])
-                g.split(d, feature, cols[feature], counts)
-    return [g.model for g in growers]
+        sends = [
+            (g, (int(c[k]), *counts) if k >= 0 else None)
+            for g, c, k, counts in zip(live, candidates, best, chosen)
+        ]
 
 
 def quantize_prob(p: float) -> int:

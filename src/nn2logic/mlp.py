@@ -6,6 +6,11 @@ pass lowers to one weighted sum per neuron (constant-weight products and
 adders) and comparators.  Inputs are min-max scaled to [-1, 1] before
 training and quantization so they stay inside the representable fixed-point
 range; the scaler travels with the weights file.
+
+Distillation sets come one per layer (``DistillationLayer``): the previous
+layer's quantized words as bit columns in, this layer's words out, one
+group of m label columns per node, so a distiller trains all of a layer's
+bits over one feature matrix.
 """
 
 from __future__ import annotations
@@ -322,27 +327,19 @@ def quantized_forward(
 
 
 @dataclass
-class QuantizedActivationDataset:
-    """Per-node distillation set: previous-layer bits in, activation bits out.
+class DistillationLayer:
+    """One layer's distillation set: previous-layer bits in, this layer's bits out.
 
-    Feature columns concatenate the m-bit words of every node of the previous
-    layer in node order, most significant bit first inside each word; label
-    columns are the m bits of this node's quantized activation.
+    ``feature_bits`` holds the m-bit words of every node of the previous
+    layer in node order, most significant bit first inside each word;
+    ``label_bits`` holds this layer's words the same way, so node n's label
+    bits are columns n*m .. n*m + m - 1.
     """
 
-    layer_index: int
-    node_index: int
+    index: int  # 1 for the first hidden layer
     fmt: FixedPointFormat
     feature_bits: np.ndarray  # (n, N_prev * m) uint8
-    label_bits: np.ndarray  # (n, m) uint8
-
-    def __post_init__(self) -> None:
-        if self.label_bits.shape[1] != self.fmt.total_bits:
-            raise ValueError("label width must equal the format's total bits")
-        if len(self.feature_bits) != len(self.label_bits):
-            raise ValueError("feature and label row counts differ")
-        if self.feature_bits.shape[1] % self.fmt.total_bits:
-            raise ValueError("feature width must be a multiple of the word width")
+    label_bits: np.ndarray  # (n, N * m) uint8
 
 
 def quantize_to_bits(values: np.ndarray, fmt: FixedPointFormat) -> np.ndarray:
@@ -356,25 +353,11 @@ def quantize_to_bits(values: np.ndarray, fmt: FixedPointFormat) -> np.ndarray:
     return bits
 
 
-def extract_distillation_sets(
-    net: Mlp, data, fmt: FixedPointFormat
-) -> list[QuantizedActivationDataset]:
-    """One dataset per node of every non-input layer, in (layer, node) order."""
-    acts = forward_batch(net, data.features)
-    levels = [net.scale(data.features)] + acts
+def extract_distillation_sets(net: Mlp, data, fmt: FixedPointFormat) -> list[DistillationLayer]:
+    """One distillation set per non-input layer, in layer order."""
+    levels = [net.scale(data.features)] + forward_batch(net, data.features)
     level_bits = [quantize_to_bits(level, fmt) for level in levels]
-    m = fmt.total_bits
-    sets = []
-    for l in range(1, len(levels)):
-        features = level_bits[l - 1]
-        for n in range(levels[l].shape[1]):
-            sets.append(
-                QuantizedActivationDataset(
-                    layer_index=l,
-                    node_index=n,
-                    fmt=fmt,
-                    feature_bits=features,
-                    label_bits=level_bits[l][:, n * m : (n + 1) * m],
-                )
-            )
-    return sets
+    return [
+        DistillationLayer(l, fmt, level_bits[l - 1], level_bits[l])
+        for l in range(1, len(levels))
+    ]

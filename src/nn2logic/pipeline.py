@@ -174,31 +174,26 @@ def compile_direct(net_mlp: mlp.Mlp, fmt: FixedPointFormat, input_names=None) ->
     return aig.sweep(aig.lower_netlist(word_net))
 
 
-def _train_modules(sets: list[mlp.QuantizedActivationDataset], train_layer, seed: int) -> dict:
+def _train_modules(sets: list[mlp.DistillationLayer], train_layer, seed: int) -> dict:
     """One model per (layer, node, bit), keyed by (layer, node).
 
-    The sets of one layer share one feature matrix, as
-    ``mlp.extract_distillation_sets`` builds them, so each layer is one call
-    ``train_layer(feature_bits, labels, seeds)``: ``labels`` is the (n, B)
-    matrix of every node's label bits side by side in set order, and
-    ``seeds[j]`` the ``_bit_seed`` of column j.  It returns one model per
-    column, which are split back per node.
+    Each layer is one call ``train_layer(feature_bits, label_bits, seeds)``,
+    with ``seeds[j]`` the ``_bit_seed`` of label column j.  It returns one
+    model per column; node n's are columns n*m .. n*m + m - 1.
     """
-    layers: dict[int, list[mlp.QuantizedActivationDataset]] = {}
-    for z in sets:
-        layers.setdefault(z.layer_index, []).append(z)
     modules = {}
-    for layer, zs in layers.items():
-        m = zs[0].fmt.total_bits
-        seeds = [_bit_seed(seed, layer, z.node_index, j) for z in zs for j in range(m)]
-        models = train_layer(zs[0].feature_bits, np.hstack([z.label_bits for z in zs]), seeds)
-        for k, z in enumerate(zs):
-            modules[(layer, z.node_index)] = models[k * m : (k + 1) * m]
+    for z in sets:
+        m = z.fmt.total_bits
+        nodes = range(z.label_bits.shape[1] // m)
+        seeds = [_bit_seed(seed, z.index, n, j) for n in nodes for j in range(m)]
+        models = train_layer(z.feature_bits, z.label_bits, seeds)
+        for n in nodes:
+            modules[(z.index, n)] = models[n * m : (n + 1) * m]
     return modules
 
 
 def train_rf_modules(
-    sets: list[mlp.QuantizedActivationDataset],
+    sets: list[mlp.DistillationLayer],
     n_estimators: int,
     max_depth: int,
     seed: int,
@@ -208,7 +203,7 @@ def train_rf_modules(
 
 
 def train_lgn_modules(
-    sets: list[mlp.QuantizedActivationDataset],
+    sets: list[mlp.DistillationLayer],
     depth: int,
     width: int,
     lut_size: int,

@@ -137,7 +137,7 @@ def forest_reference(x, y, n_estimators: int, max_depth: int, seed: int):
     for _ in range(n_estimators):
         rows = rng.integers(0, n, size=n)
         root = grow_reference(x[rows], y[rows], 0, max_depth, n_candidates, rng)
-        trees.append(DecisionTree(root, max_depth, f))
+        trees.append(DecisionTree(root))
     return RandomForestModel(trees, n_estimators, max_depth, seed, f)
 
 

@@ -222,6 +222,16 @@ def test_train_rejects_an_out_of_range_config_value_at_its_line(tmp_path, capsys
     assert not out.exists()
 
 
+def test_train_rejects_a_label_other_than_0_or_1_at_its_line(tmp_path, capsys):
+    path = tmp_path / "data.csv"
+    rows = [f"{k / 60},{(k * 7 % 60) / 60},{-(k % 2)}" for k in range(60)]
+    path.write_text("a,b,label\n" + "\n".join(rows) + "\n")
+    out = tmp_path / "out"
+    assert cli.main(["train", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {path}:3: label -1 is not 0 or 1\n"
+    assert not out.exists()
+
+
 def test_compile_rejects_a_nan_weight_at_its_line(tmp_path, capsys):
     csv = str(tmp_path / "data.csv")
     write_csv(make_overlapping_gaussians(40, 5, seed=2), csv)

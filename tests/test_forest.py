@@ -44,8 +44,7 @@ def full_data_forest(x, y, n_trees: int, max_depth: int) -> RandomForestModel:
     x, y = np.asarray(x, dtype=np.uint8), np.asarray(y, dtype=np.int64)
     f = x.shape[1]
     rng = np.random.default_rng(0)  # unused when every feature is a candidate
-    trees = [DecisionTree(grow_reference(x, y, 0, max_depth, f, rng), max_depth, f)
-             for _ in range(n_trees)]
+    trees = [DecisionTree(grow_reference(x, y, 0, max_depth, f, rng)) for _ in range(n_trees)]
     return RandomForestModel(trees, n_trees, max_depth, 0, f)
 
 
@@ -126,7 +125,7 @@ def test_forest_to_text_golden():
     leaf = TreeNode(p0=0.75, p1=0.25)
     inner = TreeNode(feature=0, left=TreeNode(p0=0.0, p1=1.0), right=TreeNode(p0=1 / 3, p1=2 / 3))
     root = TreeNode(feature=2, left=leaf, right=inner)
-    trees = [DecisionTree(root, 3, 5), DecisionTree(TreeNode(p0=0.5, p1=0.5), 3, 5)]
+    trees = [DecisionTree(root), DecisionTree(TreeNode(p0=0.5, p1=0.5))]
     model = RandomForestModel(trees, n_estimators=2, max_depth=3, seed=17, n_features=5)
     assert forest_to_text(model) == (
         "forest 2 3 17 5\n"
@@ -249,7 +248,7 @@ def _hand_tree(rng, n_features: int, depth: int, all_p1: bool) -> TreeNode:
 def _hand_forest(n_trees: int, all_p1: bool):
     """``n_trees`` depth-3 trees over 10 feature bits."""
     rng = np.random.default_rng(n_trees)
-    trees = [DecisionTree(_hand_tree(rng, 10, 3, all_p1), 3, 10) for _ in range(n_trees)]
+    trees = [DecisionTree(_hand_tree(rng, 10, 3, all_p1)) for _ in range(n_trees)]
     return RandomForestModel(trees, n_trees, 3, 0, 10)
 
 
@@ -303,13 +302,12 @@ def drawn_trees(draw, depth: int):
 def diagram_forests(draw):
     """One or two trees of depth 0-4: the forests lowered as threshold diagrams."""
     n_trees = draw(st.integers(1, 2))
-    trees = [DecisionTree(draw(drawn_trees(draw(st.integers(0, 4)))), 4, 10)
-             for _ in range(n_trees)]
+    trees = [DecisionTree(draw(drawn_trees(draw(st.integers(0, 4))))) for _ in range(n_trees)]
     return RandomForestModel(trees, n_trees, 4, 0, 10)
 
 
 def _forest_of(*roots: TreeNode) -> RandomForestModel:
-    return RandomForestModel([DecisionTree(r, 4, 10) for r in roots], len(roots), 4, 0, 10)
+    return RandomForestModel([DecisionTree(r) for r in roots], len(roots), 4, 0, 10)
 
 
 @settings(max_examples=60, deadline=None)

@@ -7,7 +7,7 @@ from nn2logic.datasets import (
     read_dataset,
     stratified_split,
 )
-from nn2logic.fixedpoint import FixedPointFormat, from_int, quantize, quantize_int
+from nn2logic.fixedpoint import FixedPointFormat, dequantize, from_int, quantize, quantize_int
 from nn2logic.mlp import (
     DenseLayer,
     Mlp,
@@ -304,14 +304,14 @@ def test_distillation_set_count_and_shapes():
         ]
     )
     data = LabeledDataset(rng.normal(size=(5, 27)), rng.integers(0, 2, size=5))
-    sets = extract_distillation_sets(net, data, FMT)
-    assert len(sets) == 22
-    first = sets[0]
+    first, last = extract_distillation_sets(net, data, FMT)
+    assert (first.index, first.fmt) == (1, FMT)
     assert first.feature_bits.shape == (5, 27 * 4)
-    assert first.label_bits.shape == (5, 4)
-    last = sets[-1]
-    assert last.layer_index == 2 and last.node_index == 1
+    assert first.label_bits.shape == (5, 20 * 4)
+    assert last.index == 2
     assert last.feature_bits.shape == (5, 20 * 4)
+    assert last.label_bits.shape == (5, 2 * 4)
+    assert np.array_equal(last.feature_bits, first.label_bits)
 
 
 def test_distillation_zero_net_all_zero_labels():
@@ -330,15 +330,19 @@ def test_distillation_single_sample():
 
 
 def test_distillation_labels_requantize():
+    """Each node's m label columns are the quantized word of its activation."""
     data = make_overlapping_gaussians(40, 6, seed=5)
     net = train(data, hidden_nodes=4, epochs=30, seed=1)
     fmt = FixedPointFormat(8, 6)
+    m = fmt.total_bits
+    acts = forward_batch(net, data.features)
     for s in extract_distillation_sets(net, data, fmt):
-        for row in s.label_bits:
-            word = "".join(str(b) for b in row)
-            from nn2logic.fixedpoint import dequantize
-
-            assert quantize(dequantize(word, fmt), fmt) == word
+        assert s.label_bits.shape == (len(data), acts[s.index - 1].shape[1] * m)
+        for row, act_row in zip(s.label_bits, acts[s.index - 1]):
+            for n, act in enumerate(act_row):
+                word = "".join(str(b) for b in row[n * m : (n + 1) * m])
+                assert word == quantize(act, fmt)
+                assert quantize(dequantize(word, fmt), fmt) == word
 
 
 def test_dataset_csv_roundtrip(tmp_path):
@@ -356,6 +360,22 @@ def test_read_dataset_rejects_non_finite_cells(tmp_path, cell):
     path = tmp_path / "d.csv"
     path.write_text(f"a,b,label\n0.5,1.0,0\n0.25,{cell},1\n")
     with pytest.raises(ValueError, match=rf"d\.csv:3: non-finite value in column 'b'"):
+        read_dataset(path)
+
+
+@pytest.mark.parametrize(
+    "text, match",
+    [
+        ("a,b,label\n0.5,1.0,0\n0.25,0.5,-1\n", r"d\.csv:3: label -1 is not 0 or 1"),
+        ("a,b,label\n0.5,1.0,2\n0.25,0.5,1\n", r"d\.csv:2: label 2 is not 0 or 1"),
+        ("a,a,label\n0.5,1.0,0\n0.25,0.5,1\n", r"d\.csv:1: column name 'a' is repeated"),
+    ],
+    ids=["negative-label", "label-two", "repeated-name"],
+)
+def test_read_dataset_rejects_bad_labels_and_names_at_their_line(tmp_path, text, match):
+    path = tmp_path / "d.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=match):
         read_dataset(path)
 
 

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -197,15 +199,26 @@ def _seeded_sets():
     return extract_distillation_sets(net, data, FixedPointFormat(4, 2))
 
 
+def test_distillation_layers_keep_the_per_node_bits():
+    """Per layer, the features and then every node's label bits side by side in node order."""
+    h = hashlib.sha256()
+    for z in _seeded_sets():
+        h.update(np.ascontiguousarray(z.feature_bits, dtype=np.uint8).tobytes())
+        h.update(np.ascontiguousarray(z.label_bits, dtype=np.uint8).tobytes())
+    assert h.hexdigest() == "4f9fae427132af7a57a913e4a27edad3a645bb91fe5d15eefdd61149d9b7edcb"
+
+
 def test_layer_training_gives_each_bit_its_own_forest():
     """Trained a layer at a time, each (layer, node, bit) still gets its labels and seed."""
     sets = _seeded_sets()
     models = pipeline.train_rf_modules(sets, 2, 3, seed=9)
-    assert list(models) == [(z.layer_index, z.node_index) for z in sets]
+    keys = [(z.index, n) for z in sets for n in range(z.label_bits.shape[1] // 4)]
+    assert keys == [(1, 0), (1, 1), (1, 2), (2, 0), (2, 1)]
+    assert list(models) == keys
     for z in sets:
-        assert len(models[(z.layer_index, z.node_index)]) == 4
-        for j, model in enumerate(models[(z.layer_index, z.node_index)]):
-            seed = pipeline._bit_seed(9, z.layer_index, z.node_index, j)
-            want = forest_reference(z.feature_bits, z.label_bits[:, j], 2, 3, seed)
-            assert forest_to_text(model) == forest_to_text(want)
-
+        for n in range(z.label_bits.shape[1] // 4):
+            assert len(models[(z.index, n)]) == 4
+            for j, model in enumerate(models[(z.index, n)]):
+                seed = pipeline._bit_seed(9, z.index, n, j)
+                want = forest_reference(z.feature_bits, z.label_bits[:, 4 * n + j], 2, 3, seed)
+                assert forest_to_text(model) == forest_to_text(want)
