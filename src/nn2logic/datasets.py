@@ -17,7 +17,12 @@ class LabeledDataset:
 
     def __post_init__(self) -> None:
         self.features = np.asarray(self.features, dtype=float)
-        self.labels = np.asarray(self.labels, dtype=int)
+        labels = np.asarray(self.labels)
+        bad = np.flatnonzero((labels != 0) & (labels != 1))
+        if len(bad):  # before the cast, which would read 0.5 as 0
+            row = bad[0]
+            raise ValueError(f"label {labels.flat[row].item()!r} at row {row} is not 0 or 1")
+        self.labels = labels.astype(int)
         if self.features.ndim != 2:
             raise ValueError("features must be a 2-D matrix")
         if len(self.features) != len(self.labels):

@@ -345,7 +345,7 @@ def _emit_forest_bit(net: nl.Netlist, feature_sids: list[int], model: RandomFore
 
 
 def forest_module(models: list[RandomForestModel], word_width: int | None = None):
-    """Concatenate per-bit forests into one module with word-level I/O.
+    """One node's module: its per-bit forests, concatenated into its word.
 
     ``models[j]`` predicts bit j of the output word; see ``netlist.bit_module``.
     """

@@ -163,7 +163,7 @@ def _emit_logicnet_bit(net: nl.Netlist, feature_sids: list[int], lgn: LutNetwork
 
 
 def logicnet_module(nets: list[LutNetwork], word_width: int | None = None):
-    """Concatenate per-bit LUT networks into one word-level module.
+    """One node's module: its per-bit LUT networks, concatenated into its word.
 
     ``nets[j]`` yields bit j of the output word; see ``netlist.bit_module``.
     Only LUTs inside the output cone are emitted; dropped LUTs cannot affect

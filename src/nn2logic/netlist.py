@@ -15,6 +15,10 @@ bit 0 least significant.  The gate kinds, all emitted by some builder:
 * CONST, SLICE,
 * CONCAT lists its operands most significant first,
 * LUT select operand q carries pattern weight 2**q.
+
+A module is one network node: ``module(net, words)`` emits the node's gates
+into the network netlist ``net`` over the previous layer's m-bit words and
+returns the node's m-bit word.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ class Netlist:
     gates: list[Gate] = field(default_factory=list)
     inputs: list[int] = field(default_factory=list)
     outputs: list[int] = field(default_factory=list)
+    _bits: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def _new_signal(self, width: int, name=None) -> int:
         if width <= 0:
@@ -61,6 +66,12 @@ class Netlist:
 
     def set_output(self, sid: int) -> None:
         self.outputs.append(sid)
+
+    def bit(self, word: int, j: int) -> int:
+        """Bit j of ``word`` as a 1-bit SLICE, emitted on the first call only."""
+        if (word, j) not in self._bits:
+            self._bits[word, j] = self.add_gate("SLICE", (word,), (j, j))
+        return self._bits[word, j]
 
     def add_gate(self, kind: str, operands, params=(), name=None) -> int:
         operands = tuple(operands)
@@ -186,47 +197,24 @@ def _eval_gate(net: Netlist, g: Gate, values: dict[int, int]) -> int:
     raise ValueError(f"unknown gate kind {kind!r}")
 
 
-def merge_into(dst: Netlist, src: Netlist, input_map: dict[int, int]) -> dict[int, int]:
-    """Inline ``src`` into ``dst`` with its inputs bound per ``input_map``.
-
-    Each gate is copied as it stands, with its operands mapped: ``src``'s
-    own ``add_gate`` already inferred and checked its width.  Copied signals
-    are unnamed.  Returns the full signal-id mapping; ``src`` is left
-    untouched.
-    """
-    mapping = dict(input_map)
-    for sid in src.inputs:
-        if dst.widths[mapping[sid]] != src.widths[sid]:
-            raise ValueError(f"width mismatch binding module input {sid}")
-    widths, names, gates = dst.widths, dst.names, dst.gates
-    for g in src.gates:
-        sid = mapping[g.output] = len(widths)
-        widths.append(src.widths[g.output])
-        names.append(None)
-        gates.append(Gate(g.kind, tuple([mapping[o] for o in g.operands]), sid, g.params))
-    return mapping
-
-
-def build_neuron(params: tuple, m: int) -> Netlist:
-    """Single-neuron module: one NEURON gate with ``params`` over m-bit inputs.
+def build_neuron(params: tuple):
+    """Single-neuron module: one NEURON gate with ``params`` over the layer's words.
 
     ``params`` is one neuron's ``(weights, bias, shift, relu)`` record from
-    ``mlp.quantize_layers``; ``add_gate`` checks it against the width m.
+    ``mlp.quantize_layers``; ``add_gate`` checks it against the words' width.
     """
-    net = Netlist()
-    net.set_output(net.add_gate("NEURON", [net.add_input(m) for _ in params[0]], params))
-    return net
+    return lambda net, words: net.add_gate("NEURON", words, params)
 
 
 def cascade_modules(
-    per_node_modules: list[list[Netlist]],
+    per_node_modules: list[list],
     layer_sizes: list[int],
     fmt: FixedPointFormat,
     input_names: list[str] | None = None,
 ) -> Netlist:
     """Wire per-node modules into the full network topology plus argmax.
 
-    Layer l's modules each consume all of layer l-1's word outputs; the final
+    Layer l's modules are each called on all of layer l-1's words; the final
     layer must have exactly two nodes, and a signed comparator emits the
     predicted-class bit (out1 > out0, ties toward class 0).  The outputs are
     the words ``class0`` and ``class1``, then that bit, ``argmax``.
@@ -242,14 +230,9 @@ def cascade_modules(
     for l, row in enumerate(per_node_modules, start=1):
         if len(row) != layer_sizes[l]:
             raise ValueError(f"layer {l}: expected {layer_sizes[l]} modules")
-        new_words = []
-        for module in row:
-            if len(module.inputs) != len(words):
-                raise ValueError(f"layer {l}: module input count mismatch")
-            if len(module.outputs) != 1 or module.widths[module.outputs[0]] != m:
-                raise ValueError(f"layer {l}: module must output one {m}-bit word")
-            mapping = merge_into(net, module, dict(zip(module.inputs, words)))
-            new_words.append(mapping[module.outputs[0]])
+        new_words = [module(net, words) for module in row]
+        if any(net.widths[w] != m for w in new_words):
+            raise ValueError(f"layer {l}: module must output one {m}-bit word")
         words = new_words
     if len(words) != 2:
         raise ValueError("cascade expects a 2-node final layer for the argmax bit")
@@ -262,33 +245,30 @@ def cascade_modules(
 
 def build_network_direct(net_mlp, fmt: FixedPointFormat, input_names=None) -> Netlist:
     """Direct arithmetic lowering of a trained network, one NEURON gate per neuron."""
-    modules = [
-        [build_neuron(params, fmt.total_bits) for params in layer]
-        for layer in quantize_layers(net_mlp, fmt)
-    ]
+    modules = [list(map(build_neuron, layer)) for layer in quantize_layers(net_mlp, fmt)]
     return cascade_modules(modules, net_mlp.layer_sizes, fmt, input_names)
 
 
-def bit_module(models, word_width: int | None, emit_bit) -> Netlist:
-    """One word-level module from per-bit models over the previous layer's bits.
+def bit_module(models, word_width: int | None, emit_bit):
+    """One node's module from per-bit models over the previous layer's bits.
 
     ``models[j]`` predicts bit j of the output word, most significant first,
     and ``emit_bit(net, feature_sids, model)`` emits one of them into ``net``,
-    returning its 1-bit signal.  Inputs are the previous layer's m-bit words;
-    feature column k*m + j is the j-th most significant bit of word k.
+    returning its 1-bit signal.  The module reads the previous layer's m-bit
+    words; feature column k*m + j is the j-th most significant bit of word k,
+    sliced once per netlist by ``Netlist.bit``.
     """
     m = word_width if word_width is not None else len(models)
-    total = models[0].n_features
-    if any(model.n_features != total for model in models):
-        raise ValueError("per-bit models must share one feature space")
-    if total % m:
-        raise ValueError("feature count is not a whole number of words")
-    net = Netlist()
-    words = [net.add_input(m, f"x{k}") for k in range(total // m)]
-    feature_sids = [
-        net.add_gate("SLICE", (word,), (m - 1 - j, m - 1 - j)) for word in words for j in range(m)
-    ]
-    bit_outs = [emit_bit(net, feature_sids, model) for model in models]
-    out = bit_outs[0] if len(bit_outs) == 1 else net.add_gate("CONCAT", tuple(bit_outs))
-    net.set_output(out)
-    return net
+
+    def module(net: Netlist, words: list[int]) -> int:
+        for model in models:
+            if model.n_features != len(words) * m:
+                raise ValueError(
+                    f"a per-bit model reads {model.n_features} features, "
+                    f"not {len(words)} words of {m} bits"
+                )
+        feature_sids = [net.bit(word, m - 1 - j) for word in words for j in range(m)]
+        bit_outs = [emit_bit(net, feature_sids, model) for model in models]
+        return bit_outs[0] if len(bit_outs) == 1 else net.add_gate("CONCAT", bit_outs)
+
+    return module

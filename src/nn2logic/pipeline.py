@@ -218,7 +218,7 @@ class Distiller:
     """A per-bit model family that stands in for each MLP neuron."""
 
     train: Callable  # (sets, *parameter values, seed) -> models keyed by (layer, node)
-    module: Callable  # (per-bit models, word width) -> word-level Netlist
+    module: Callable  # (per-bit models, word width) -> a node's netlist.cascade_modules module
     to_text: Callable  # one model -> its text dump
     params: tuple[tuple[str, str], ...]  # (config and grid key, report label)
 

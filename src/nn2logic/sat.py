@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import gc
 import operator
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from heapq import heapify, heappop, heappush
 
 import numpy as np
@@ -35,42 +35,21 @@ from nn2logic.aig import AigGraph, import_graph, simulate_aig
 class CnfFormula:
     """``num_vars`` variables; clause ``i`` is ``lits[starts[i]:starts[i + 1]]``.
 
-    ``CnfFormula(num_vars, clauses)`` flattens a list of DIMACS clauses and
-    ``CnfFormula.from_arrays`` takes the flat arrays as they are.  Every
-    literal must be an integer (anything ``operator.index`` accepts), non-zero
-    and at most ``num_vars`` in magnitude; both arrays are read-only.
+    Every literal and start must be an integer (anything ``operator.index``
+    accepts), every literal non-zero and at most ``num_vars`` in magnitude;
+    both arrays are kept as read-only int64 arrays.
     """
 
-    def __init__(self, num_vars: int, clauses: Iterable[Iterable[int]]) -> None:
-        flat: list[int] = []
-        starts = [0]
-        for ci, clause in enumerate(clauses):
-            for d in clause:
-                try:
-                    flat.append(operator.index(d))
-                except TypeError:
-                    raise ValueError(f"literal {d!r} in clause {ci} is not an integer") from None
-            starts.append(len(flat))
-        try:
-            lits = np.array(flat, dtype=np.int64)
-        except OverflowError:  # beyond int64, hence out of range: _check names it
-            lits = np.array(flat, dtype=object)
-        self._check(num_vars, lits, np.array(starts, dtype=np.int64))
-
-    @classmethod
-    def from_arrays(cls, num_vars: int, lits, starts) -> CnfFormula:
-        """The formula over the flat arrays, checked alike; they become read-only."""
-        f = cls.__new__(cls)
-        f._check(num_vars, np.asarray(lits, dtype=np.int64), np.asarray(starts, dtype=np.int64))
-        return f
-
-    def _check(self, num_vars: int, lits: np.ndarray, starts: np.ndarray) -> None:
+    def __init__(self, num_vars: int, lits, starts) -> None:
         n = operator.index(num_vars)
         if n < 0:
             raise ValueError(f"num_vars must be >= 0, got {n}")
-        if not (starts.ndim == 1 and starts[0] == 0 and starts[-1] == len(lits)
-                and (np.diff(starts) >= 0).all()):
+        starts = _integers(starts, lambda k, v: f"clause start {v!r} at {k} is not an integer")
+        if not (starts.ndim == 1 and len(starts) and starts[0] == 0
+                and starts[-1] == len(lits) and (np.diff(starts) >= 0).all()):
             raise ValueError("clause starts must rise from 0 to the number of literals")
+        lits = _integers(lits, lambda k, v: f"literal {v!r} in clause "
+                         f"{np.searchsorted(starts, k, 'right') - 1} is not an integer")
         bad = np.flatnonzero((lits == 0) | (lits < -n) | (lits > n))
         if len(bad):
             raise ValueError(f"literal {int(lits[bad[0]])} out of range for {n} vars")
@@ -96,6 +75,27 @@ class _ClauseView:
 
     def __iter__(self) -> Iterator[list[int]]:
         return map(self.__getitem__, range(len(self)))
+
+
+def _integers(values, not_an_integer) -> np.ndarray:
+    """The sequence ``values`` as an int64 array, or an object array if one is beyond int64.
+
+    The first value ``v`` that is not an integer, at position ``k``, raises
+    ``ValueError(not_an_integer(k, v))``.
+    """
+    array = np.asarray(values)
+    if array.dtype.kind in "ib" and array.ndim == 1:
+        return array.astype(np.int64, copy=False)
+    ints = []
+    for k, v in enumerate(values):
+        try:
+            ints.append(operator.index(v))
+        except TypeError:
+            raise ValueError(not_an_integer(k, v)) from None
+    try:
+        return np.array(ints, dtype=np.int64)
+    except OverflowError:  # out of range, as the caller's range check will say
+        return np.array(ints, dtype=object)
 
 
 def _dimacs(literals: np.ndarray) -> np.ndarray:
@@ -132,7 +132,7 @@ def tseitin(g: AigGraph, output_index: int = 0) -> tuple[CnfFormula, dict[int, i
     )
     lits = np.concatenate([body.ravel(), np.array(tail, dtype=np.int64)])
     input_map = {pos: node for pos, node in enumerate(g.inputs)}
-    return CnfFormula.from_arrays(g.num_nodes - 1, lits, starts), input_map
+    return CnfFormula(g.num_nodes - 1, lits, starts), input_map
 
 
 class _Cdcl:

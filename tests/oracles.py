@@ -2,7 +2,8 @@
 
 Everything in here is deliberately written straight-line and separate from
 the package internals so that it can serve as an oracle.  The last few
-helpers are test fixtures: a CSV writer and a tree-depth measure.
+helpers are test fixtures: a CSV writer, a tree-depth measure, a netlist of
+one module alone and a formula from a list of clauses.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ import numpy as np
 
 from nn2logic.aig import AigGraph
 from nn2logic.forest import DecisionTree, RandomForestModel, TreeNode
+from nn2logic.netlist import Netlist
+from nn2logic.sat import CnfFormula
 
 
 def quantize_reference(x: float, m: int, i: int) -> str:
@@ -415,22 +418,6 @@ def propagate_reference(s) -> int:
     return -1
 
 
-def merge_into_reference(dst, src, input_map: dict[int, int]) -> dict[int, int]:
-    """``netlist.merge_into`` re-adding every gate through ``add_const``/``add_gate``."""
-    mapping = dict(input_map)
-    for sid in src.inputs:
-        if dst.widths[mapping[sid]] != src.widths[sid]:
-            raise ValueError(f"width mismatch binding module input {sid}")
-    for g in src.gates:
-        if g.kind == "CONST":
-            mapping[g.output] = dst.add_const(g.params[0])
-        else:
-            mapping[g.output] = dst.add_gate(
-                g.kind, tuple(mapping[o] for o in g.operands), g.params
-            )
-    return mapping
-
-
 def parse_equations(text_or_lines, input_names: list[str]) -> AigGraph:
     """Rebuild a graph from equation lines for round-trip simulation."""
     if isinstance(text_or_lines, str):
@@ -492,3 +479,20 @@ def tree_depth(node) -> int:
     if node.feature is None:
         return 0
     return 1 + max(tree_depth(node.left), tree_depth(node.right))
+
+
+def module_netlist(module, n_words: int, m: int) -> Netlist:
+    """A netlist of ``module`` alone: n_words m-bit inputs, one call, its word as the output."""
+    net = Netlist()
+    net.set_output(module(net, [net.add_input(m) for _ in range(n_words)]))
+    return net
+
+
+def cnf_formula(num_vars: int, clauses) -> CnfFormula:
+    """The formula of a list of DIMACS clauses, flattened as ``CnfFormula`` takes them."""
+    lits: list = []
+    starts = [0]
+    for clause in clauses:
+        lits.extend(clause)
+        starts.append(len(lits))
+    return CnfFormula(num_vars, lits, starts)

@@ -31,6 +31,7 @@ from oracles import (
     lut_cofactor_reference,
     permute_table_reference,
     shannon_cost_reference,
+    module_netlist,
     signed,
     sweep_reference,
 )
@@ -241,7 +242,7 @@ def test_netlist_vs_aig_on_neuron():
     rng = np.random.default_rng(1)
     for _ in range(5):
         weights = tuple(int(w) for w in rng.integers(-8, 8, size=2))
-        net = build_neuron((weights, 0, 2, True), 4)
+        net = module_netlist(build_neuron((weights, 0, 2, True)), len(weights), 4)
         g = lower_netlist(net)
         for a in range(16):
             for b in range(16):
@@ -573,7 +574,7 @@ def test_logicnet_aiger_matches_golden_digest(tmp_path):
 
 
 def test_strash_idempotent_double_lowering():
-    net = build_neuron(((4, -2), 0, 2, True), 4)
+    net = module_netlist(build_neuron(((4, -2), 0, 2, True)), 2, 4)
     g = lower_netlist(net)
     before = g.num_nodes
     import_graph(g, lower_netlist(net), [node << 1 for node in g.inputs])
@@ -624,7 +625,8 @@ def test_import_graph_shares_structure():
 
 
 def neuron_aiger(tmp_path):
-    g = lower_netlist(build_neuron(((4, -3), 8, 2, True), 4))  # bias 2 on q(1.0) = 4
+    neuron = build_neuron(((4, -3), 8, 2, True))  # bias 2 on q(1.0) = 4
+    g = lower_netlist(module_netlist(neuron, 2, 4))
     path = tmp_path / "n.aag"
     write_aiger(g, path)
     return g, path, path.read_text().splitlines()

@@ -14,7 +14,7 @@ from nn2logic.fixedpoint import FixedPointFormat, quantize_int
 from nn2logic.mlp import quantized_forward, train
 from nn2logic.netlist import build_network_direct, build_neuron
 
-from oracles import parse_equations, signed
+from oracles import module_netlist, parse_equations, signed
 
 FMT = FixedPointFormat(8, 6)
 
@@ -70,7 +70,8 @@ def test_evaluate_matches_quantized_forward():
 
 def test_emit_equations_roundtrip():
     names = ["age", "bmi", "pulse", "glucose"]
-    net = build_neuron(((4, -3, 2, 1), 0, 2, True), 4)  # 1.0, -0.75, 0.5, 0.25 at (4, 2)
+    # weights 1.0, -0.75, 0.5, 0.25 at (4, 2)
+    net = module_netlist(build_neuron(((4, -3, 2, 1), 0, 2, True)), 4, 4)
     for sid, name in zip(net.inputs, names):
         net.names[sid] = name
     g = sweep(lower_netlist(net))

@@ -20,7 +20,13 @@ from nn2logic.forest import (
 )
 from nn2logic.netlist import simulate_netlist
 
-from oracles import exact_vote_sums, forest_reference, grow_reference, tree_depth
+from oracles import (
+    exact_vote_sums,
+    forest_reference,
+    grow_reference,
+    module_netlist,
+    tree_depth,
+)
 
 
 def rows_to_words(rows: np.ndarray, m: int) -> list[int]:
@@ -148,7 +154,7 @@ def test_tree_circuit_shape_depth2():
     model = full_data_forest(x, y, 1, 2)
     tree = model.trees[0]
     assert tree_depth(tree.root) == 2
-    net = forest_module([model], word_width=1)
+    net = module_netlist(forest_module([model], word_width=1), 4, 1)
     kinds = [g.kind for g in net.gates]
     assert kinds.count("MUX") == 3  # one per internal node, selected by its feature bit
     assert "GT" not in kinds and "ADD" not in kinds  # each leaf is its constant vote bit
@@ -163,7 +169,7 @@ def test_three_tree_circuit_shape_depth2():
     y = np.array([0, 1, 1, 0] * 4)
     model = full_data_forest(x, y, 3, 2)
     assert [tree_depth(tree.root) for tree in model.trees] == [2, 2, 2]
-    net = forest_module([model], word_width=1)
+    net = module_netlist(forest_module([model], word_width=1), 4, 1)
     kinds = [g.kind for g in net.gates]
     assert kinds.count("MUX") == 9  # a vote-word mux tree per tree
     assert kinds.count("ADD") == 2 and kinds.count("GT") == 1
@@ -175,7 +181,7 @@ def test_stump_selects_right_leaf():
     x = np.array([[0], [1]] * 10, dtype=np.uint8)
     y = np.array([0, 1] * 10)
     model = full_data_forest(x, y, 1, 1)
-    net = forest_module([model], word_width=1)
+    net = module_netlist(forest_module([model], word_width=1), 1, 1)
     assert simulate_netlist(net, ["1"]) == ["1"]
     assert simulate_netlist(net, ["0"]) == ["0"]
 
@@ -185,7 +191,7 @@ def test_forest_bit_netlist_matches_software():
     x = rng.integers(0, 2, size=(100, 6)).astype(np.uint8)
     y = rng.integers(0, 2, size=100)
     model = train_forest(x, y, 3, 3, seed=8)
-    net = forest_module([model], word_width=1)
+    net = module_netlist(forest_module([model], word_width=1), 6, 1)
     for row in x[:50]:
         got = simulate_netlist(net, [str(int(b)) for b in row])[0]
         assert int(got) == predict_forest(model, row)
@@ -199,7 +205,7 @@ def test_forest_module_cross_simulation():
         train_forest(x, rng.integers(0, 2, size=120), 2, 3, seed=10 + j)
         for j in range(m)
     ]
-    net = forest_module(models)
+    net = module_netlist(forest_module(models), n_words, m)
     g = lower_netlist(net)
     rows = np.vstack([x, rng.integers(0, 2, size=(1000, m * n_words)).astype(np.uint8)])
     out = simulate_batch(g, rows_to_words(rows, m), len(rows))
@@ -213,7 +219,7 @@ def test_forest_module_cross_simulation():
 def test_constant_forest_module():
     x = np.zeros((10, 4), dtype=np.uint8)
     models = [train_forest(x, np.zeros(10, dtype=int), 2, 2, seed=j) for j in range(2)]
-    net = forest_module(models)
+    net = module_netlist(forest_module(models), 2, 2)
     assert simulate_netlist(net, ["00", "11"]) == ["00"]
 
 
@@ -256,7 +262,7 @@ def _vote_bits_on_every_input(model):
     """Rows of all inputs, with the lowered AIG's and the netlist's vote bit on each."""
     f = model.n_features
     rows = ((np.arange(1 << f)[:, None] >> np.arange(f)) & 1).astype(np.uint8)
-    net = forest_module([model], word_width=1)
+    net = module_netlist(forest_module([model], word_width=1), f, 1)
     (word,) = simulate_batch(lower_netlist(net), rows_to_words(rows, 1), len(rows))
     aig_bits = [(word >> s) & 1 for s in range(len(rows))]
     net_bits = [int(simulate_netlist(net, [int(b) for b in row])[0]) for row in rows]

@@ -18,7 +18,7 @@ from nn2logic.lutnet import (
 )
 from nn2logic.netlist import simulate_netlist
 
-from oracles import lut_counts_reference, lut_output_reference
+from oracles import lut_counts_reference, lut_output_reference, module_netlist
 
 
 def train_logicnet(x, y, depth: int, width: int, lut_size: int, seed: int = 0) -> LutNetwork:
@@ -127,7 +127,7 @@ def test_module_passes_bit_through():
     x = np.array([[0, 0], [1, 0], [0, 1], [1, 1]], dtype=np.uint8)
     y = x[:, 0].astype(int)
     net = train_logicnet(x, y, depth=1, width=1, lut_size=2, seed=0)
-    module = logicnet_module([net], word_width=2)
+    module = module_netlist(logicnet_module([net], word_width=2), 1, 2)
     for row, want in zip(x, eval_logicnet_batch(net, x)):
         word = f"{row[0]}{row[1]}"
         assert simulate_netlist(module, [word]) == [str(want)]
@@ -137,7 +137,7 @@ def test_module_realizes_xor():
     x = np.array([[0, 0], [0, 1], [1, 0], [1, 1]], dtype=np.uint8)
     y = (x[:, 0] ^ x[:, 1]).astype(int)
     net = train_logicnet(x, y, depth=1, width=1, lut_size=2, seed=0)
-    module = logicnet_module([net], word_width=2)
+    module = module_netlist(logicnet_module([net], word_width=2), 1, 2)
     for row in x:
         word = f"{row[0]}{row[1]}"
         assert simulate_netlist(module, [word]) == [str(row[0] ^ row[1])]
@@ -151,7 +151,7 @@ def test_module_cross_simulation_m4():
         train_logicnet(x, rng.integers(0, 2, size=80), depth=2, width=6, lut_size=3, seed=j)
         for j in range(m)
     ]
-    module = logicnet_module(nets)
+    module = module_netlist(logicnet_module(nets), n_words, m)
     g = lower_netlist(module)
     rows = np.vstack([x, rng.integers(0, 2, size=(1000, m * n_words)).astype(np.uint8)])
     out = simulate_batch(g, rows_to_words(rows, m), len(rows))

@@ -379,6 +379,18 @@ def test_read_dataset_rejects_bad_labels_and_names_at_their_line(tmp_path, text,
         read_dataset(path)
 
 
+@pytest.mark.parametrize(
+    "labels, match",
+    [([0, 1, 0.5, 1], "label 0.5 at row 2"), ([0, -1, 0, -1], "label -1 at row 1"),
+     ([1, 0, 1, 2], "label 2 at row 3")],
+    ids=["half", "negative", "two"],
+)
+def test_dataset_built_in_code_rejects_labels_other_than_0_and_1(labels, match):
+    x = np.random.default_rng(0).normal(size=(4, 2))
+    with pytest.raises(ValueError, match=f"{match} is not 0 or 1"):
+        train(LabeledDataset(x, np.array(labels)), 4, 20, 0.01, 0)
+
+
 def test_stratified_split_deterministic_and_disjoint():
     data = make_overlapping_gaussians(100, 3, seed=7)
     tr1, te1 = stratified_split(data, 0.2, seed=11)

@@ -28,9 +28,14 @@ from nn2logic.netlist import (
 )
 from nn2logic.pipeline import train_lgn_modules, train_rf_modules
 
-from oracles import merge_into_reference, neuron_reference, signed
+from oracles import module_netlist, neuron_reference, signed
 
 FMT = FixedPointFormat(4, 2)
+
+
+def neuron_netlist(params: tuple, m: int) -> Netlist:
+    """One NEURON module alone, over one m-bit input word per weight."""
+    return module_netlist(build_neuron(params), len(params[0]), m)
 
 
 def test_const_netlist():
@@ -147,30 +152,30 @@ def test_mux_select():
 
 
 def test_neuron_identity_product():
-    net = build_neuron(((4,), 0, 2, True), 4)
+    net = neuron_netlist(((4,), 0, 2, True), 4)
     assert simulate_netlist(net, ["0100"]) == ["0100"]
 
 
 def test_neuron_relu_kills_negative():
-    net = build_neuron(((-2,), 0, 2, True), 4)
+    net = neuron_netlist(((-2,), 0, 2, True), 4)
     assert simulate_netlist(net, ["0100"]) == ["0000"]
 
 
 def test_neuron_zero_weights():
-    net = build_neuron(((0, 0), 0, 2, True), 4)
+    net = neuron_netlist(((0, 0), 0, 2, True), 4)
     assert simulate_netlist(net, ["0111", "1000"]) == ["0000"]
 
 
 def test_neuron_empty_weights_rejected():
     with pytest.raises(ValueError):
-        build_neuron(((), 0, 2, True), 4)
+        neuron_netlist(((), 0, 2, True), 4)
 
 
 def test_neuron_weight_width_mismatch():
     """A weight that needs more than the m input bits is rejected."""
     for weight in (8, -9):
         with pytest.raises(ValueError, match="one signed m-bit weight per word"):
-            build_neuron(((4, weight), 0, 2, True), 4)
+            neuron_netlist(((4, weight), 0, 2, True), 4)
 
 
 @given(st.data())
@@ -182,7 +187,7 @@ def test_neuron_matches_integer_oracle(data):
     xs = data.draw(st.lists(st.integers(-8, 7), min_size=n_inputs, max_size=n_inputs))
     bias = data.draw(st.one_of(st.none(), st.integers(-8, 7)))
     has_relu = data.draw(st.booleans())
-    net = build_neuron((tuple(weights), (bias or 0) * 4, 2, has_relu), 4)  # q(1.0) = 4
+    net = neuron_netlist((tuple(weights), (bias or 0) * 4, 2, has_relu), 4)  # q(1.0) = 4
     got = simulate_netlist(net, [from_int(x, 4) for x in xs])[0]
     want = neuron_reference(weights, xs, bias, has_relu, 4, 2)
     assert int(got, 2) == want
@@ -201,7 +206,7 @@ def test_neuron_lowering_exhaustive_m4(weights):
              for k in range(n) for j in range(m)]
     for bias in (None, -8, 6):
         for has_relu in (True, False):
-            net = build_neuron((tuple(weights), (bias or 0) * 4, i, has_relu), m)  # q(1.0) = 4
+            net = neuron_netlist((tuple(weights), (bias or 0) * 4, i, has_relu), m)  # q(1.0) = 4
             out = simulate_batch(lower_netlist(net), lanes, len(xs))
             for s, row in enumerate(xs):
                 want = neuron_reference(
@@ -218,7 +223,7 @@ def test_neuron_oracle_random_m8():
     for _ in range(30):
         n = int(rng.integers(1, 5))
         weights = [int(v) for v in rng.integers(-128, 128, size=n)]
-        net = build_neuron((tuple(weights), 0, 4, True), 8)
+        net = neuron_netlist((tuple(weights), 0, 4, True), 8)
         for _ in range(20):
             xs = [int(v) for v in rng.integers(-128, 128, size=n)]
             got = simulate_netlist(net, [from_int(x, 8) for x in xs])[0]
@@ -242,20 +247,21 @@ def test_cascade_preserves_module_simulation():
     fmt = FMT
     mods = [
         [
-            build_neuron(((4, 2), 4, 2, True), 4),
-            build_neuron(((-2, 4), 0, 2, True), 4),
+            build_neuron(((4, 2), 4, 2, True)),
+            build_neuron(((-2, 4), 0, 2, True)),
         ],
         [
-            build_neuron(((4, 0), 0, 2, False), 4),
-            build_neuron(((0, 4), 0, 2, False), 4),
+            build_neuron(((4, 0), 0, 2, False)),
+            build_neuron(((0, 4), 0, 2, False)),
         ],
     ]
     net = cascade_modules(mods, [2, 2, 2], fmt)
+    alone = [[module_netlist(mod, 2, 4) for mod in row] for row in mods]
     rng = np.random.default_rng(2)
     for _ in range(50):
         xs = [from_int(int(v), 4) for v in rng.integers(-8, 8, size=2)]
-        hidden = [simulate_netlist(m, xs)[0] for m in mods[0]]
-        final = [simulate_netlist(m, hidden)[0] for m in mods[1]]
+        hidden = [simulate_netlist(m, xs)[0] for m in alone[0]]
+        final = [simulate_netlist(m, hidden)[0] for m in alone[1]]
         got = simulate_netlist(net, xs)
         assert got[:2] == final
         assert got[2] == str(int(signed(int(final[1], 2), 4) > signed(int(final[0], 2), 4)))
@@ -273,7 +279,7 @@ def test_direct_network_emits_one_neuron_gate_per_neuron():
     assert [g.params[2:] for g in net.gates[:5]] == [(6, True)] * 3 + [(6, False)] * 2
 
 
-def _seeded_module_rows(flow: str) -> list[list[Netlist]]:
+def _seeded_module_rows(flow: str) -> list[list]:
     """Per-node modules of a seeded 4-3-2 MLP: direct neurons or distilled bits."""
     rng = np.random.default_rng(21)
     mlp_net = Mlp([
@@ -281,8 +287,7 @@ def _seeded_module_rows(flow: str) -> list[list[Netlist]]:
         DenseLayer(rng.normal(0.0, 0.8, size=(2, 3)), rng.normal(0.0, 0.3, size=2), "identity"),
     ])
     if flow == "direct":
-        return [[build_neuron(p, FMT.total_bits) for p in layer]
-                for layer in quantize_layers(mlp_net, FMT)]
+        return [[build_neuron(p) for p in layer] for layer in quantize_layers(mlp_net, FMT)]
     data = LabeledDataset(rng.uniform(-1.0, 1.0, size=(80, 4)), rng.integers(0, 2, size=80))
     sets = extract_distillation_sets(mlp_net, data, FMT)
     if flow == "logicnet":
@@ -293,16 +298,30 @@ def _seeded_module_rows(flow: str) -> list[list[Netlist]]:
             for l, size in enumerate([3, 2], start=1)]
 
 
-@pytest.mark.parametrize("flow", ["direct", "rf-2", "rf-3", "logicnet"])
-def test_cascade_copies_gates_as_add_gate_would(flow, monkeypatch):
-    rows = _seeded_module_rows(flow)
-    net = cascade_modules(rows, [4, 3, 2], FMT)
-    monkeypatch.setattr(netlist, "merge_into", merge_into_reference)
-    want = cascade_modules(rows, [4, 3, 2], FMT)
-    assert net.gates == want.gates
-    assert net.widths == want.widths
-    assert net.names == want.names
-    assert (net.inputs, net.outputs) == (want.inputs, want.outputs)
+@pytest.mark.parametrize("flow", ["rf-2", "rf-3", "logicnet"])
+def test_cascade_slices_each_bit_of_a_layer_once(flow):
+    """Layer l reads N_{l-1} * m SLICE gates, one per bit of the previous layer's words."""
+    net = cascade_modules(_seeded_module_rows(flow), [4, 3, 2], FMT)
+    slices = [(g.operands[0], g.params) for g in net.gates if g.kind == "SLICE"]
+    m = FMT.total_bits
+    assert len(set(slices)) == len(slices) == (4 + 3) * m
+    assert sum(word in net.inputs for word, _ in slices) == 4 * m
+
+
+def test_cascade_rejects_a_module_word_of_the_wrong_width():
+    rows = _seeded_module_rows("direct")
+    rows[0][1] = lambda net, words: net.bit(words[0], 0)
+    with pytest.raises(ValueError, match="layer 1: module must output one 4-bit word"):
+        cascade_modules(rows, [4, 3, 2], FMT)
+
+
+@pytest.mark.parametrize("flow", ["rf-2", "logicnet"])
+def test_distilled_module_rejects_a_layer_of_other_width(flow):
+    """Layer 2's modules read 3 words of 4 bits; 4 words are 16 features, not 12."""
+    module = _seeded_module_rows(flow)[1][0]
+    module_netlist(module, 3, 4)
+    with pytest.raises(ValueError, match="reads 12 features, not 4 words of 4 bits"):
+        module_netlist(module, 4, 4)
 
 
 GATE_KINDS = {"NEURON", "ADD", "GT", "MUX", "CONST", "SLICE", "CONCAT", "LUT"}
@@ -332,11 +351,3 @@ def test_unknown_gate_kinds_are_rejected():
             simulate_netlist(net, [0])
         with pytest.raises(ValueError, match=f"cannot lower gate kind '{kind}'"):
             lower_netlist(net)
-
-
-def test_merge_into_rejects_a_width_mismatch():
-    module = build_neuron(((4, 2), 0, 2, True), 4)
-    dst = Netlist()
-    words = [dst.add_input(4), dst.add_input(3)]
-    with pytest.raises(ValueError, match="width mismatch binding module input 1"):
-        netlist.merge_into(dst, module, dict(zip(module.inputs, words)))

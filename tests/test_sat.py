@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import propagate_reference, solver_load_reference, tseitin_reference
+from oracles import (
+    cnf_formula,
+    module_netlist,
+    propagate_reference,
+    solver_load_reference,
+    tseitin_reference,
+)
 
 from nn2logic.aig import AigGraph, import_graph, lower_netlist, simulate_aig
 from nn2logic.netlist import Netlist, build_neuron
@@ -45,55 +51,63 @@ def random_3cnf(num_vars: int, num_clauses: int, seed: int) -> list[list[int]]:
 
 
 def test_simple_sat():
-    f = CnfFormula(2, [[1, 2], [-1]])
+    f = cnf_formula(2, [[1, 2], [-1]])
     model = solve(f)
     assert model is not None
     assert model[1] is False and model[2] is True
 
 
 def test_simple_unsat():
-    assert solve(CnfFormula(1, [[1], [-1]])) is None
+    assert solve(cnf_formula(1, [[1], [-1]])) is None
 
 
 def test_empty_clause_unsat():
-    assert solve(CnfFormula(1, [[]])) is None
+    assert solve(cnf_formula(1, [[]])) is None
 
 
 def test_no_clauses_sat():
-    assert solve(CnfFormula(3, [])) is not None
+    assert solve(cnf_formula(3, [])) is not None
 
 
 def test_formula_validation():
     with pytest.raises(ValueError):
-        CnfFormula(2, [[0]])
+        cnf_formula(2, [[0]])
     with pytest.raises(ValueError):
-        CnfFormula(2, [[3]])
+        cnf_formula(2, [[3]])
     with pytest.raises(ValueError, match="literal 3 out of range for 2 vars"):
-        CnfFormula(2, [[1, 3], [0], [-4]])
+        cnf_formula(2, [[1, 3], [0], [-4]])
     with pytest.raises(ValueError, match=f"literal {-2**70} out of range"):
-        CnfFormula(2, [[1], [-2**70]])
+        cnf_formula(2, [[1], [-2**70]])
     with pytest.raises(ValueError, match="starts"):
-        CnfFormula.from_arrays(2, [1, 2], [0, 3])
+        CnfFormula(2, [1, 2], [0, 3])
     with pytest.raises(ValueError, match="num_vars"):
-        CnfFormula(-1, [])
+        cnf_formula(-1, [])
 
 
 @pytest.mark.parametrize("literal", [1.5, "1", None, 2.0, np.float64(1)])
 def test_formula_rejects_non_integer_literals(literal):
     message = f"literal {literal!r} in clause 1 is not an integer"
     with pytest.raises(ValueError, match=re.escape(message)):
-        CnfFormula(2, [[1, -2], [2, literal]])
+        cnf_formula(2, [[1, -2], [2, literal]])
+
+
+def test_formula_rejects_non_integer_flat_arrays():
+    """Float literals and starts are not read as the integers they truncate to."""
+    with pytest.raises(ValueError, match=re.escape("literal 1.5 in clause 0 is not an integer")):
+        CnfFormula(2, [1.5, -2.7], [0, 1, 2])
+    with pytest.raises(ValueError, match=re.escape("clause start 1.0 at 1 is not an integer")):
+        CnfFormula(2, [1, -2], [0, 1.0, 2])
 
 
 def test_formula_accepts_integer_types():
-    f = CnfFormula(2, [[np.int64(1), True], (-2,)])
+    f = cnf_formula(2, [[np.int64(1), True], (-2,)])
     assert f.lits.dtype == np.int64 and f.lits.tolist() == [1, 1, -2]
     assert f.starts.tolist() == [0, 2, 3]
     assert solve(f) == [False, True, False]
 
 
 def test_clauses_is_a_read_only_view():
-    f = CnfFormula(3, [[1, -2], [], [3]])
+    f = cnf_formula(3, [[1, -2], [], [3]])
     assert len(f.clauses) == 3
     assert list(f.clauses) == [[1, -2], [], [3]]
     assert f.clauses[-1] == [3]
@@ -111,7 +125,7 @@ def test_random_3cnf_matches_brute_force(data):
     num_vars = data.draw(st.integers(3, 12))
     num_clauses = data.draw(st.integers(1, 5 * num_vars))
     clauses = random_3cnf(num_vars, num_clauses, data.draw(st.integers(0, 2**31)))
-    f = CnfFormula(num_vars, clauses)
+    f = cnf_formula(num_vars, clauses)
     model = solve(f)
     assert (model is not None) == brute_force_sat(num_vars, clauses)
 
@@ -141,7 +155,7 @@ def test_find_onset_vector_on_neurons():
     found = 0
     for _ in range(10):
         weights = tuple(int(w) for w in rng.integers(-8, 8, size=2))
-        g = lower_netlist(build_neuron((weights, 0, 2, True), 4))
+        g = lower_netlist(module_netlist(build_neuron((weights, 0, 2, True)), len(weights), 4))
         for out_idx in range(len(g.outputs)):
             vec = find_onset_vector(g, out_idx)
             if vec is not None:
@@ -253,11 +267,11 @@ def assert_same_search(formula: CnfFormula, var_inc: float = 1.0, solver=_Cdcl) 
 def test_heap_search_matches_scan_on_random_3cnf(num_vars, ratio, seed):
     # Near the 3-SAT threshold most of these take over 100 conflicts, the
     # first restart.
-    assert_same_search(CnfFormula(num_vars, random_3cnf(num_vars, int(ratio * num_vars), seed)))
+    assert_same_search(cnf_formula(num_vars, random_3cnf(num_vars, int(ratio * num_vars), seed)))
 
 
 def test_random_3cnf_at_threshold_restarts():
-    s = assert_same_search(CnfFormula(100, random_3cnf(100, 426, 7)))
+    s = assert_same_search(cnf_formula(100, random_3cnf(100, 426, 7)))
     assert s.conflicts > 250  # past the first two restarts (100, then 150)
 
 
@@ -266,7 +280,7 @@ def test_heap_search_matches_scan_on_neuron_queries():
     graphs = []
     for _ in range(4):
         weights = tuple(int(w) for w in rng.integers(-8, 8, size=3))
-        g = lower_netlist(build_neuron((weights, 0, 2, True), 4))
+        g = lower_netlist(module_netlist(build_neuron((weights, 0, 2, True)), len(weights), 4))
         graphs.append(g)
         for out_idx in range(len(g.outputs)):
             formula, _ = tseitin(g, out_idx)
@@ -304,18 +318,18 @@ def assert_same_propagation(formula: CnfFormula) -> _Cdcl:
 @given(st.integers(20, 110), st.floats(3.0, 5.0), st.integers(0, 2**31))
 def test_propagate_matches_reference_on_random_3cnf(num_vars, ratio, seed):
     clauses = random_3cnf(num_vars, int(ratio * num_vars), seed)
-    assert_same_propagation(CnfFormula(num_vars, clauses))
+    assert_same_propagation(cnf_formula(num_vars, clauses))
 
 
 def test_propagate_matches_reference_past_restarts():
-    assert assert_same_propagation(CnfFormula(100, random_3cnf(100, 426, 7))).conflicts > 250
+    assert assert_same_propagation(cnf_formula(100, random_3cnf(100, 426, 7))).conflicts > 250
 
 
 def test_propagate_matches_reference_on_neuron_queries():
     rng = np.random.default_rng(13)
     graphs = [
-        lower_netlist(build_neuron((tuple(rng.integers(-8, 8, size=3).tolist()), 0, 2, True), 4))
-        for _ in range(4)
+        lower_netlist(module_netlist(build_neuron((weights, 0, 2, True)), 3, 4))
+        for weights in (tuple(rng.integers(-8, 8, size=3).tolist()) for _ in range(4))
     ]
     for g in graphs:
         for out_idx in range(len(g.outputs)):
@@ -345,7 +359,7 @@ class RescaleCheckedCdcl(_Cdcl):
 
 def test_heap_survives_activity_rescale_mid_search():
     s = assert_same_search(
-        CnfFormula(100, random_3cnf(100, 426, 7)), var_inc=1e99, solver=RescaleCheckedCdcl
+        cnf_formula(100, random_3cnf(100, 426, 7)), var_inc=1e99, solver=RescaleCheckedCdcl
     )
     assert s.rescales >= 1 and s.conflicts > s.rescales
 
@@ -355,7 +369,7 @@ def test_rescale_rounding_tie_reorders_heap():
     # value: the lower index must then be decided first.
     low, high = 7.493860291067043e99, 7.493860291067044e99
     assert low < high and low * 1e-100 == high * 1e-100
-    s = _Cdcl(CnfFormula(3, []))
+    s = _Cdcl(cnf_formula(3, []))
     s.activity[:2] = [low, high]
     s._rebuild_heap()
     s.var_inc = 1.5e100
@@ -382,7 +396,7 @@ class HeapSizeCdcl(_Cdcl):
 def test_heap_compaction_bounds_stale_entries():
     # Thousands of conflicts leave behind far more stale entries than there
     # are variables; compaction keeps the list within 2 * nv entries.
-    s = assert_same_search(CnfFormula(150, random_3cnf(150, 639, 1)), solver=HeapSizeCdcl)
+    s = assert_same_search(cnf_formula(150, random_3cnf(150, 639, 1)), solver=HeapSizeCdcl)
     assert s.conflicts > 2000
     assert s.longest <= 2 * s.nv + 1
 
@@ -405,7 +419,7 @@ def messy_cnf(draw):
 def test_bulk_load_matches_clause_by_clause_reference(cnf):
     num_vars, clauses = cnf
     ok, stored, watches, trail = solver_load_reference(num_vars, clauses)
-    s = _Cdcl(CnfFormula(num_vars, clauses))
+    s = _Cdcl(cnf_formula(num_vars, clauses))
     assert s.ok == ok
     if ok:
         assert s.clauses == stored
@@ -443,10 +457,10 @@ def test_tseitin_matches_node_by_node_reference(n_inputs, n_ands, seed):
 def test_solve_rejects_a_non_satisfying_model(monkeypatch):
     monkeypatch.setattr(_Cdcl, "solve", lambda self: [False, False, True])
     with pytest.raises(AssertionError, match="non-satisfying assignment"):
-        solve(CnfFormula(2, [[1, -2], [2, -1], [1]]))
+        solve(cnf_formula(2, [[1, -2], [2, -1], [1]]))
     monkeypatch.setattr(_Cdcl, "solve", lambda self: [False, True])
     with pytest.raises(AssertionError, match="non-satisfying assignment"):
-        solve(CnfFormula(1, [[1], []]))
+        solve(cnf_formula(1, [[1], []]))
 
 
 @pytest.mark.parametrize("enabled", [True, False])
@@ -466,9 +480,9 @@ def test_solve_leaves_the_collector_as_found(monkeypatch, enabled, raises):
         (gc.enable if enabled else gc.disable)()
         if raises:
             with pytest.raises(RuntimeError, match="search failed"):
-                solve(CnfFormula(1, [[1]]))
+                solve(cnf_formula(1, [[1]]))
         else:
-            assert solve(CnfFormula(1, [[1]])) == [False, True]
+            assert solve(cnf_formula(1, [[1]])) == [False, True]
         assert gc.isenabled() == enabled
     finally:
         (gc.enable if was else gc.disable)()
