@@ -7,6 +7,14 @@ the node ids.  Each node carries its level, the longest path from an input in
 AND nodes, set when the node is created.  Batch simulation packs one sample
 per bit of a Python int, so a full pass evaluates every sample at once.
 
+Every AND node is canonical, as ``and2`` builds it: fanin0 < fanin1, neither
+fanin is a constant, the two fanins are neither equal nor complementary, and
+each (fanin0, fanin1) pair belongs to one node only.  So a one-to-one
+renumbering of nodes that keeps complement bits maps canonical ANDs to
+canonical ANDs, once each pair is put back in ascending order; the
+whole-graph passes (``sweep``, AIGER I/O, the equation report) rely on it
+and run on NumPy arrays of the fanins.
+
 A LUT gate lowers as a Shannon mux tree.  Before lowering, one pass gives
 each distinct table of the netlist the select order of least model cost
 (`_shannon_orders`, an exact program over subsets of the selects); a table
@@ -103,6 +111,14 @@ class AigGraph:
     def and_count(self) -> int:
         return len(self.fanin0) - 1 - len(self.inputs)
 
+    def fanin_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """``fanin0`` and ``fanin1`` as int32 arrays, for the whole-graph passes.
+
+        32 bits hold every literal of a graph these lists can keep in memory:
+        2**30 nodes would take over 100 GB.
+        """
+        return np.asarray(self.fanin0, dtype=np.int32), np.asarray(self.fanin1, dtype=np.int32)
+
 
 def simulate_batch(g: AigGraph, input_words: list[int], n_lanes: int) -> list[int]:
     """Evaluate all lanes at once; lane s of word k is sample s's bit for input k."""
@@ -143,43 +159,74 @@ def stats(g: AigGraph) -> tuple[int, int]:
     return g.and_count(), max((g.levels[o >> 1] for o in g.outputs), default=0)
 
 
-def live_nodes(g: AigGraph) -> bytearray:
-    """One flag per node: 1 for the nodes the outputs reach, in one descending pass."""
-    f0, f1 = g.fanin0, g.fanin1
-    live = bytearray(len(f0))
-    for o in g.outputs:
-        live[o >> 1] = 1
-    for node in range(len(f0) - 1, 0, -1):
-        if live[node] and f0[node] >= 0:
-            live[f0[node] >> 1] = 1
-            live[f1[node] >> 1] = 1
+def live_nodes(g: AigGraph) -> np.ndarray:
+    """One bool per node: True for the nodes the outputs reach.
+
+    Live flags pass down one level at a time, from the top level to level 1;
+    a node's fanins are on lower levels, so each level is final when reached.
+    """
+    f0, f1 = g.fanin_arrays()
+    levels = np.array(g.levels)
+    live = np.zeros(len(f0), dtype=bool)
+    live[np.asarray(g.outputs, dtype=np.int64) >> 1] = True
+    by_level = np.argsort(levels, kind="stable")
+    ends = np.cumsum(np.bincount(levels))
+    for level in range(len(ends) - 1, 0, -1):
+        nodes = by_level[ends[level - 1] : ends[level]]
+        nodes = nodes[live[nodes]]
+        live[f0[nodes] >> 1] = True
+        live[f1[nodes] >> 1] = True
     return live
 
 
-def sweep(g: AigGraph) -> AigGraph:
-    """Drop AND nodes unreachable from the outputs and re-hash the rest.
+def _renumbering(g: AigGraph, ands: np.ndarray):
+    """Literal map of the numbering that puts the inputs at 1..I in input order, then ``ands``."""
+    new_index = np.zeros(g.num_nodes, dtype=np.int64)
+    new_index[np.asarray(g.inputs, dtype=np.int64)] = np.arange(1, len(g.inputs) + 1)
+    new_index[ands] = np.arange(len(g.inputs) + 1, len(g.inputs) + len(ands) + 1)
+    return lambda literals: (new_index[literals >> 1] << 1) | (literals & 1)
 
-    Primary inputs are all kept so input counts and positions are stable.
+
+def sweep(g: AigGraph) -> AigGraph:
+    """Drop AND nodes unreachable from the outputs, renumbering the rest.
+
+    Primary inputs are all kept, as nodes 1..I in input order, so input
+    counts and positions are stable; the live ANDs follow in their current
+    order.  Every AND is canonical (see the module docstring) and the
+    renumbering is one-to-one and keeps complement bits, so each copied AND
+    is canonical once its fanin pair is sorted: no ``and2`` rule or
+    structural-hash hit could fire, and the result is the graph a rebuild
+    through ``and2`` gives.
     """
+    f0, f1 = g.fanin_arrays()
+    ands = np.flatnonzero(live_nodes(g) & (f0 >= 0))
+    n_in, n_and = len(g.inputs), len(ands)
+    ren = _renumbering(g, ands)
+    a, b = ren(f0[ands]), ren(f1[ands])
+    # inputs interleaved with ANDs move to the front, which can swap a pair
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
     out = AigGraph()
-    inputs = [out.add_input(name) for name in g.input_names]
-    for literal, name in zip(_copy_ands(out, g, inputs, live_nodes(g)), g.output_names):
-        out.add_output(literal, name)
+    out.fanin0 += [_INPUT] * n_in + lo.tolist()
+    out.fanin1 += [_INPUT] * n_in + hi.tolist()
+    out.levels.extend([0] * n_in)
+    out.levels.frombytes(np.array(g.levels)[ands].tobytes())
+    out.inputs = list(range(1, n_in + 1))
+    out.input_names = list(g.input_names)
+    out.outputs = ren(np.asarray(g.outputs, dtype=np.int64)).tolist()
+    out.output_names = list(g.output_names)
+    out._strash = dict(zip(((lo << 32) | hi).tolist(), range(n_in + 1, n_in + n_and + 1)))
     return out
 
 
 def import_graph(dst: AigGraph, src: AigGraph, input_lits: list[int]) -> list[int]:
-    """Copy ``src`` into ``dst`` with its inputs bound; returns output literals."""
+    """Copy ``src`` into ``dst`` with its inputs bound; returns output literals.
+
+    Every AND goes through ``dst.and2``: bound inputs and ``dst``'s own nodes
+    can make a copied AND fold or hit the structural hash, as when a miter
+    joins two circuits over one set of inputs.
+    """
     if len(input_lits) != len(src.inputs):
         raise ValueError("input binding count mismatch")
-    return _copy_ands(dst, src, input_lits)
-
-
-def _copy_ands(dst: AigGraph, src: AigGraph, input_lits: list[int], live=None) -> list[int]:
-    """Re-build ``src``'s ANDs in ``dst``, only those flagged in ``live`` if given.
-
-    ``src``'s inputs are bound to ``input_lits``; returns its output literals.
-    """
     remap = [0] * len(src.fanin0)
     for node, bound in zip(src.inputs, input_lits):
         remap[node] = bound
@@ -187,7 +234,7 @@ def _copy_ands(dst: AigGraph, src: AigGraph, input_lits: list[int], live=None) -
     and2 = dst.and2
     for node in range(1, len(f0)):
         a = f0[node]
-        if a < 0 or (live is not None and not live[node]):
+        if a < 0:
             continue
         b = f1[node]
         remap[node] = and2(remap[a >> 1] ^ (a & 1), remap[b >> 1] ^ (b & 1))
@@ -485,41 +532,97 @@ def lower_netlist(net: Netlist) -> AigGraph:
 
 
 def write_aiger(g: AigGraph, path) -> None:
-    """ASCII AIGER (`aag M I L O A`, combinational: L = 0)."""
-    order: list[int] = list(g.inputs)
-    f0, f1 = g.fanin0, g.fanin1
-    ands = [n for n in range(1, len(f0)) if f0[n] >= 0]
-    new_index = [0] * len(f0)
-    for pos, node in enumerate(order + ands, start=1):
-        new_index[node] = pos
+    """ASCII AIGER (`aag M I L O A`, combinational: L = 0).
 
-    def ren(literal: int) -> int:
-        return (new_index[literal >> 1] << 1) | (literal & 1)
-
-    lines = [f"aag {len(order) + len(ands)} {len(order)} 0 {len(g.outputs)} {len(ands)}"]
-    for node in order:
-        lines.append(str(new_index[node] << 1))
-    for o in g.outputs:
-        lines.append(str(ren(o)))
-    for node in ands:
-        lines.append(f"{new_index[node] << 1} {ren(f0[node])} {ren(f1[node])}")
-    for pos, name in enumerate(g.input_names):
-        if name:
-            lines.append(f"i{pos} {name}")
-    for pos, name in enumerate(g.output_names):
-        if name:
-            lines.append(f"o{pos} {name}")
+    Inputs are variables 1..I in input order and the ANDs follow in node
+    order, so every AND line comes after the lines of its fanins.
+    """
+    f0, f1 = g.fanin_arrays()
+    ands = np.flatnonzero(f0 >= 0)
+    n_in, n_and = len(g.inputs), len(ands)
+    ren = _renumbering(g, ands)
+    body = np.stack([ren(ands << 1), ren(f0[ands]), ren(f1[ands])], axis=1)
+    lines = [f"aag {n_in + n_and} {n_in} 0 {len(g.outputs)} {n_and}"]
+    lines += map(str, range(2, 2 * n_in + 1, 2))
+    lines += map(str, ren(np.asarray(g.outputs, dtype=np.int64)).tolist())
+    lines += [f"i{pos} {name}" for pos, name in enumerate(g.input_names) if name]
+    lines += [f"o{pos} {name}" for pos, name in enumerate(g.output_names) if name]
+    head = 1 + n_in + len(g.outputs)
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("".join(f"{line}\n" for line in lines[:head]))
+        fh.write(("%d %d %d\n" * n_and) % tuple(body.ravel().tolist()))
+        fh.write("".join(f"{line}\n" for line in lines[head:]))
+
+
+def _plain_ands(section: list[str]) -> np.ndarray | None:
+    """The (A, 3) values of AND lines that are all plain, else None.
+
+    A plain line is three tokens of 1 to 18 ASCII digits, one space apart.
+    On such lines ``int`` and NumPy's text parser read the same values, and
+    none can overflow int64, so one parse stands for every line's.
+    """
+    text = "\n".join(section)
+    if not section or not text.isascii():
+        return None
+    raw = np.frombuffer(text.encode(), dtype=np.uint8)
+    seps = np.flatnonzero((raw < ord("0")) | (raw > ord("9")))
+    if len(seps) != 3 * len(section) - 1:
+        return None
+    pattern = np.tile(np.array([ord(" "), ord(" "), ord("\n")], dtype=np.uint8), len(section))
+    widths = np.diff(seps, prepend=-1, append=len(raw)) - 1
+    if not ((raw[seps] == pattern[:-1]).all() and (widths >= 1).all() and (widths <= 18).all()):
+        return None
+    return np.fromstring(text, dtype=np.int64, sep=" ").reshape(-1, 3)
+
+
+def _append_canonical_prefix(g: AigGraph, ands: np.ndarray) -> int:
+    """Append the leading AND lines that are canonical ANDs as numbered; returns their count.
+
+    ``ands`` are the section's (lhs, rhs0, rhs1) rows, and ``g`` holds just
+    the inputs, as variables 1..I in order.  Line j counts when its lhs is
+    2 * (I + 1 + j), both its fanins are variables 1..I + j (inputs or
+    earlier lines, so neither is a constant), the two differ, and no earlier
+    line has the same sorted pair.  Such a line passes every check of the
+    reader, since the header's M is at least I + A, and ``and2`` would
+    create node I + 1 + j from it with the file's literals unchanged.
+    """
+    own = g.num_nodes + np.arange(len(ands))
+    fanin_vars = ands[:, 1:] >> 1
+    lo, hi = ands[:, 1:].min(axis=1), ands[:, 1:].max(axis=1)
+    key = (lo << 32) | hi
+    by_key = np.argsort(key, kind="stable")
+    repeated = np.zeros(len(ands), dtype=bool)
+    repeated[by_key[1:]] = key[by_key[1:]] == key[by_key[:-1]]
+    ok = (
+        (ands[:, 0] == 2 * own)
+        & (fanin_vars >= 1).all(axis=1)
+        & (fanin_vars < own[:, None]).all(axis=1)
+        & (fanin_vars[:, 0] != fanin_vars[:, 1])
+        & ~repeated
+    )
+    count = len(ands) if ok.all() else int(np.argmin(ok))
+    lo, hi = lo[:count], hi[:count]
+    levels = g.levels.tolist()
+    for a, b in zip((lo >> 1).tolist(), (hi >> 1).tolist()):
+        la, lb = levels[a], levels[b]
+        levels.append((la if la >= lb else lb) + 1)
+    g.levels = array("i", levels)
+    g._strash.update(zip(((lo << 32) | hi).tolist(), range(g.num_nodes, g.num_nodes + count)))
+    g.fanin0 += lo.tolist()
+    g.fanin1 += hi.tolist()
+    return count
 
 
 def read_aiger(path) -> AigGraph:
     """Read a combinational ASCII AIGER file; bad input raises ValueError at ``path:line``.
 
-    An AND is built as soon as its line is read if both fanins are already
-    defined, which holds for every line `write_aiger` emits, so its files read
-    back in one pass with their node numbering.  The remaining ANDs are
-    resolved afterwards in ascending variable order.
+    When the inputs are variables 1..I in order and every AND line is plain
+    (``_plain_ands``), the AND section is parsed in one step, and its
+    leading lines that are canonical ANDs as numbered are appended in bulk
+    (``_append_canonical_prefix``): for a file `write_aiger` emits, that is
+    every line.  Each later line is checked and built with ``and2`` as soon
+    as both fanins are defined, and the ANDs left waiting are resolved
+    afterwards in ascending variable order.
     """
     with open(path) as fh:
         lines = fh.read().splitlines()
@@ -556,9 +659,15 @@ def read_aiger(path) -> AigGraph:
             if not 0 <= spec <= max_lit:
                 raise ValueError(f"output literal {spec} out of range 0..{max_lit}")
             out_specs.append((k, spec))
+        first = 1 + n_in + n_out
+        ands = _plain_ands(lines[first:end])
+        if ands is not None and list(var_lit) == list(range(n_in + 1)):
+            # the inputs are variables 1..I in order, so variable v is node v
+            first += _append_canonical_prefix(g, ands)
+            var_lit.update((v, v << 1) for v in range(n_in + 1, g.num_nodes))
         and2 = g.and2
         pending: dict[int, tuple[int, int, int]] = {}  # AND var -> (rhs0, rhs1, line)
-        for k in range(1 + n_in + n_out, end):
+        for k in range(first, end):
             lhs, r0, r1 = map(int, lines[k].split())
             var = lhs >> 1
             if lhs & 1 or not 0 < lhs <= max_lit or var in var_lit or var in pending:

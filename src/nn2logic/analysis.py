@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -129,39 +130,34 @@ def emit_equations(
     """
     in_names = list(input_names or [n or f"i{k}" for k, n in enumerate(g.input_names)])
     out_names = [n or f"o{k}" for k, n in enumerate(g.output_names)]
-    f0, f1 = g.fanin0, g.fanin1
-    flags = live_nodes(g)
-    live = [node for node in range(1, len(f0)) if flags[node] and f0[node] >= 0]
+    f0, f1 = g.fanin_arrays()
+    live = np.flatnonzero(live_nodes(g) & (f0 >= 0))
+    refs = np.bincount(np.concatenate([f0[live], f1[live]]) >> 1, minlength=len(f0))
+    out_nodes = Counter(o >> 1 for o in g.outputs)
+    inline = {
+        o >> 1
+        for o in g.outputs
+        if (o & 1) == 0 and f0[o >> 1] >= 0 and refs[o >> 1] == 0 and out_nodes[o >> 1] == 1
+    }
+    named = live[~np.isin(live, list(inline))]
 
-    refs: dict[int, int] = {}
-    for node in live:
-        for fanin in (f0[node], f1[node]):
-            refs[fanin >> 1] = refs.get(fanin >> 1, 0) + 1
-    out_nodes: dict[int, int] = {}
-    for o in g.outputs:
-        out_nodes[o >> 1] = out_nodes.get(o >> 1, 0) + 1
-
-    inline: set[int] = set()
-    for o in g.outputs:
-        node = o >> 1
-        if (o & 1) == 0 and f0[node] >= 0 and refs.get(node, 0) == 0 and out_nodes[node] == 1:
-            inline.add(node)
-
-    name_of: dict[int, str] = dict(zip(g.inputs, in_names))
-    counter = len(g.inputs) + 1
-    lines: list[str] = []
+    # one name per node: the inputs', then n<I+1>, n<I+2>, ... for the named ANDs
+    name_of = np.empty(len(f0), dtype=object)
+    name_of[g.inputs[: len(in_names)]] = in_names[: len(g.inputs)]
+    first = len(g.inputs) + 1
+    name_of[named] = [f"n{k}" for k in range(first, first + len(named))]
 
     def ref(literal: int) -> str:
-        node = literal >> 1
-        text = name_of[node] if node else "0"
-        return f"NOT {text}" if literal & 1 else text
+        return f"NOT {name_of[literal >> 1]}" if literal & 1 else name_of[literal >> 1]
 
-    for node in live:
-        if node in inline:
-            continue
-        name_of[node] = f"n{counter}"
-        counter += 1
-        lines.append(f"{name_of[node]} = {ref(f0[node])} AND {ref(f1[node])};")
+    negation = np.array(["", "NOT "], dtype=object)
+    a, b = f0[named], f1[named]
+    lines = list(map(
+        "{} = {}{} AND {}{};".format,
+        name_of[named].tolist(),
+        negation[a & 1].tolist(), name_of[a >> 1].tolist(),
+        negation[b & 1].tolist(), name_of[b >> 1].tolist(),
+    ))
     for o, out_name in zip(g.outputs, out_names):
         node = o >> 1
         if node in inline:

@@ -162,17 +162,19 @@ def _count_right(cols: np.ndarray, planes: tuple, candidates: tuple) -> np.ndarr
     """(A, C, 2) weighted rows and ones on the 1 side of each node's candidates.
 
     ``planes[i]`` and ``candidates[i]`` are node i's (2, P_i, words) planes
-    and its C candidate columns.  One ``bitwise_count`` covers every
-    candidate of every node; each node's planes are padded with zero planes
-    to the largest plane count.
+    and its C candidate columns.  Nodes with the same plane count P are
+    counted together, with one ``bitwise_count`` over all their candidates.
     """
-    n_planes = max(p.shape[1] for p in planes)
-    padded = np.zeros((len(planes), 2, n_planes, cols.shape[1]), dtype=cols.dtype)
-    for i, p in enumerate(planes):
-        padded[i, :, : p.shape[1]] = p
-    hits = padded[:, None] & cols[np.array(candidates)][:, :, None, None, :]
-    counts = np.bitwise_count(hits).sum(axis=-1, dtype=np.int64)  # (A, C, 2, P)
-    return counts @ (1 << np.arange(n_planes, dtype=np.int64))
+    n_planes = np.array([p.shape[1] for p in planes])
+    candidates = np.array(candidates)
+    right = np.empty((len(planes), candidates.shape[1], 2), dtype=np.int64)
+    for p in np.unique(n_planes).tolist():
+        group = np.flatnonzero(n_planes == p)
+        stacked = np.stack([planes[i] for i in group.tolist()])
+        hits = stacked[:, None] & cols[candidates[group]][:, :, None, None, :]
+        counts = np.bitwise_count(hits).sum(axis=-1, dtype=np.int64)  # (G, C, 2, P)
+        right[group] = counts @ (1 << np.arange(p, dtype=np.int64))
+    return right
 
 
 def train_forests(

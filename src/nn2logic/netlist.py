@@ -26,7 +26,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 
-from nn2logic.fixedpoint import FixedPointFormat, from_int, signed_value
+from nn2logic.fixedpoint import FixedPointFormat
 from nn2logic.mlp import quantize_layers
 
 
@@ -141,60 +141,6 @@ def _is_integer(value) -> bool:
     except TypeError:
         return False
     return True
-
-
-def simulate_netlist(net: Netlist, input_bits) -> list[str]:
-    """Topological evaluation; returns one bit string per output."""
-    if len(input_bits) != len(net.inputs):
-        raise ValueError(f"expected {len(net.inputs)} inputs, got {len(input_bits)}")
-    values: dict[int, int] = {}
-    for sid, given in zip(net.inputs, input_bits):
-        w = net.widths[sid]
-        v = int(given, 2) if isinstance(given, str) else int(given)
-        if isinstance(given, str) and len(given) != w:
-            raise ValueError(f"input width mismatch on signal {sid}")
-        values[sid] = v & ((1 << w) - 1)
-    for g in net.gates:
-        values[g.output] = _eval_gate(net, g, values)
-    return [from_int(values[o], net.widths[o]) for o in net.outputs]
-
-
-def _eval_gate(net: Netlist, g: Gate, values: dict[int, int]) -> int:
-    ops = [values[o] for o in g.operands]
-    w = [net.widths[o] for o in g.operands]
-    kind = g.kind
-    if kind == "CONST":
-        return int(g.params[0], 2)
-    if kind == "NEURON":
-        weights, bias, shift, relu = g.params
-        m = w[0]
-        acc = bias + sum(c * signed_value(v, m) for c, v in zip(weights, ops))
-        acc = signed_value(acc & ((1 << 3 * m) - 1), 3 * m)
-        if relu and acc < 0:
-            acc = 0
-        hi = (1 << (m - 1)) - 1
-        return max(-hi - 1, min(hi, acc >> shift)) & ((1 << m) - 1)
-    if kind == "ADD":
-        return (ops[0] + ops[1]) & ((1 << w[0]) - 1)
-    if kind == "GT":
-        return int(signed_value(ops[0], w[0]) > signed_value(ops[1], w[1]))
-    if kind == "MUX":
-        return ops[1] if ops[0] else ops[2]
-    if kind == "SLICE":
-        lo, hi = g.params
-        return (ops[0] >> lo) & ((1 << (hi - lo + 1)) - 1)
-    if kind == "CONCAT":
-        acc = 0
-        for v, width in zip(ops, w):  # first operand is most significant
-            acc = (acc << width) | v
-        return acc
-    if kind == "LUT":
-        table, _k = g.params
-        pattern = 0
-        for q, v in enumerate(ops):
-            pattern |= (v & 1) << q
-        return (table >> pattern) & 1
-    raise ValueError(f"unknown gate kind {kind!r}")
 
 
 def build_neuron(params: tuple):

@@ -8,6 +8,7 @@ one module alone and a formula from a list of clauses.
 
 from __future__ import annotations
 
+import collections
 import csv
 import itertools
 import math
@@ -16,8 +17,9 @@ from fractions import Fraction
 import numpy as np
 
 from nn2logic.aig import AigGraph
+from nn2logic.fixedpoint import from_int, signed_value
 from nn2logic.forest import DecisionTree, RandomForestModel, TreeNode
-from nn2logic.netlist import Netlist
+from nn2logic.netlist import Gate, Netlist
 from nn2logic.sat import CnfFormula
 
 
@@ -291,8 +293,8 @@ def levels_reference(g: AigGraph) -> list[int]:
     return levels
 
 
-def sweep_reference(g: AigGraph) -> AigGraph:
-    """``sweep`` by a depth-first walk from the outputs, then one copy of the live ANDs."""
+def live_reference(g: AigGraph) -> set[int]:
+    """The nodes the outputs reach, by a depth-first walk."""
     live = set()
     stack = [o >> 1 for o in g.outputs]
     while stack:
@@ -302,6 +304,12 @@ def sweep_reference(g: AigGraph) -> AigGraph:
         live.add(node)
         if g.fanin0[node] >= 0:
             stack += [g.fanin0[node] >> 1, g.fanin1[node] >> 1]
+    return live
+
+
+def sweep_reference(g: AigGraph) -> AigGraph:
+    """``sweep`` by a depth-first walk from the outputs, then one copy of the live ANDs."""
+    live = live_reference(g)
     out = AigGraph()
     remap = {0: 0}
     for node, name in zip(g.inputs, g.input_names):
@@ -313,6 +321,164 @@ def sweep_reference(g: AigGraph) -> AigGraph:
     for o, name in zip(g.outputs, g.output_names):
         out.add_output(remap[o >> 1] ^ (o & 1), name)
     return out
+
+
+def equation_lines_reference(g: AigGraph, in_names: list, out_names: list) -> list[str]:
+    """``emit_equations``'s lines, one live AND at a time in node order.
+
+    An output that is the only reference to an uncomplemented AND is written
+    as that AND; every other live AND gets the next name ``nK``, counting on
+    from the inputs.
+    """
+    ands = [node for node in sorted(live_reference(g)) if g.fanin0[node] >= 0]
+    refs = collections.Counter(f >> 1 for node in ands for f in (g.fanin0[node], g.fanin1[node]))
+    uses = collections.Counter(o >> 1 for o in g.outputs)
+    inline = {
+        o >> 1
+        for o in g.outputs
+        if not o & 1 and g.fanin0[o >> 1] >= 0 and not refs[o >> 1] and uses[o >> 1] == 1
+    }
+    name = dict(zip(g.inputs, in_names))
+
+    def ref(literal: int) -> str:
+        return ("NOT " if literal & 1 else "") + name[literal >> 1]
+
+    lines = []
+    for node in ands:
+        if node not in inline:
+            name[node] = f"n{len(g.inputs) + 1 + len(lines)}"
+            lines.append(f"{name[node]} = {ref(g.fanin0[node])} AND {ref(g.fanin1[node])};")
+    for o, out in zip(g.outputs, out_names):
+        if o >> 1 in inline:
+            lines.append(f"{out} = {ref(g.fanin0[o >> 1])} AND {ref(g.fanin1[o >> 1])};")
+        else:
+            lines.append(f"{out} = {o};" if o < 2 else f"{out} = {ref(o)};")
+    return lines
+
+
+def write_aiger_reference(g: AigGraph, path) -> None:
+    """``write_aiger`` one line at a time: inputs at 1..I in input order, then the ANDs."""
+    order: list[int] = list(g.inputs)
+    f0, f1 = g.fanin0, g.fanin1
+    ands = [n for n in range(1, len(f0)) if f0[n] >= 0]
+    new_index = [0] * len(f0)
+    for pos, node in enumerate(order + ands, start=1):
+        new_index[node] = pos
+
+    def ren(literal: int) -> int:
+        return (new_index[literal >> 1] << 1) | (literal & 1)
+
+    lines = [f"aag {len(order) + len(ands)} {len(order)} 0 {len(g.outputs)} {len(ands)}"]
+    for node in order:
+        lines.append(str(new_index[node] << 1))
+    for o in g.outputs:
+        lines.append(str(ren(o)))
+    for node in ands:
+        lines.append(f"{new_index[node] << 1} {ren(f0[node])} {ren(f1[node])}")
+    for pos, name in enumerate(g.input_names):
+        if name:
+            lines.append(f"i{pos} {name}")
+    for pos, name in enumerate(g.output_names):
+        if name:
+            lines.append(f"o{pos} {name}")
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def read_aiger_reference(path) -> AigGraph:
+    """``read_aiger`` one line at a time: every AND goes through ``and2``.
+
+    An AND is built as soon as its line is read if both fanins are already
+    defined; the remaining ANDs are resolved afterwards in ascending
+    variable order.  Bad input raises ValueError at ``path:line``.
+    """
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    k = 0  # index of the line being read, for error messages
+    try:
+        if not lines or not lines[0].startswith("aag "):
+            raise ValueError("not an ASCII AIGER file")
+        fields = lines[0].split()
+        if len(fields) != 6:
+            raise ValueError("malformed header")
+        m, n_in, n_latch, n_out, n_and = (int(v) for v in fields[1:])
+        if n_latch:
+            raise ValueError("latches are not supported")
+        if min(n_in, n_out, n_and) < 0 or n_in + n_and > m:
+            raise ValueError(f"inconsistent header counts {lines[0]!r}")
+        end = 1 + n_in + n_out + n_and
+        if len(lines) < end:
+            k = len(lines)
+            raise ValueError(
+                f"file ends after {len(lines)} lines; the header declares {n_in} inputs, "
+                f"{n_out} outputs and {n_and} ANDs ({end} lines)"
+            )
+        max_lit = 2 * m + 1
+        g = AigGraph()
+        var_lit = {0: 0}  # AIGER variable -> literal in g
+        for k in range(1, 1 + n_in):
+            declared = int(lines[k])
+            if declared & 1 or not 0 < declared <= max_lit or declared >> 1 in var_lit:
+                raise ValueError(f"invalid input literal {declared}")
+            var_lit[declared >> 1] = g.add_input()
+        out_specs = []
+        for k in range(1 + n_in, 1 + n_in + n_out):
+            spec = int(lines[k])
+            if not 0 <= spec <= max_lit:
+                raise ValueError(f"output literal {spec} out of range 0..{max_lit}")
+            out_specs.append((k, spec))
+        and2 = g.and2
+        pending: dict[int, tuple[int, int, int]] = {}  # AND var -> (rhs0, rhs1, line)
+        for k in range(1 + n_in + n_out, end):
+            lhs, r0, r1 = map(int, lines[k].split())
+            var = lhs >> 1
+            if lhs & 1 or not 0 < lhs <= max_lit or var in var_lit or var in pending:
+                raise ValueError(f"AND literal {lhs} must be even, in range and new")
+            if not (0 <= r0 <= max_lit and 0 <= r1 <= max_lit):
+                raise ValueError(f"AND fanin out of range 0..{max_lit}")
+            try:
+                var_lit[var] = and2(var_lit[r0 >> 1] ^ (r0 & 1), var_lit[r1 >> 1] ^ (r1 & 1))
+            except KeyError:  # a fanin defined further down
+                pending[var] = (r0, r1, k)
+        expanded: set[int] = set()
+        for root in sorted(pending):
+            todo = [root]
+            while todo:
+                var = todo[-1]
+                if var in var_lit:
+                    todo.pop()
+                    continue
+                r0, r1, k = pending[var]
+                expanded.add(var)
+                missing = [x >> 1 for x in (r0, r1) if x >> 1 not in var_lit]
+                for x in missing:
+                    if x not in pending:
+                        raise ValueError(f"undefined variable {x}")
+                    if x in expanded:
+                        raise ValueError(f"combinational cycle through variable {x}")
+                if missing:
+                    todo.extend(missing)
+                    continue
+                var_lit[var] = and2(var_lit[r0 >> 1] ^ (r0 & 1), var_lit[r1 >> 1] ^ (r1 & 1))
+                todo.pop()
+        for k, spec in out_specs:
+            if spec >> 1 not in var_lit:
+                raise ValueError(f"undefined variable {spec >> 1}")
+            g.add_output(var_lit[spec >> 1] ^ (spec & 1))
+        for k in range(end, len(lines)):
+            line = lines[k]
+            if line == "c":
+                break
+            if line.startswith("i") or line.startswith("o"):
+                tag, _, name = line.partition(" ")
+                idx = int(tag[1:])
+                if tag[0] == "i" and idx < len(g.input_names):
+                    g.input_names[idx] = name
+                elif tag[0] == "o" and idx < len(g.output_names):
+                    g.output_names[idx] = name
+    except ValueError as exc:
+        raise ValueError(f"{path}:{k + 1}: {exc}") from None
+    return g
 
 
 def solver_load_reference(num_vars: int, clauses) -> tuple[bool, list, list, list]:
@@ -463,6 +629,64 @@ def parse_equations(text_or_lines, input_names: list[str]) -> AigGraph:
     for name, literal in outputs:
         g.add_output(literal, name)
     return g
+
+
+def simulate_netlist(net: Netlist, input_bits) -> list[str]:
+    """Gate-by-gate evaluation of a netlist; returns one bit string per output.
+
+    Inputs are bit strings of their signal's width or integers.  Each gate
+    kind is evaluated from its definition in ``nn2logic.netlist``.
+    """
+    if len(input_bits) != len(net.inputs):
+        raise ValueError(f"expected {len(net.inputs)} inputs, got {len(input_bits)}")
+    values: dict[int, int] = {}
+    for sid, given in zip(net.inputs, input_bits):
+        w = net.widths[sid]
+        v = int(given, 2) if isinstance(given, str) else int(given)
+        if isinstance(given, str) and len(given) != w:
+            raise ValueError(f"input width mismatch on signal {sid}")
+        values[sid] = v & ((1 << w) - 1)
+    for g in net.gates:
+        values[g.output] = _eval_gate(net, g, values)
+    return [from_int(values[o], net.widths[o]) for o in net.outputs]
+
+
+def _eval_gate(net: Netlist, g: Gate, values: dict[int, int]) -> int:
+    ops = [values[o] for o in g.operands]
+    w = [net.widths[o] for o in g.operands]
+    kind = g.kind
+    if kind == "CONST":
+        return int(g.params[0], 2)
+    if kind == "NEURON":
+        weights, bias, shift, relu = g.params
+        m = w[0]
+        acc = bias + sum(c * signed_value(v, m) for c, v in zip(weights, ops))
+        acc = signed_value(acc & ((1 << 3 * m) - 1), 3 * m)
+        if relu and acc < 0:
+            acc = 0
+        hi = (1 << (m - 1)) - 1
+        return max(-hi - 1, min(hi, acc >> shift)) & ((1 << m) - 1)
+    if kind == "ADD":
+        return (ops[0] + ops[1]) & ((1 << w[0]) - 1)
+    if kind == "GT":
+        return int(signed_value(ops[0], w[0]) > signed_value(ops[1], w[1]))
+    if kind == "MUX":
+        return ops[1] if ops[0] else ops[2]
+    if kind == "SLICE":
+        lo, hi = g.params
+        return (ops[0] >> lo) & ((1 << (hi - lo + 1)) - 1)
+    if kind == "CONCAT":
+        acc = 0
+        for v, width in zip(ops, w):  # first operand is most significant
+            acc = (acc << width) | v
+        return acc
+    if kind == "LUT":
+        table, _k = g.params
+        pattern = 0
+        for q, v in enumerate(ops):
+            pattern |= (v & 1) << q
+        return (table >> pattern) & 1
+    raise ValueError(f"unknown gate kind {kind!r}")
 
 
 def write_csv(data, path) -> None:

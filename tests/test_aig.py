@@ -19,10 +19,11 @@ from nn2logic.aig import (
     sweep,
     write_aiger,
 )
+from nn2logic.analysis import emit_equations
 from nn2logic.datasets import LabeledDataset
 from nn2logic.fixedpoint import FixedPointFormat
 from nn2logic.mlp import DenseLayer, Mlp, extract_distillation_sets
-from nn2logic.netlist import Netlist, build_network_direct, build_neuron, simulate_netlist
+from nn2logic.netlist import Netlist, build_network_direct, build_neuron
 from nn2logic.pipeline import compile_logicnet, compile_rf
 
 from oracles import (
@@ -32,8 +33,12 @@ from oracles import (
     permute_table_reference,
     shannon_cost_reference,
     module_netlist,
+    equation_lines_reference,
+    read_aiger_reference,
     signed,
+    simulate_netlist,
     sweep_reference,
+    write_aiger_reference,
 )
 
 
@@ -752,6 +757,7 @@ def test_sweep_matches_the_oracle(g):
         want.fanin0, want.fanin1, want.inputs, want.outputs
     )
     assert (got.input_names, got.output_names) == (want.input_names, want.output_names)
+    assert got._strash == want._strash
     check_bookkeeping(got)
 
 
@@ -772,3 +778,150 @@ def test_read_aiger_with_shuffled_ands_keeps_levels(tmp_path, g, data):
     back = read_aiger(path)
     check_bookkeeping(back)
     assert stats(back) == stats(g)
+
+
+def test_sweep_sorts_a_pair_whose_input_moves_to_the_front():
+    """An input made after an AND is numbered before it once swept, which swaps their pair."""
+    g = AigGraph()
+    ab = g.and2(g.add_input("a"), g.add_input("b"))
+    g.add_output(g.and2(ab, g.add_input("c")), "y")
+    got, want = sweep(g), sweep_reference(g)
+    assert (got.fanin0, got.fanin1, got._strash) == (want.fanin0, want.fanin1, want._strash)
+    assert g.fanin0[-1] == ab and got.fanin1[-1] == 2 * 4
+
+
+# every example writes the same files, so sharing tmp_path is safe
+@settings(
+    max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(random_aigs())
+def test_write_aiger_matches_the_oracle(tmp_path, g):
+    write_aiger(g, tmp_path / "got.aag")
+    write_aiger_reference(g, tmp_path / "want.aag")
+    assert (tmp_path / "got.aag").read_text() == (tmp_path / "want.aag").read_text()
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_aigs())
+def test_emit_equations_matches_the_oracle(g):
+    lines = emit_equations(g).lines
+    assert lines == equation_lines_reference(g, g.input_names, g.output_names)
+
+
+# every example writes the same file, so sharing tmp_path is safe
+@settings(
+    max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(random_aigs())
+def test_import_into_itself_adds_no_node_after_sweep_or_read(tmp_path, g):
+    """The bulk paths of ``sweep`` and ``read_aiger`` leave a complete structural hash."""
+    path = tmp_path / "g.aag"
+    write_aiger(g, path)
+    for h in (sweep(g), read_aiger(path)):
+        n = h.num_nodes
+        assert import_graph(h, h, [node << 1 for node in h.inputs]) == h.outputs
+        assert h.num_nodes == n
+
+
+# copies of existing ANDs twice as often as each other kind
+NEW_ANDS = ["repeat", "repeat", "constant", "equal", "complement", "any", "redefine"]
+# None drops the token; "2 4" adds one
+BAD_TOKENS = [None, "2 4", "x", "", "-2", "06", "+4", "4\t", "1", "3", "99999999999999999999"]
+
+
+def mutated_aiger(data, lines: list[str]) -> list[str]:
+    """A written AIGER file's lines, reordered, with ANDs added and tokens changed.
+
+    The input lines or the AND lines may be permuted.  Each added AND takes
+    a new variable, unless it redefines an input or AND variable, and goes
+    in last or at any position.  Its fanins are an existing AND's, a
+    constant, equal or complementary pair, or any two literals of any
+    variables, its own included.  Then a line's last token may move to the
+    next line, and up to two tokens, of AND lines or any lines, are dropped,
+    split or replaced by a malformed token or any literal up to 2M + 3.
+    """
+    _, m, n_in, _, n_out, n_and = lines[0].split()
+    m, n_in, n_out, n_and = int(m), int(n_in), int(n_out), int(n_and)
+    first = 1 + n_in + n_out
+    inputs, outputs = lines[1 : 1 + n_in], lines[1 + n_in : first]
+    ands, symbols = lines[first : first + n_and], lines[first + n_and :]
+    # each reordering in one file of four, so most files keep a bulk-read prefix
+    if data.draw(st.integers(0, 3)) == 0:
+        inputs = data.draw(st.permutations(inputs))
+    if data.draw(st.integers(0, 3)) == 0:
+        ands = data.draw(st.permutations(ands))
+    for _ in range(data.draw(st.integers(0, 3))):
+        kind = data.draw(st.sampled_from(NEW_ANDS))
+        lhs = 2 * data.draw(st.integers(1, m)) if kind == "redefine" and m else 2 * (m + 1)
+        m = max(m, lhs >> 1)
+        x, y = data.draw(st.integers(0, 2 * m + 1)), data.draw(st.integers(0, 2 * m + 1))
+        pair = {
+            "constant": (y & 1, x), "equal": (x, x), "complement": (x, x ^ 1), "any": (x, y)
+        }.get(kind, (x, y))
+        if kind == "repeat" and ands:
+            pair = data.draw(st.sampled_from(ands)).split()[1:]
+        at = data.draw(st.just(len(ands)) | st.integers(0, len(ands)))
+        ands.insert(at, f"{lhs} {pair[0]} {pair[1]}")
+    lines = [f"aag {m} {n_in} 0 {n_out} {len(ands)}", *inputs, *outputs, *ands, *symbols]
+    if data.draw(st.integers(0, 3)) == 0:  # a line's last token moves to the next line
+        k = data.draw(st.integers(0, len(lines) - 2)) if len(lines) > 1 else 0
+        head, _, last = lines[k].rpartition(" ")
+        lines[k : k + 2] = [head, f"{last} {lines[k + 1]}"] if k + 1 < len(lines) else [head]
+    and_lines = st.integers(first, first + len(ands) - 1) if ands else st.nothing()
+    for _ in range(data.draw(st.sampled_from([0, 0, 1, 2]))):
+        k = data.draw(st.integers(0, len(lines) - 1) | and_lines)
+        tokens = lines[k].split(" ")
+        t = data.draw(st.integers(0, len(tokens) - 1))
+        token = data.draw(st.sampled_from(BAD_TOKENS) | st.integers(0, 2 * m + 3).map(str))
+        tokens[t : t + 1] = [] if token is None else [token]
+        lines[k] = " ".join(tokens)
+    return lines
+
+
+def read_outcome(reader, path):
+    """The graph's every field, or the error's text."""
+    try:
+        g = reader(path)
+    except ValueError as exc:
+        return str(exc)
+    return (
+        g.fanin0, g.fanin1, list(g.levels), g.inputs, g.outputs,
+        g.input_names, g.output_names, g._strash,
+    )
+
+
+# every example writes the same file, so sharing tmp_path is safe
+@settings(
+    max_examples=500, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(random_aigs(), st.data())
+def test_read_aiger_matches_the_line_by_line_reader(tmp_path, g, data):
+    """Shuffled, repeated, trivial and corrupted AND lines read as ``read_aiger_reference`` reads them."""
+    path = tmp_path / "mutated.aag"
+    write_aiger(g, path)
+    lines = mutated_aiger(data, path.read_text().splitlines())
+    path.write_text("\n".join(lines) + "\n")
+    assert read_outcome(read_aiger, path) == read_outcome(read_aiger_reference, path)
+
+
+@pytest.mark.parametrize(
+    "ands",
+    [
+        ["6 2 4", "8 6 3"],  # plain and canonical: read in bulk
+        ["6 2 4", "8 9 2"],  # a fanin of the line's own variable
+        ["6 2 4", "8 4 2"],  # a pair repeated in the other order
+        ["6 2 4", "8 0 6"],  # a constant fanin
+        ["6  2 4", "8 6 3"],  # an empty token
+        ["6  4", "8 6 3"],  # an empty token in place of a missing one
+        [" 6 2 4", "8 6 3"],  # a leading space
+        ["6 2 4 ", "8 6 3"],  # a trailing space
+        ["6 2", "4 8 6 3"],  # a token on the wrong line
+        ["6\t2 4", "8 6 3"],  # a tab
+        ["6 2 04", "8 6 3"],  # a leading zero
+        ["6 2 4", "8 6 99999999999999999999"],  # too large for int64
+    ],
+)
+def test_read_aiger_odd_and_lines_match_the_line_by_line_reader(tmp_path, ands):
+    path = tmp_path / "odd.aag"
+    path.write_text("\n".join([f"aag {2 + len(ands)} 2 0 1 {len(ands)}", "2", "4", "8", *ands]) + "\n")
+    assert read_outcome(read_aiger, path) == read_outcome(read_aiger_reference, path)

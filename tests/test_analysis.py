@@ -97,6 +97,19 @@ def test_emit_equations_grammar():
     assert "Input 0:\ta" in text
 
 
+def test_emit_equations_inlines_only_an_unshared_output_and():
+    """An output AND that another AND reads, or that two outputs name, gets its own line."""
+    g = AigGraph()
+    a, b, c = g.add_input("a"), g.add_input("b"), g.add_input("c")
+    ab = g.and2(a, b)
+    ac = g.and2(a, c)
+    for name, literal in [("y0", ab), ("y1", g.and2(ab, c)), ("y2", ac), ("y3", ac)]:
+        g.add_output(literal, name)
+    assert emit_equations(g).lines == [
+        "n4 = a AND b;", "n5 = a AND c;", "y0 = n4;", "y1 = c AND n4;", "y2 = n5;", "y3 = n5;",
+    ]
+
+
 def test_results_table_layout():
     data = LabeledDataset(np.zeros((4, 1)), np.array([0, 1, 0, 1]), feature_names=["x0"])
     direct = evaluate(constant_zero_graph(8), data, FMT, pipeline="direct")

@@ -18,13 +18,13 @@ from nn2logic.forest import (
     quantize_prob,
     train_forests,
 )
-from nn2logic.netlist import simulate_netlist
 
 from oracles import (
     exact_vote_sums,
     forest_reference,
     grow_reference,
     module_netlist,
+    simulate_netlist,
     tree_depth,
 )
 

@@ -16,9 +16,13 @@ from nn2logic.lutnet import (
     logicnet_to_text,
     train_logicnets,
 )
-from nn2logic.netlist import simulate_netlist
 
-from oracles import lut_counts_reference, lut_output_reference, module_netlist
+from oracles import (
+    lut_counts_reference,
+    lut_output_reference,
+    module_netlist,
+    simulate_netlist,
+)
 
 
 def train_logicnet(x, y, depth: int, width: int, lut_size: int, seed: int = 0) -> LutNetwork:

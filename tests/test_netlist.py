@@ -24,11 +24,10 @@ from nn2logic.netlist import (
     build_network_direct,
     build_neuron,
     cascade_modules,
-    simulate_netlist,
 )
 from nn2logic.pipeline import train_lgn_modules, train_rf_modules
 
-from oracles import module_netlist, neuron_reference, signed
+from oracles import module_netlist, neuron_reference, signed, simulate_netlist
 
 FMT = FixedPointFormat(4, 2)
 
