@@ -179,12 +179,30 @@ def live_nodes(g: AigGraph) -> np.ndarray:
     return live
 
 
-def _renumbering(g: AigGraph, ands: np.ndarray):
-    """Literal map of the numbering that puts the inputs at 1..I in input order, then ``ands``."""
+def _renumbering(g: AigGraph, ands: np.ndarray, input_nodes, first: int):
+    """Literal map sending ``g``'s inputs to ``input_nodes`` and ``ands`` to ``first`` on."""
     new_index = np.zeros(g.num_nodes, dtype=np.int64)
-    new_index[np.asarray(g.inputs, dtype=np.int64)] = np.arange(1, len(g.inputs) + 1)
-    new_index[ands] = np.arange(len(g.inputs) + 1, len(g.inputs) + len(ands) + 1)
+    new_index[np.asarray(g.inputs, dtype=np.int64)] = input_nodes
+    new_index[ands] = np.arange(first, first + len(ands))
     return lambda literals: (new_index[literals >> 1] << 1) | (literals & 1)
+
+
+def _append_ands(dst: AigGraph, a: np.ndarray, b: np.ndarray, levels: np.ndarray) -> None:
+    """Append ANDs of renumbered fanin literals ``a`` and ``b`` at ``levels`` to ``dst``.
+
+    The renumbering must be one-to-one, keep complement bits and map the
+    ANDs to ``dst.num_nodes`` onwards in order, and no pair may be in
+    ``dst._strash`` yet.  Every AND is canonical (see the module docstring),
+    so each copy is canonical once its pair is sorted: no ``and2`` rule or
+    structural-hash hit could fire, and the result is what ``and2`` builds.
+    """
+    # inputs interleaved with ANDs can move in front of them, which swaps a pair
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    start = dst.num_nodes
+    dst.fanin0 += lo.tolist()
+    dst.fanin1 += hi.tolist()
+    dst.levels.frombytes(levels.astype(np.int32).tobytes())
+    dst._strash.update(zip(((lo << 32) | hi).tolist(), range(start, start + len(lo))))
 
 
 def sweep(g: AigGraph) -> AigGraph:
@@ -192,44 +210,53 @@ def sweep(g: AigGraph) -> AigGraph:
 
     Primary inputs are all kept, as nodes 1..I in input order, so input
     counts and positions are stable; the live ANDs follow in their current
-    order.  Every AND is canonical (see the module docstring) and the
-    renumbering is one-to-one and keeps complement bits, so each copied AND
-    is canonical once its fanin pair is sorted: no ``and2`` rule or
-    structural-hash hit could fire, and the result is the graph a rebuild
-    through ``and2`` gives.
+    order, copied as ``_append_ands`` does, so the result is the graph a
+    rebuild through ``and2`` gives.
     """
     f0, f1 = g.fanin_arrays()
     ands = np.flatnonzero(live_nodes(g) & (f0 >= 0))
-    n_in, n_and = len(g.inputs), len(ands)
-    ren = _renumbering(g, ands)
-    a, b = ren(f0[ands]), ren(f1[ands])
-    # inputs interleaved with ANDs move to the front, which can swap a pair
-    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    n_in = len(g.inputs)
+    ren = _renumbering(g, ands, np.arange(1, n_in + 1), n_in + 1)
     out = AigGraph()
-    out.fanin0 += [_INPUT] * n_in + lo.tolist()
-    out.fanin1 += [_INPUT] * n_in + hi.tolist()
+    out.fanin0 += [_INPUT] * n_in
+    out.fanin1 += [_INPUT] * n_in
     out.levels.extend([0] * n_in)
-    out.levels.frombytes(np.array(g.levels)[ands].tobytes())
     out.inputs = list(range(1, n_in + 1))
     out.input_names = list(g.input_names)
+    _append_ands(out, ren(f0[ands]), ren(f1[ands]), np.array(g.levels)[ands])
     out.outputs = ren(np.asarray(g.outputs, dtype=np.int64)).tolist()
     out.output_names = list(g.output_names)
-    out._strash = dict(zip(((lo << 32) | hi).tolist(), range(n_in + 1, n_in + n_and + 1)))
     return out
 
 
 def import_graph(dst: AigGraph, src: AigGraph, input_lits: list[int]) -> list[int]:
     """Copy ``src`` into ``dst`` with its inputs bound; returns output literals.
 
-    Every AND goes through ``dst.and2``: bound inputs and ``dst``'s own nodes
-    can make a copied AND fold or hit the structural hash, as when a miter
-    joins two circuits over one set of inputs.
+    When ``dst`` holds only inputs and the bindings are distinct
+    uncomplemented inputs of it, as for the first circuit of a miter or an
+    onset query, the copy is a one-to-one renumbering and every AND is
+    appended in bulk (``_append_ands``).  Otherwise every AND goes through
+    ``dst.and2``: constant, complemented or repeated bindings and ``dst``'s
+    own ANDs can make a copied AND fold or hit the structural hash, as when
+    a miter joins two circuits over one set of inputs.
     """
     if len(input_lits) != len(src.inputs):
         raise ValueError("input binding count mismatch")
+    bound = np.asarray(input_lits, dtype=np.int64)
+    if (
+        dst.and_count() == 0  # so every node but the constant is an input
+        and not (bound & 1).any()
+        and ((bound >= 2) & (bound < 2 * dst.num_nodes)).all()
+        and len(np.unique(bound)) == len(bound)
+    ):
+        f0, f1 = src.fanin_arrays()
+        ands = np.flatnonzero(f0 >= 0)
+        ren = _renumbering(src, ands, bound >> 1, dst.num_nodes)
+        _append_ands(dst, ren(f0[ands]), ren(f1[ands]), np.array(src.levels)[ands])
+        return ren(np.asarray(src.outputs, dtype=np.int64)).tolist()
     remap = [0] * len(src.fanin0)
-    for node, bound in zip(src.inputs, input_lits):
-        remap[node] = bound
+    for node, lit in zip(src.inputs, input_lits):
+        remap[node] = lit
     f0, f1 = src.fanin0, src.fanin1
     and2 = dst.and2
     for node in range(1, len(f0)):
@@ -540,7 +567,7 @@ def write_aiger(g: AigGraph, path) -> None:
     f0, f1 = g.fanin_arrays()
     ands = np.flatnonzero(f0 >= 0)
     n_in, n_and = len(g.inputs), len(ands)
-    ren = _renumbering(g, ands)
+    ren = _renumbering(g, ands, np.arange(1, n_in + 1), n_in + 1)
     body = np.stack([ren(ands << 1), ren(f0[ands]), ren(f1[ands])], axis=1)
     lines = [f"aag {n_in + n_and} {n_in} 0 {len(g.outputs)} {n_and}"]
     lines += map(str, range(2, 2 * n_in + 1, 2))

@@ -12,6 +12,7 @@ import collections
 import csv
 import itertools
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +20,7 @@ import numpy as np
 from nn2logic.aig import AigGraph
 from nn2logic.fixedpoint import from_int, signed_value
 from nn2logic.forest import DecisionTree, RandomForestModel, TreeNode
+from nn2logic.mlp import DenseLayer, FeatureScaler, Mlp
 from nn2logic.netlist import Gate, Netlist
 from nn2logic.sat import CnfFormula
 
@@ -323,6 +325,24 @@ def sweep_reference(g: AigGraph) -> AigGraph:
     return out
 
 
+def import_graph_reference(dst: AigGraph, src: AigGraph, input_lits: list[int]) -> list[int]:
+    """``import_graph`` one AND at a time through ``dst.and2``."""
+    if len(input_lits) != len(src.inputs):
+        raise ValueError("input binding count mismatch")
+    remap = [0] * len(src.fanin0)
+    for node, bound in zip(src.inputs, input_lits):
+        remap[node] = bound
+    f0, f1 = src.fanin0, src.fanin1
+    and2 = dst.and2
+    for node in range(1, len(f0)):
+        a = f0[node]
+        if a < 0:
+            continue
+        b = f1[node]
+        remap[node] = and2(remap[a >> 1] ^ (a & 1), remap[b >> 1] ^ (b & 1))
+    return [remap[o >> 1] ^ (o & 1) for o in src.outputs]
+
+
 def equation_lines_reference(g: AigGraph, in_names: list, out_names: list) -> list[str]:
     """``emit_equations``'s lines, one live AND at a time in node order.
 
@@ -582,6 +602,88 @@ def propagate_reference(s) -> int:
         if conflict >= 0:
             return conflict
     return -1
+
+
+def _activations_reference(layers: list[DenseLayer], a: np.ndarray) -> list[np.ndarray]:
+    captured = []
+    for layer in layers:
+        z = a @ layer.weights.T + layer.bias
+        a = np.maximum(z, 0.0) if layer.activation == "relu" else z
+        captured.append(a)
+    return captured
+
+
+def _softmax_reference(z: np.ndarray) -> np.ndarray:
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def loss_and_grad_reference(layers: list[DenseLayer], x: np.ndarray, y: np.ndarray):
+    """Mean softmax cross-entropy and its gradients, one allocation per step."""
+    n = len(x)
+    x = np.asarray(x, dtype=float)
+    acts = [x, *_activations_reference(layers, x)]
+    probs = _softmax_reference(acts[-1])
+    eps = 1e-12
+    loss = -np.mean(np.log(probs[np.arange(n), y] + eps))
+    delta = probs.copy()
+    delta[np.arange(n), y] -= 1.0
+    delta /= n
+    grads: list[tuple[np.ndarray, np.ndarray]] = []
+    for idx in range(len(layers) - 1, -1, -1):
+        layer = layers[idx]
+        grads.append((delta.T @ acts[idx], delta.sum(axis=0)))
+        if idx > 0:
+            delta = delta @ layer.weights
+            if layers[idx - 1].activation == "relu":
+                delta = delta * (acts[idx] > 0)
+    grads.reverse()
+    return loss, grads
+
+
+def train_reference(
+    data,
+    hidden_nodes: int = 20,
+    epochs: int = 1500,
+    learning_rate: float = 0.01,
+    seed: int = 0,
+) -> Mlp:
+    """``mlp.train`` with per-parameter Adam state and row-wise softmax reductions."""
+    if len(data) == 0:
+        raise ValueError("cannot train on an empty dataset")
+    if len(np.unique(data.labels)) < 2:
+        warnings.warn("training data contains a single class", stacklevel=2)
+    scaler = FeatureScaler(data.features.min(axis=0), data.features.max(axis=0))
+    x = scaler.transform(data.features)
+    y = data.labels
+    n_in = x.shape[1]
+    rng = np.random.default_rng(seed)
+    layers = [
+        DenseLayer(
+            rng.normal(0.0, np.sqrt(2.0 / n_in), size=(hidden_nodes, n_in)),
+            np.zeros(hidden_nodes),
+            "relu",
+        ),
+        DenseLayer(
+            rng.normal(0.0, np.sqrt(1.0 / hidden_nodes), size=(2, hidden_nodes)),
+            np.zeros(2),
+            "identity",
+        ),
+    ]
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    params = [p for l in layers for p in (l.weights, l.bias)]
+    m_state = [np.zeros_like(p) for p in params]
+    v_state = [np.zeros_like(p) for p in params]
+    for step in range(1, epochs + 1):
+        _, grads = loss_and_grad_reference(layers, x, y)
+        flat = [g for pair in grads for g in pair]
+        for k, (p, g) in enumerate(zip(params, flat)):
+            m_state[k] = beta1 * m_state[k] + (1 - beta1) * g
+            v_state[k] = beta2 * v_state[k] + (1 - beta2) * g * g
+            m_hat = m_state[k] / (1 - beta1**step)
+            v_hat = v_state[k] / (1 - beta2**step)
+            p -= learning_rate * m_hat / (np.sqrt(v_hat) + eps)
+    return Mlp(layers, scaler)
 
 
 def parse_equations(text_or_lines, input_names: list[str]) -> AigGraph:

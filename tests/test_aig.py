@@ -34,6 +34,7 @@ from oracles import (
     shannon_cost_reference,
     module_netlist,
     equation_lines_reference,
+    import_graph_reference,
     read_aiger_reference,
     signed,
     simulate_netlist,
@@ -748,6 +749,123 @@ def test_import_graph_keeps_levels(g, data):
     check_bookkeeping(dst)
     assert len(outs) == len(g.outputs)
 
+
+
+class CountingAig(AigGraph):
+    """An ``AigGraph`` that counts its ``and2`` calls."""
+
+    and2_calls = 0
+
+    def and2(self, a: int, b: int) -> int:
+        self.and2_calls += 1
+        return super().and2(a, b)
+
+
+# "permuted" binds distinct uncomplemented inputs of an input-only graph, the
+# bulk case; every other kind must take the and2 loop, "imported-before" into
+# a graph that already holds the copy, as for the second circuit of a miter
+IMPORT_KINDS = ["permuted", "permuted", "complemented", "constant", "repeated", "imported-before"]
+
+
+def bind(dst_inputs: list[int], slots) -> list[int]:
+    """Literals for ``slots``: an index picks a ``dst`` input, ("not", i) its complement,
+    ("const", v) the constant v."""
+    bound = []
+    for slot in slots:
+        if isinstance(slot, int):
+            bound.append(dst_inputs[slot])
+        else:
+            bound.append(dst_inputs[slot[1]] ^ 1 if slot[0] == "not" else slot[1])
+    return bound
+
+
+def import_both_ways(src: AigGraph, n_dst: int, slots, imported_before: bool):
+    """``import_graph`` and the reference into fresh graphs of ``n_dst`` inputs.
+
+    Returns both graphs, both output lists and the ``and2`` calls of the first.
+    """
+    results = []
+    for fn in (import_graph, import_graph_reference):
+        dst = CountingAig()
+        bound = bind([dst.add_input(f"d{j}") for j in range(n_dst)], slots)
+        if imported_before:
+            import_graph_reference(dst, src, bound)
+        calls = dst.and2_calls
+        results.append((dst, fn(dst, src, bound), dst.and2_calls - calls))
+    (got, got_outs, calls), (want, want_outs, _) = results
+    return got, want, got_outs, want_outs, calls
+
+
+def assert_same_graph(got: AigGraph, want: AigGraph) -> None:
+    assert (got.fanin0, got.fanin1, list(got.levels)) == (want.fanin0, want.fanin1, list(want.levels))
+    assert (got.inputs, got._strash) == (want.inputs, want._strash)
+    check_bookkeeping(got)
+
+
+@settings(max_examples=300, deadline=None)
+@given(random_aigs(), st.sampled_from(IMPORT_KINDS), st.data())
+def test_import_graph_matches_the_oracle(g, kind, data):
+    n = len(g.inputs)
+    spare = data.draw(st.integers(0, 3))
+    slots = data.draw(st.permutations(range(n + spare)))[:n]
+    if kind in ("complemented", "constant", "repeated") and n:
+        k = data.draw(st.integers(0, n - 1))
+        if kind == "complemented":
+            slots[k] = ("not", slots[k])
+        elif kind == "constant":
+            slots[k] = ("const", data.draw(st.integers(0, 1)))
+        else:
+            slots[k] = slots[k - 1]
+    got, want, got_outs, want_outs, calls = import_both_ways(
+        g, n + spare, slots, kind == "imported-before"
+    )
+    assert got_outs == want_outs
+    assert_same_graph(got, want)
+    if kind == "permuted":
+        assert calls == 0
+
+
+def fold_prone_graph() -> AigGraph:
+    """a & b, a & ~b and (a & b) & c: binding a and b alike folds the first two."""
+    g = AigGraph()
+    a, b, c = g.add_input("a"), g.add_input("b"), g.add_input("c")
+    ab = g.and2(a, b)
+    g.add_output(ab, "ab")
+    g.add_output(g.and2(a, b ^ 1), "a_nb")
+    g.add_output(g.and2(ab, c), "abc")
+    return g
+
+
+@pytest.mark.parametrize(
+    "slots, imported_before",
+    [
+        ([1, 1, 2], False),
+        ([("not", 1), 1, 2], False),
+        ([("const", 1), 0, 2], False),
+        ([("const", 0), 0, 2], False),
+        ([2, 0, 1], True),
+    ],
+    ids=["repeated", "complemented", "true", "false", "imported-before"],
+)
+def test_import_graph_falls_back_to_and2(slots, imported_before):
+    got, want, got_outs, want_outs, calls = import_both_ways(
+        fold_prone_graph(), 3, slots, imported_before
+    )
+    assert got_outs == want_outs
+    assert_same_graph(got, want)
+    assert calls == 3
+
+
+def test_import_graph_in_bulk_sorts_a_swapped_pair():
+    """Binding a after b puts b's node first, so the copied pair is reordered."""
+    g = AigGraph()
+    a, b = g.add_input("a"), g.add_input("b")
+    g.add_output(g.and2(a, b ^ 1), "y")
+    got, want, got_outs, want_outs, calls = import_both_ways(g, 2, [1, 0], False)
+    assert got_outs == want_outs == [3 << 1]
+    assert (got.fanin0[3], got.fanin1[3]) == (2 ^ 1, 4)  # ~x, y
+    assert_same_graph(got, want)
+    assert calls == 0
 
 @settings(max_examples=200, deadline=None)
 @given(random_aigs())

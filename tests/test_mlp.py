@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -24,7 +26,13 @@ from nn2logic.mlp import (
     train,
 )
 
-from oracles import quantize_reference, signed, write_csv
+from oracles import (
+    loss_and_grad_reference,
+    quantize_reference,
+    signed,
+    train_reference,
+    write_csv,
+)
 
 
 def identity_net(n: int) -> Mlp:
@@ -213,7 +221,7 @@ def test_gradient_check_against_finite_differences():
         DenseLayer(rng.normal(size=(2, 4)), rng.normal(size=2), "identity"),
     ]
     x = rng.normal(size=(12, 3))
-    y = rng.integers(0, 2, size=12)
+    y = np.eye(2)[rng.integers(0, 2, size=12)]
     _, grads = loss_and_grad(layers, x, y)
     h = 1e-5
     for li, layer in enumerate(layers):
@@ -230,6 +238,71 @@ def test_gradient_check_against_finite_differences():
                 num = (up - dn) / (2 * h)
                 denom = max(abs(num), abs(g[idx]), 1e-8)
                 assert abs(num - g[idx]) / denom < 1e-4
+
+
+def assert_same_bytes(got: Mlp, want: Mlp) -> None:
+    for a, b in zip(got.layers, want.layers, strict=True):
+        assert a.weights.flags.c_contiguous and a.bias.flags.c_contiguous
+        assert a.weights.tobytes() == b.weights.tobytes()
+        assert a.bias.tobytes() == b.bias.tobytes()
+        assert a.activation == b.activation
+
+
+@pytest.mark.parametrize(
+    "hidden, learning_rate", [(8, 0.01), (8, 0.5), (1, 0.01)], ids=["lr0.01", "lr0.5", "one-unit"]
+)
+def test_train_matches_the_reference_byte_for_byte(hidden, learning_rate):
+    data = make_overlapping_gaussians(300, 9, seed=1)
+    got = train(data, hidden, 200, learning_rate, seed=0)
+    assert_same_bytes(got, train_reference(data, hidden, 200, learning_rate, seed=0))
+    if learning_rate == 0.5:  # every ReLU unit dies, so every hidden delta is masked
+        assert not forward_batch(got, data.features)[0].any()
+
+
+def test_train_matches_the_reference_on_a_single_class():
+    data = LabeledDataset(np.random.default_rng(4).normal(size=(40, 3)), np.ones(40))
+    with pytest.warns(UserWarning, match="single class"):
+        got = train(data, 5, 100, 0.05, seed=3)
+    with pytest.warns(UserWarning, match="single class"):
+        want = train_reference(data, 5, 100, 0.05, seed=3)
+    assert_same_bytes(got, want)
+
+
+@pytest.mark.parametrize("seed, dead", [(0, False), (1, False), (2, False), (3, True), (4, True)])
+def test_loss_and_grad_gradients_match_the_reference(seed, dead):
+    """With every hidden unit dead, every hidden delta is masked to a zero."""
+    rng = np.random.default_rng(seed)
+    n, n_in, hidden = rng.integers(1, 40), rng.integers(1, 12), rng.integers(1, 10)
+    bias = np.full(hidden, -100.0) if dead else rng.normal(size=hidden)
+    layers = [
+        DenseLayer(rng.normal(size=(hidden, n_in)), bias, "relu"),
+        DenseLayer(rng.normal(size=(2, hidden)), rng.normal(size=2), "identity"),
+    ]
+    x = rng.normal(size=(n, n_in)) * 3
+    y = rng.integers(0, 2, size=n)
+    loss, grads = loss_and_grad(layers, x, np.eye(2)[y])
+    want_loss, want = loss_and_grad_reference(layers, x, y)
+    assert loss == want_loss
+    for (dw, db), (want_dw, want_db) in zip(grads, want, strict=True):
+        assert dw.tobytes() == want_dw.tobytes()
+        assert db.tobytes() == want_db.tobytes()
+
+
+@pytest.mark.parametrize(
+    "hidden, epochs, learning_rate, message",
+    [
+        (0, 10, 0.01, "hidden_nodes must be at least 1, got 0"),
+        (4, 0, 0.01, "epochs must be at least 1, got 0"),
+        (4, 10, float("nan"), "learning_rate must be a finite number > 0, got nan"),
+        (4, 10, float("inf"), "learning_rate must be a finite number > 0, got inf"),
+        (4, 10, 0.0, "learning_rate must be a finite number > 0, got 0.0"),
+    ],
+    ids=["no-hidden-node", "no-epoch", "nan-rate", "inf-rate", "zero-rate"],
+)
+def test_train_rejects_bad_arguments(hidden, epochs, learning_rate, message):
+    data = make_overlapping_gaussians(20, 2, seed=0)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        train(data, hidden, epochs, learning_rate)
 
 
 FMT = FixedPointFormat(4, 2)
