@@ -188,13 +188,14 @@ def _renumbering(g: AigGraph, ands: np.ndarray, input_nodes, first: int):
 
 
 def _append_ands(dst: AigGraph, a: np.ndarray, b: np.ndarray, levels: np.ndarray) -> None:
-    """Append ANDs of renumbered fanin literals ``a`` and ``b`` at ``levels`` to ``dst``.
+    """Append ANDs of fanin literals ``a`` and ``b`` at ``levels`` to ``dst``, in order.
 
-    The renumbering must be one-to-one, keep complement bits and map the
-    ANDs to ``dst.num_nodes`` onwards in order, and no pair may be in
-    ``dst._strash`` yet.  Every AND is canonical (see the module docstring),
-    so each copy is canonical once its pair is sorted: no ``and2`` rule or
-    structural-hash hit could fire, and the result is what ``and2`` builds.
+    Each pair, once sorted, must be a canonical AND whose pair is not in
+    ``dst._strash`` yet: then no ``and2`` rule or structural-hash hit could
+    fire, and the result is what ``and2`` builds.  Copies of a graph's ANDs
+    are such pairs when the renumbering is one-to-one, keeps complement bits
+    and maps the ANDs to ``dst.num_nodes`` onwards in order (see the module
+    docstring); so are the AND lines ``read_aiger`` reads in bulk.
     """
     # inputs interleaved with ANDs can move in front of them, which swaps a pair
     lo, hi = np.minimum(a, b), np.maximum(a, b)
@@ -218,11 +219,8 @@ def sweep(g: AigGraph) -> AigGraph:
     n_in = len(g.inputs)
     ren = _renumbering(g, ands, np.arange(1, n_in + 1), n_in + 1)
     out = AigGraph()
-    out.fanin0 += [_INPUT] * n_in
-    out.fanin1 += [_INPUT] * n_in
-    out.levels.extend([0] * n_in)
-    out.inputs = list(range(1, n_in + 1))
-    out.input_names = list(g.input_names)
+    for name in g.input_names:
+        out.add_input(name)
     _append_ands(out, ren(f0[ands]), ren(f1[ands]), np.array(g.levels)[ands])
     out.outputs = ren(np.asarray(g.outputs, dtype=np.int64)).tolist()
     out.output_names = list(g.output_names)
@@ -602,54 +600,40 @@ def _plain_ands(section: list[str]) -> np.ndarray | None:
     return np.fromstring(text, dtype=np.int64, sep=" ").reshape(-1, 3)
 
 
-def _append_canonical_prefix(g: AigGraph, ands: np.ndarray) -> int:
-    """Append the leading AND lines that are canonical ANDs as numbered; returns their count.
+def _canonical_as_numbered(n_in: int, ands: np.ndarray) -> bool:
+    """Whether every AND line is a canonical AND as numbered.
 
-    ``ands`` are the section's (lhs, rhs0, rhs1) rows, and ``g`` holds just
-    the inputs, as variables 1..I in order.  Line j counts when its lhs is
+    ``ands`` are the section's (lhs, rhs0, rhs1) rows of a file whose inputs
+    are variables 1..I in order.  Line j qualifies when its lhs is
     2 * (I + 1 + j), both its fanins are variables 1..I + j (inputs or
-    earlier lines, so neither is a constant), the two differ, and no earlier
+    earlier lines, so neither is a constant), the two differ, and no other
     line has the same sorted pair.  Such a line passes every check of the
     reader, since the header's M is at least I + A, and ``and2`` would
     create node I + 1 + j from it with the file's literals unchanged.
     """
-    own = g.num_nodes + np.arange(len(ands))
+    own = n_in + 1 + np.arange(len(ands))
     fanin_vars = ands[:, 1:] >> 1
-    lo, hi = ands[:, 1:].min(axis=1), ands[:, 1:].max(axis=1)
-    key = (lo << 32) | hi
-    by_key = np.argsort(key, kind="stable")
-    repeated = np.zeros(len(ands), dtype=bool)
-    repeated[by_key[1:]] = key[by_key[1:]] == key[by_key[:-1]]
-    ok = (
-        (ands[:, 0] == 2 * own)
-        & (fanin_vars >= 1).all(axis=1)
-        & (fanin_vars < own[:, None]).all(axis=1)
-        & (fanin_vars[:, 0] != fanin_vars[:, 1])
-        & ~repeated
-    )
-    count = len(ands) if ok.all() else int(np.argmin(ok))
-    lo, hi = lo[:count], hi[:count]
-    levels = g.levels.tolist()
-    for a, b in zip((lo >> 1).tolist(), (hi >> 1).tolist()):
-        la, lb = levels[a], levels[b]
-        levels.append((la if la >= lb else lb) + 1)
-    g.levels = array("i", levels)
-    g._strash.update(zip(((lo << 32) | hi).tolist(), range(g.num_nodes, g.num_nodes + count)))
-    g.fanin0 += lo.tolist()
-    g.fanin1 += hi.tolist()
-    return count
+    if not (
+        (ands[:, 0] == 2 * own).all()
+        and (fanin_vars >= 1).all()
+        and (fanin_vars < own[:, None]).all()
+        and (fanin_vars[:, 0] != fanin_vars[:, 1]).all()
+    ):
+        return False
+    key = np.sort((ands[:, 1:].min(axis=1) << 32) | ands[:, 1:].max(axis=1))
+    return bool((key[1:] != key[:-1]).all())
 
 
 def read_aiger(path) -> AigGraph:
     """Read a combinational ASCII AIGER file; bad input raises ValueError at ``path:line``.
 
     When the inputs are variables 1..I in order and every AND line is plain
-    (``_plain_ands``), the AND section is parsed in one step, and its
-    leading lines that are canonical ANDs as numbered are appended in bulk
-    (``_append_canonical_prefix``): for a file `write_aiger` emits, that is
-    every line.  Each later line is checked and built with ``and2`` as soon
-    as both fanins are defined, and the ANDs left waiting are resolved
-    afterwards in ascending variable order.
+    (``_plain_ands``) and a canonical AND as numbered
+    (``_canonical_as_numbered``), as in every file `write_aiger` emits, the
+    AND section is parsed in one step and appended in bulk.  Otherwise each
+    line is checked and built with ``and2`` as soon as both fanins are
+    defined, and the ANDs left waiting are resolved afterwards in ascending
+    variable order.
     """
     with open(path) as fh:
         lines = fh.read().splitlines()
@@ -688,10 +672,16 @@ def read_aiger(path) -> AigGraph:
             out_specs.append((k, spec))
         first = 1 + n_in + n_out
         ands = _plain_ands(lines[first:end])
-        if ands is not None and list(var_lit) == list(range(n_in + 1)):
-            # the inputs are variables 1..I in order, so variable v is node v
-            first += _append_canonical_prefix(g, ands)
+        # when the inputs are variables 1..I in order, variable v is node v
+        in_order = ands is not None and list(var_lit) == list(range(n_in + 1))
+        if in_order and _canonical_as_numbered(n_in, ands):
+            levels = g.levels.tolist()
+            for a, b in zip((ands[:, 1] >> 1).tolist(), (ands[:, 2] >> 1).tolist()):
+                la, lb = levels[a], levels[b]
+                levels.append((la if la >= lb else lb) + 1)
+            _append_ands(g, ands[:, 1], ands[:, 2], np.array(levels[n_in + 1 :]))
             var_lit.update((v, v << 1) for v in range(n_in + 1, g.num_nodes))
+            first = end
         and2 = g.and2
         pending: dict[int, tuple[int, int, int]] = {}  # AND var -> (rhs0, rhs1, line)
         for k in range(first, end):
@@ -737,10 +727,10 @@ def read_aiger(path) -> AigGraph:
             if line.startswith("i") or line.startswith("o"):
                 tag, _, name = line.partition(" ")
                 idx = int(tag[1:])
-                if tag[0] == "i" and idx < len(g.input_names):
-                    g.input_names[idx] = name
-                elif tag[0] == "o" and idx < len(g.output_names):
-                    g.output_names[idx] = name
+                names = g.input_names if tag[0] == "i" else g.output_names
+                if not 0 <= idx < len(names):
+                    raise ValueError(f"symbol position {tag!r} out of range: {len(names)} declared")
+                names[idx] = name
     except ValueError as exc:
         raise ValueError(f"{path}:{k + 1}: {exc}") from None
     return g

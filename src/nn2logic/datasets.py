@@ -97,6 +97,8 @@ def read_dataset(path) -> LabeledDataset:
             header = next(reader)
         except StopIteration:
             raise ValueError(f"{path}: empty dataset file") from None
+        if len(header) < 2:
+            raise ValueError(f"{path}:1: no feature column before the label column")
         names = [h.strip() for h in header[:-1]]
         repeated = [h for k, h in enumerate(names) if h in names[:k]]
         if repeated:

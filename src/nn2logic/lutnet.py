@@ -2,23 +2,24 @@
 
 Each LUT draws K distinct inputs from the previous layer (raw feature bits
 for the first layer); input j is bit j of the LUT's pattern index.
-Training is one counting sweep per layer: every sample bumps
-counter[pattern][label], after which the LUT freezes to the majority label
-per pattern; ties and never-seen patterns freeze to 0.  Later layers train
-on the frozen outputs of earlier ones, and a final K-input LUT wired into
-the last hidden layer emits the bit.
+Training is one counting sweep per layer: each pattern's entry of the
+truth table is the majority label of the samples showing that pattern;
+ties and never-seen patterns give 0.  A trained LUT keeps only its inputs
+and its table; the counts are dropped once the table is formed.  Later
+layers train on the table outputs of earlier ones, and a final K-input LUT
+wired into the last hidden layer emits the bit.
 
 Training counts on sample-packed columns.  Every feature bit, label and LUT
 output is a row of uint64 words in which sample i is bit i % 64 of word
 i // 64.  A layer expands each LUT's K input columns into its 2**K minterm
-masks, one per pattern, by K AND / AND-NOT steps; counter[p][1] is the
-popcount of minterm p ANDed with the ``ones`` mask of the labels, and
-counter[p][0] with ``zeros = valid & ~ones``.  The padding bits past sample
-n - 1 in the last word are set in some minterms, but ``valid`` keeps them
-out of both masks, so they never reach a counter.  A LUT's output column
-is the OR of the minterms its table maps to 1, so each layer forms its
-patterns once.  ``train_logicnets`` trains every bit of one MLP layer and
-packs their shared feature columns once.
+masks, one per pattern, by K AND / AND-NOT steps; table[p] is 1 when the
+popcount of minterm p ANDed with the ``ones`` mask of the labels exceeds
+its popcount ANDed with ``zeros = valid & ~ones``.  The padding bits past
+sample n - 1 in the last word are set in some minterms, but ``valid``
+keeps them out of both masks, so they are never counted.  A LUT's output
+column is the OR of the minterms its table maps to 1, so each layer forms
+its patterns once.  ``train_logicnets`` trains every bit of one MLP layer
+and packs their shared feature columns once.
 """
 
 from __future__ import annotations
@@ -34,8 +35,7 @@ from nn2logic.datasets import bit_training_set, pack_bits
 @dataclass
 class Lut:
     inputs: tuple[int, ...]
-    counts: np.ndarray  # (2**K, 2) pattern-by-label counters
-    table: np.ndarray  # (2**K,) frozen output bits
+    table: np.ndarray  # (2**K,) uint8 output bit per pattern
 
     def table_int(self) -> int:
         return sum(int(bit) << p for p, bit in enumerate(self.table))
@@ -61,7 +61,7 @@ def _popcount(words: np.ndarray) -> np.ndarray:
 
 
 def _train_layer(cols: np.ndarray, wirings, ones: np.ndarray, zeros: np.ndarray):
-    """Counters (W, 2**K, 2), tables (W, 2**K) and packed outputs of one layer."""
+    """Tables (W, 2**K) and packed outputs (W, words) of one layer; no counts are kept."""
     inputs = cols[np.asarray(wirings)]  # (W, K, words)
     w, k, n_words = inputs.shape
     minterms = np.empty((w, 1 << k, n_words), dtype=cols.dtype)
@@ -71,10 +71,9 @@ def _train_layer(cols: np.ndarray, wirings, ones: np.ndarray, zeros: np.ndarray)
         low = minterms[:, : 1 << j]
         np.bitwise_and(low, col, out=minterms[:, 1 << j : 2 << j])
         low &= ~col
-    counts = np.stack([_popcount(minterms & zeros), _popcount(minterms & ones)], axis=-1)
-    tables = (counts[..., 1] > counts[..., 0]).astype(np.uint8)
+    tables = (_popcount(minterms & ones) > _popcount(minterms & zeros)).astype(np.uint8)
     minterms[tables == 0] = 0
-    return counts, tables, np.bitwise_or.reduce(minterms, axis=1)
+    return tables, np.bitwise_or.reduce(minterms, axis=1)
 
 
 def _layer_outputs(prev_bits: np.ndarray, luts: list[Lut]) -> np.ndarray:
@@ -122,11 +121,10 @@ def _train_net(cols, ones, zeros, depth: int, width: int, lut_size: int, seed: i
     out_pool = width if depth else n_features
     out_wiring = _sample_wiring(rng, out_pool, min(lut_size, out_pool))
 
-    for wirings in layer_wirings:
-        counts, tables, cols = _train_layer(cols, wirings, ones, zeros)
-        net.layers.append([Lut(wire, counts[j], tables[j]) for j, wire in enumerate(wirings)])
-    counts, tables, _ = _train_layer(cols, [out_wiring], ones, zeros)
-    net.output = Lut(out_wiring, counts[0], tables[0])
+    for wirings in layer_wirings + [[out_wiring]]:
+        tables, cols = _train_layer(cols, wirings, ones, zeros)
+        net.layers.append([Lut(wire, table) for wire, table in zip(wirings, tables)])
+    (net.output,) = net.layers.pop()
     return net
 
 

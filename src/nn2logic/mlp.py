@@ -172,6 +172,8 @@ def train(
         raise ValueError(f"learning_rate must be a finite number > 0, got {learning_rate}")
     if len(data) == 0:
         raise ValueError("cannot train on an empty dataset")
+    if data.features.shape[1] == 0:
+        raise ValueError("cannot train on a dataset with no feature columns")
     if len(np.unique(data.labels)) < 2:
         warnings.warn("training data contains a single class", stacklevel=2)
     scaler = FeatureScaler(data.features.min(axis=0), data.features.max(axis=0))

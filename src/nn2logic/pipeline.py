@@ -330,6 +330,8 @@ def parse_grid(path) -> SweepGrid:
         items = [v.strip() for v in val.split(",") if v.strip()]
         if key not in axes:
             raise _error(where, f"unknown grid key {key!r}")
+        if not items:
+            raise _error(where, f"{key}: expected at least one value")
         if key == "pipelines":
             for name in items:
                 _check_pipeline(name, where)

@@ -492,10 +492,10 @@ def read_aiger_reference(path) -> AigGraph:
             if line.startswith("i") or line.startswith("o"):
                 tag, _, name = line.partition(" ")
                 idx = int(tag[1:])
-                if tag[0] == "i" and idx < len(g.input_names):
-                    g.input_names[idx] = name
-                elif tag[0] == "o" and idx < len(g.output_names):
-                    g.output_names[idx] = name
+                names = g.input_names if tag[0] == "i" else g.output_names
+                if not 0 <= idx < len(names):
+                    raise ValueError(f"symbol position {tag!r} out of range: {len(names)} declared")
+                names[idx] = name
     except ValueError as exc:
         raise ValueError(f"{path}:{k + 1}: {exc}") from None
     return g

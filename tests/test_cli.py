@@ -222,6 +222,15 @@ def test_train_rejects_an_out_of_range_config_value_at_its_line(tmp_path, capsys
     assert not out.exists()
 
 
+def test_train_rejects_a_csv_with_no_feature_column(tmp_path, capsys):
+    path = tmp_path / "data.csv"
+    path.write_text("label\n" + "".join(f"{k % 2}\n" for k in range(20)))
+    out = tmp_path / "out"
+    assert cli.main(["train", str(path), "--out", str(out)]) == 2
+    assert f"{path}:1: no feature column before the label column" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_rejects_a_label_other_than_0_or_1_at_its_line(tmp_path, capsys):
     path = tmp_path / "data.csv"
     rows = [f"{k / 60},{(k * 7 % 60) / 60},{-(k % 2)}" for k in range(60)]

@@ -442,8 +442,9 @@ def test_read_dataset_rejects_non_finite_cells(tmp_path, cell):
         ("a,b,label\n0.5,1.0,0\n0.25,0.5,-1\n", r"d\.csv:3: label -1 is not 0 or 1"),
         ("a,b,label\n0.5,1.0,2\n0.25,0.5,1\n", r"d\.csv:2: label 2 is not 0 or 1"),
         ("a,a,label\n0.5,1.0,0\n0.25,0.5,1\n", r"d\.csv:1: column name 'a' is repeated"),
+        ("label\n0\n1\n", r"d\.csv:1: no feature column before the label column"),
     ],
-    ids=["negative-label", "label-two", "repeated-name"],
+    ids=["negative-label", "label-two", "repeated-name", "no-feature-column"],
 )
 def test_read_dataset_rejects_bad_labels_and_names_at_their_line(tmp_path, text, match):
     path = tmp_path / "d.csv"
@@ -462,6 +463,12 @@ def test_dataset_built_in_code_rejects_labels_other_than_0_and_1(labels, match):
     x = np.random.default_rng(0).normal(size=(4, 2))
     with pytest.raises(ValueError, match=f"{match} is not 0 or 1"):
         train(LabeledDataset(x, np.array(labels)), 4, 20, 0.01, 0)
+
+
+def test_train_rejects_a_dataset_with_no_feature_columns():
+    data = LabeledDataset(np.zeros((4, 0)), np.array([0, 1, 0, 1]))
+    with pytest.raises(ValueError, match="cannot train on a dataset with no feature columns"):
+        train(data, 4, 20, 0.01, 0)
 
 
 def test_stratified_split_deterministic_and_disjoint():

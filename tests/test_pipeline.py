@@ -142,9 +142,13 @@ def test_grid_unknown_key_names_line(tmp_path):
         ("lgn_depth=-2\n", r"g\.grid:1: lgn_depth: expected an integer >= 0, got -2$"),
         ("lgn_width=0,50\n", r"g\.grid:1: lgn_width: expected an integer >= 1, got 0$"),
         ("lgn_lut_size=4,-4\n", r"g\.grid:1: lgn_lut_size: expected an integer >= 1, got -4$"),
+        # an axis with no values would drop its pipeline's points, or every point
+        ("rf_estimators=\n", r"g\.grid:1: rf_estimators: expected at least one value$"),
+        ("pipelines=rf\nlgn_width= , \n", r"g\.grid:2: lgn_width: expected at least one value$"),
+        ("pipelines=\n", r"g\.grid:1: pipelines: expected at least one value$"),
     ],
     ids=["no-estimators", "negative-max-depth", "negative-lgn-depth", "no-lgn-width",
-         "negative-lut-size"],
+         "negative-lut-size", "empty-estimators", "blank-widths", "empty-pipelines"],
 )
 def test_grid_value_out_of_range_names_line_and_key(tmp_path, text, match):
     path = _write(tmp_path, "g.grid", text)
