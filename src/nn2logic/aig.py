@@ -7,6 +7,15 @@ the node ids.  Each node carries its level, the longest path from an input in
 AND nodes, set when the node is created.  Batch simulation packs one sample
 per bit of a Python int, so a full pass evaluates every sample at once.
 
+A node is stored as three 32-bit ints, as ABC's compact AIG keeps it: its
+two fanin literals (``fanin0``, ``fanin1``) and its level, each in an
+``array("i")``.  The structural hash ``_strash`` maps each AND's fanin pair
+to its node, and only ``and2`` reads it.  A fresh graph starts with an empty
+one, which ``and2`` keeps up to date.  The bulk appends of ``sweep``,
+``import_graph`` and ``read_aiger`` drop it (``None``), and the first
+``and2`` on such a graph rebuilds it from the fanins in one pass, so a graph
+that is only swept, read or written never holds one.
+
 Every AND node is canonical, as ``and2`` builds it: fanin0 < fanin1, neither
 fanin is a constant, the two fanins are neither equal nor complementary, and
 each (fanin0, fanin1) pair belongs to one node only.  So a one-to-one
@@ -37,16 +46,16 @@ _CONST = -2
 
 class AigGraph:
     def __init__(self) -> None:
-        self.fanin0: list[int] = [_CONST]
-        self.fanin1: list[int] = [_CONST]
-        # per node; inputs and the constant are at 0.  32 bits suffice, as the
-        # structural-hash key already limits literals to 32 bits.
+        # per node; 32 bits suffice, as the structural-hash key already limits
+        # literals to 32 bits.  Inputs and the constant have level 0.
+        self.fanin0 = array("i", [_CONST])
+        self.fanin1 = array("i", [_CONST])
         self.levels = array("i", [0])
         self.inputs: list[int] = []  # node ids in input order
         self.outputs: list[int] = []  # literals
         self.input_names: list = []
         self.output_names: list = []
-        self._strash: dict[int, int] = {}
+        self._strash: dict[int, int] | None = {}  # (fanin0 << 32 | fanin1) -> node
 
     # -- construction ----------------------------------------------------
 
@@ -77,7 +86,10 @@ class AigGraph:
         if a > b:
             a, b = b, a
         key = (a << 32) | b
-        node = self._strash.get(key)
+        strash = self._strash
+        if strash is None:
+            strash = self._structural_hash()
+        node = strash.get(key)
         if node is None:
             self.fanin0.append(a)
             self.fanin1.append(b)
@@ -85,7 +97,7 @@ class AigGraph:
             lb = self.levels[b >> 1]
             self.levels.append((la if la >= lb else lb) + 1)
             node = len(self.fanin0) - 1
-            self._strash[key] = node
+            strash[key] = node
         return node << 1
 
     def or2(self, a: int, b: int) -> int:
@@ -112,12 +124,20 @@ class AigGraph:
         return len(self.fanin0) - 1 - len(self.inputs)
 
     def fanin_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """``fanin0`` and ``fanin1`` as int32 arrays, for the whole-graph passes.
+        """Copies of ``fanin0`` and ``fanin1`` as int32 arrays, for the whole-graph passes.
 
-        32 bits hold every literal of a graph these lists can keep in memory:
-        2**30 nodes would take over 100 GB.
+        Each is one copy of the buffer; a view would stop the graph growing.
         """
-        return np.asarray(self.fanin0, dtype=np.int32), np.asarray(self.fanin1, dtype=np.int32)
+        return np.array(self.fanin0, dtype=np.int32), np.array(self.fanin1, dtype=np.int32)
+
+    def _structural_hash(self) -> dict[int, int]:
+        """``_strash``, rebuilt from the fanins if a bulk append dropped it."""
+        if self._strash is None:
+            f0, f1 = self.fanin_arrays()
+            ands = np.flatnonzero(f0 >= 0)
+            keys = (f0[ands].astype(np.int64) << 32) | f1[ands]
+            self._strash = dict(zip(keys.tolist(), ands.tolist()))
+        return self._strash
 
 
 def simulate_batch(g: AigGraph, input_words: list[int], n_lanes: int) -> list[int]:
@@ -125,7 +145,7 @@ def simulate_batch(g: AigGraph, input_words: list[int], n_lanes: int) -> list[in
     if len(input_words) != len(g.inputs):
         raise ValueError(f"expected {len(g.inputs)} input words, got {len(input_words)}")
     mask = (1 << n_lanes) - 1
-    f0, f1 = g.fanin0, g.fanin1
+    f0, f1 = g.fanin0.tolist(), g.fanin1.tolist()
     values = [0] * len(f0)
     for node, word in zip(g.inputs, input_words):
         values[node] = word & mask
@@ -190,20 +210,20 @@ def _renumbering(g: AigGraph, ands: np.ndarray, input_nodes, first: int):
 def _append_ands(dst: AigGraph, a: np.ndarray, b: np.ndarray, levels: np.ndarray) -> None:
     """Append ANDs of fanin literals ``a`` and ``b`` at ``levels`` to ``dst``, in order.
 
-    Each pair, once sorted, must be a canonical AND whose pair is not in
-    ``dst._strash`` yet: then no ``and2`` rule or structural-hash hit could
-    fire, and the result is what ``and2`` builds.  Copies of a graph's ANDs
-    are such pairs when the renumbering is one-to-one, keeps complement bits
-    and maps the ANDs to ``dst.num_nodes`` onwards in order (see the module
-    docstring); so are the AND lines ``read_aiger`` reads in bulk.
+    Each pair, once sorted, must be a canonical AND whose pair no AND of
+    ``dst`` has yet: then no ``and2`` rule or structural-hash hit could fire,
+    and the result is what ``and2`` builds.  Copies of a graph's ANDs are
+    such pairs when the renumbering is one-to-one, keeps complement bits and
+    maps the ANDs to ``dst.num_nodes`` onwards in order (see the module
+    docstring); so are the AND lines ``read_aiger`` reads in bulk.  The
+    structural hash is dropped, for the next ``and2`` to rebuild.
     """
     # inputs interleaved with ANDs can move in front of them, which swaps a pair
     lo, hi = np.minimum(a, b), np.maximum(a, b)
-    start = dst.num_nodes
-    dst.fanin0 += lo.tolist()
-    dst.fanin1 += hi.tolist()
+    dst.fanin0.frombytes(lo.astype(np.int32).tobytes())
+    dst.fanin1.frombytes(hi.astype(np.int32).tobytes())
     dst.levels.frombytes(levels.astype(np.int32).tobytes())
-    dst._strash.update(zip(((lo << 32) | hi).tolist(), range(start, start + len(lo))))
+    dst._strash = None
 
 
 def sweep(g: AigGraph) -> AigGraph:
@@ -252,10 +272,10 @@ def import_graph(dst: AigGraph, src: AigGraph, input_lits: list[int]) -> list[in
         ren = _renumbering(src, ands, bound >> 1, dst.num_nodes)
         _append_ands(dst, ren(f0[ands]), ren(f1[ands]), np.array(src.levels)[ands])
         return ren(np.asarray(src.outputs, dtype=np.int64)).tolist()
-    remap = [0] * len(src.fanin0)
+    f0, f1 = src.fanin0.tolist(), src.fanin1.tolist()
+    remap = [0] * len(f0)
     for node, lit in zip(src.inputs, input_lits):
         remap[node] = lit
-    f0, f1 = src.fanin0, src.fanin1
     and2 = dst.and2
     for node in range(1, len(f0)):
         a = f0[node]

@@ -113,10 +113,10 @@ def tseitin(g: AigGraph, output_index: int = 0) -> tuple[CnfFormula, dict[int, i
     Satisfying assignments restricted to the input variables are exactly the
     vectors driving the output to 1.
     """
-    f0 = np.asarray(g.fanin0, dtype=np.int64)
+    f0, f1 = g.fanin_arrays()
     nodes = np.flatnonzero(f0 >= 0)
     a = _dimacs(f0[nodes])
-    b = _dimacs(np.asarray(g.fanin1, dtype=np.int64)[nodes])
+    b = _dimacs(f1[nodes])
     body = np.empty((len(nodes), 7), dtype=np.int64)
     body[:, 0] = body[:, 2] = -nodes
     body[:, 1] = a
@@ -154,6 +154,13 @@ class _Cdcl:
     a current entry, which every unassigned variable has: ``decide`` pops
     assigned ones and ``backjump`` re-pushes them once unassigned.
     ``decisions`` and ``conflicts`` count the search steps.
+
+    Every variable starts with a ``(0.0, var)`` entry.  Those not yet popped
+    stay implicit, as the variables from ``fresh`` on in index order, since
+    a search often decides few of them; ``decide`` pops ``(0.0, fresh)``
+    whenever it comes before the top of ``heap``, and ``_rebuild_heap``
+    makes every entry explicit.  Decisions are the same as with all entries
+    in ``heap``.
     """
 
     def __init__(self, f: CnfFormula):
@@ -165,8 +172,8 @@ class _Cdcl:
         self.activity = [0.0] * num_vars
         self.var_inc = 1.0
         self.phase = [False] * num_vars
-        # All activities are 0, so ascending index order is already a heap.
-        self.heap = [(0.0, v) for v in range(num_vars)]
+        self.heap: list[tuple[float, int]] = []
+        self.fresh = 0
         self.queued = bytearray(b"\x01" * num_vars)
         self.decisions = 0
         self.conflicts = 0
@@ -297,6 +304,7 @@ class _Cdcl:
         act = self.activity
         self.heap = [(-act[v], v) for v in range(self.nv) if self.queued[v]]
         heapify(self.heap)
+        self.fresh = self.nv
 
     def bump(self, var: int) -> None:
         act = self.activity
@@ -310,7 +318,7 @@ class _Cdcl:
             self._rebuild_heap()
         elif self.queued[var]:
             heappush(self.heap, (-act[var], var))
-            if len(self.heap) > 2 * self.nv:
+            if len(self.heap) - self.fresh > self.nv:  # over 2 * nv with the implicit ones
                 self._rebuild_heap()
 
     def analyze(self, conflict: int) -> tuple[list[int], int]:
@@ -359,7 +367,7 @@ class _Cdcl:
             if not queued[var]:
                 queued[var] = 1
                 heappush(heap, (-act[var], var))
-        if len(heap) > 2 * self.nv:
+        if len(heap) - self.fresh > self.nv:
             self._rebuild_heap()
         del self.trail_lim[level:]
         self.qhead = len(self.trail)
@@ -377,16 +385,20 @@ class _Cdcl:
         self.enqueue(learnt[0], ci)
 
     def decide(self) -> bool:
-        heap, queued, assigns = self.heap, self.queued, self.assigns
+        heap, queued, assigns, nv = self.heap, self.queued, self.assigns, self.nv
         # Activities only grow between rebuilds, so a variable's stale entries
         # pop after its current one, hence only while it is assigned.
-        while heap:
-            best = heappop(heap)[1]
+        while True:
+            best = self.fresh
+            if best < nv and (not heap or (0.0, best) < heap[0]):
+                self.fresh += 1
+            elif heap:
+                best = heappop(heap)[1]
+            else:
+                return False
             queued[best] = 0
             if assigns[best] < 0:
                 break
-        else:
-            return False
         self.decisions += 1
         self.trail_lim.append(len(self.trail))
         self.enqueue(2 * best + (0 if self.phase[best] else 1), -1)

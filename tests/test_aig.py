@@ -439,7 +439,7 @@ def check_direct_digests(mlp_net, tmp_path, and_count, unswept_digest, header, b
     """The lowered graph node for node, and the swept AIGER file up to its symbol table."""
     lowered = lower_netlist(build_network_direct(mlp_net, FixedPointFormat(8, 6)))
     assert lowered.and_count() == and_count
-    unswept = repr((lowered.fanin0, lowered.fanin1, lowered.outputs)).encode()
+    unswept = repr((list(lowered.fanin0), list(lowered.fanin1), lowered.outputs)).encode()
     assert hashlib.sha256(unswept).hexdigest() == unswept_digest
     path = tmp_path / "direct.aag"
     write_aiger(sweep(lowered), path)
@@ -817,7 +817,7 @@ def import_both_ways(src: AigGraph, n_dst: int, slots, imported_before: bool):
 
 def assert_same_graph(got: AigGraph, want: AigGraph) -> None:
     assert (got.fanin0, got.fanin1, list(got.levels)) == (want.fanin0, want.fanin1, list(want.levels))
-    assert (got.inputs, got._strash) == (want.inputs, want._strash)
+    assert (got.inputs, got._structural_hash()) == (want.inputs, want._structural_hash())
     check_bookkeeping(got)
 
 
@@ -894,7 +894,7 @@ def test_sweep_matches_the_oracle(g):
         want.fanin0, want.fanin1, want.inputs, want.outputs
     )
     assert (got.input_names, got.output_names) == (want.input_names, want.output_names)
-    assert got._strash == want._strash
+    assert got._structural_hash() == want._structural_hash()
     check_bookkeeping(got)
 
 
@@ -923,7 +923,8 @@ def test_sweep_sorts_a_pair_whose_input_moves_to_the_front():
     ab = g.and2(g.add_input("a"), g.add_input("b"))
     g.add_output(g.and2(ab, g.add_input("c")), "y")
     got, want = sweep(g), sweep_reference(g)
-    assert (got.fanin0, got.fanin1, got._strash) == (want.fanin0, want.fanin1, want._strash)
+    assert (got.fanin0, got.fanin1) == (want.fanin0, want.fanin1)
+    assert got._structural_hash() == want._structural_hash()
     assert g.fanin0[-1] == ab and got.fanin1[-1] == 2 * 4
 
 
@@ -951,7 +952,7 @@ def test_emit_equations_matches_the_oracle(g):
 )
 @given(random_aigs())
 def test_import_into_itself_adds_no_node_after_sweep_or_read(tmp_path, g):
-    """The bulk paths of ``sweep`` and ``read_aiger`` leave a complete structural hash."""
+    """The structural hash that ``and2`` rebuilds after ``sweep`` or ``read_aiger`` is complete."""
     path = tmp_path / "g.aag"
     write_aiger(g, path)
     for h in (sweep(g), read_aiger(path)):
@@ -960,10 +961,36 @@ def test_import_into_itself_adds_no_node_after_sweep_or_read(tmp_path, g):
         assert h.num_nodes == n
 
 
+# every example writes the same file, so sharing tmp_path is safe
+@settings(
+    max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(random_aigs())
+def test_bulk_built_graphs_hold_no_hash_until_and2(tmp_path, g):
+    """``sweep``, bulk ``import_graph`` and bulk ``read_aiger`` drop the hash; ``and2`` rebuilds it."""
+    path = tmp_path / "g.aag"
+    write_aiger(g, path)
+    imported = AigGraph()
+    import_graph(imported, g, [imported.add_input() for _ in g.inputs])
+    for h in (sweep(g), imported, read_aiger(path)):
+        # a file with no AND lines is read line by line
+        assert h._strash is None if h.and_count() else not h._strash
+        rebuilt = AigGraph()
+        import_graph_reference(rebuilt, h, [rebuilt.add_input() for _ in h.inputs])
+        n = h.num_nodes
+        for node, (a, b) in enumerate(zip(h.fanin0, h.fanin1)):
+            if a >= 0:
+                assert h.and2(a, b) == node << 1
+        assert h.num_nodes == n
+        assert h._structural_hash() == rebuilt._strash
+
+
 # copies of existing ANDs twice as often as each other kind
 NEW_ANDS = ["repeat", "repeat", "constant", "equal", "complement", "any", "redefine"]
 # None drops the token; "2 4" adds one
 BAD_TOKENS = [None, "2 4", "x", "", "-2", "06", "+4", "4\t", "1", "3", "99999999999999999999"]
+# symbol positions that are not integers
+BAD_POSITIONS = ["", "x", "1.0", "0x1", "--1"]
 
 
 def mutated_aiger(data, lines: list[str]) -> list[str]:
@@ -975,7 +1002,9 @@ def mutated_aiger(data, lines: list[str]) -> list[str]:
     constant, equal or complementary pair, or any two literals of any
     variables, its own included.  Then a line's last token may move to the
     next line, and up to two tokens, of AND lines or any lines, are dropped,
-    split or replaced by a malformed token or any literal up to 2M + 3.
+    split or replaced by a malformed token or any literal up to 2M + 3.  A
+    symbol line's position may first turn negative, out of range or not an
+    integer.
     """
     _, m, n_in, _, n_out, n_and = lines[0].split()
     m, n_in, n_out, n_and = int(m), int(n_in), int(n_out), int(n_and)
@@ -999,6 +1028,14 @@ def mutated_aiger(data, lines: list[str]) -> list[str]:
             pair = data.draw(st.sampled_from(ands)).split()[1:]
         at = data.draw(st.just(len(ands)) | st.integers(0, len(ands)))
         ands.insert(at, f"{lhs} {pair[0]} {pair[1]}")
+    if symbols and data.draw(st.integers(0, 3)) == 0:
+        k = data.draw(st.integers(0, len(symbols) - 1))
+        tag, _, name = symbols[k].partition(" ")
+        count = n_in if tag[0] == "i" else n_out
+        position = data.draw(
+            st.integers(-3, -1) | st.integers(count, count + 2) | st.sampled_from(BAD_POSITIONS)
+        )
+        symbols[k] = f"{tag[0]}{position} {name}"
     lines = [f"aag {m} {n_in} 0 {n_out} {len(ands)}", *inputs, *outputs, *ands, *symbols]
     if data.draw(st.integers(0, 3)) == 0:  # a line's last token moves to the next line
         k = data.draw(st.integers(0, len(lines) - 2)) if len(lines) > 1 else 0
@@ -1016,14 +1053,14 @@ def mutated_aiger(data, lines: list[str]) -> list[str]:
 
 
 def read_outcome(reader, path):
-    """The graph's every field, or the error's text."""
+    """The graph's every field, its structural hash as ``and2`` holds it, or the error's text."""
     try:
         g = reader(path)
     except ValueError as exc:
         return str(exc)
     return (
         g.fanin0, g.fanin1, list(g.levels), g.inputs, g.outputs,
-        g.input_names, g.output_names, g._strash,
+        g.input_names, g.output_names, g._structural_hash(),
     )
 
 

@@ -239,10 +239,13 @@ class ScanCdcl(_Cdcl):
 
 
 def assert_heap_valid(s: _Cdcl) -> None:
-    """Lazy heap: ``queued`` marks the variables with exactly one current entry."""
+    """Lazy heap: ``queued`` marks the variables with exactly one current entry.
+
+    The variables from ``s.fresh`` on count their implicit ``(0.0, v)`` entry.
+    """
     assert all(s.heap[(i - 1) >> 1] <= e for i, e in enumerate(s.heap) if i)
     current = [0] * s.nv
-    for key, v in s.heap:
+    for key, v in s.heap + [(0.0, v) for v in range(s.fresh, s.nv)]:
         current[v] += key == -s.activity[v]
     assert current == list(s.queued)
     for v in range(s.nv):
@@ -399,6 +402,16 @@ def test_heap_compaction_bounds_stale_entries():
     s = assert_same_search(cnf_formula(150, random_3cnf(150, 639, 1)), solver=HeapSizeCdcl)
     assert s.conflicts > 2000
     assert s.longest <= 2 * s.nv + 1
+
+
+def test_a_short_search_keeps_most_variables_off_the_heap():
+    """Variables that no bump or backjump queued again hold no entry on ``heap``."""
+    g = lower_netlist(module_netlist(build_neuron(((-6, -6, 4), 0, 2, True)), 3, 4))
+    formula = tseitin(g, 0)[0]
+    s = _Cdcl(formula)
+    assert (s.heap, s.fresh) == ([], 0)
+    s = assert_same_search(formula)
+    assert s.decisions == 11 and len(s.heap) + s.fresh < s.nv // 10
 
 
 @st.composite
