@@ -741,16 +741,15 @@ def read_aiger(path) -> AigGraph:
                 raise ValueError(f"undefined variable {spec >> 1}")
             g.add_output(var_lit[spec >> 1] ^ (spec & 1))
         for k in range(end, len(lines)):
-            line = lines[k]
-            if line == "c":
+            if lines[k] == "c":
                 break
-            if line.startswith("i") or line.startswith("o"):
-                tag, _, name = line.partition(" ")
-                idx = int(tag[1:])
-                names = g.input_names if tag[0] == "i" else g.output_names
-                if not 0 <= idx < len(names):
-                    raise ValueError(f"symbol position {tag!r} out of range: {len(names)} declared")
-                names[idx] = name
+            tag, space, name = lines[k].partition(" ")
+            if tag[:1] not in ("i", "o") or not space or not tag[1:].removeprefix("-").isdecimal():
+                raise ValueError(f"stray line {lines[k]!r}: expected i<k> <name>, o<k> <name> or c")
+            names = g.input_names if tag[0] == "i" else g.output_names
+            if not 0 <= int(tag[1:]) < len(names):
+                raise ValueError(f"symbol position {tag!r} out of range: {len(names)} declared")
+            names[int(tag[1:])] = name
     except ValueError as exc:
         raise ValueError(f"{path}:{k + 1}: {exc}") from None
     return g

@@ -38,6 +38,15 @@ def _config_from(args, extra: dict | None = None) -> pipeline.PipelineConfig:
     return pipeline.parse_config(args.config, overrides)
 
 
+def _weights_for(data, data_path: str, weights_path: str) -> mlp.Mlp:
+    """The MLP of ``weights_path``, which must read as many features as ``data`` has."""
+    net = mlp.load_weights(weights_path)
+    if len(data.feature_names) != net.input_width:
+        raise ValueError(f"{data_path}:1: {len(data.feature_names)} feature columns, "
+                         f"but {weights_path} declares {net.input_width} inputs")
+    return net
+
+
 def cmd_train(args) -> int:
     cfg = _config_from(args, {"dataset": args.dataset})
     data, train_idx, test_idx = pipeline.load_split(cfg)
@@ -62,10 +71,10 @@ def cmd_train(args) -> int:
 
 def cmd_compile(args) -> int:
     cfg = _config_from(args, {"dataset": args.dataset})
-    net = mlp.load_weights(args.weights)
+    data, train_idx, _ = pipeline.load_split(cfg)
+    net = _weights_for(data, cfg.dataset, args.weights)
     fmt = cfg.fmt
     os.makedirs(cfg.out_dir, exist_ok=True)
-    data, train_idx, _ = pipeline.load_split(cfg)
     if args.split:
         train_idx, _ = pipeline.read_split_manifest(args.split, len(data))
     names = data.feature_names
@@ -98,7 +107,7 @@ def cmd_evaluate(args) -> int:
     if args.split:
         _, test_idx = pipeline.read_split_manifest(args.split, len(data))
         data = data.subset(test_idx)
-    scaler = mlp.load_weights(args.weights).scaler
+    scaler = _weights_for(data, cfg.dataset, args.weights).scaler
     report = analysis.evaluate(graph, data, cfg.fmt, scaler, pipeline=cfg.pipeline)
     print(analysis.RESULTS_HEADER)
     print(report.csv_row())

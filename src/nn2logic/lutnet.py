@@ -4,10 +4,14 @@ Each LUT draws K distinct inputs from the previous layer (raw feature bits
 for the first layer); input j is bit j of the LUT's pattern index.
 Training is one counting sweep per layer: each pattern's entry of the
 truth table is the majority label of the samples showing that pattern;
-ties and never-seen patterns give 0.  A trained LUT keeps only its inputs
-and its table; the counts are dropped once the table is formed.  Later
-layers train on the table outputs of earlier ones, and a final K-input LUT
-wired into the last hidden layer emits the bit.
+ties and never-seen patterns give 0; the counts are dropped once the
+table is formed.  Later layers train on the table outputs of earlier ones,
+and a final K-input LUT wired into the last hidden layer emits the bit.
+
+A trained layer is one record array (``lut_layer``): its ``inputs`` field
+is the (W, K) wiring and its ``table`` field the (W, 2**K) truth tables,
+so whole-layer code indexes two arrays, while one LUT, a row, still reads
+as ``lut.inputs`` and ``lut.table`` for code that walks LUTs one by one.
 
 Training counts on sample-packed columns.  Every feature bit, label and LUT
 output is a row of uint64 words in which sample i is bit i % 64 of word
@@ -24,7 +28,7 @@ and packs their shared feature columns once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,37 +36,40 @@ from nn2logic import netlist as nl
 from nn2logic.datasets import bit_training_set, pack_bits
 
 
-@dataclass
-class Lut:
-    inputs: tuple[int, ...]
-    table: np.ndarray  # (2**K,) uint8 output bit per pattern
-
-    def table_int(self) -> int:
-        return sum(int(bit) << p for p, bit in enumerate(self.table))
+def lut_layer(inputs, tables) -> np.recarray:
+    """One record per LUT: ``inputs`` (K,) int64 wiring and ``table`` (2**K,) uint8."""
+    dtype = [("inputs", np.int64, np.shape(inputs)[1:]), ("table", np.uint8, np.shape(tables)[1:])]
+    return np.rec.fromarrays([inputs, tables], dtype=dtype)
 
 
 @dataclass
 class LutNetwork:
+    """One bit's LUT network: a ``lut_layer`` per hidden layer, then ``output``.
+
+    ``output`` is row 0 of a one-record layer.  Records, not bare arrays, so
+    that one LUT reads as ``lut.inputs`` / ``lut.table`` (``bench/reference.py``).
+    """
+
     depth: int
     width: int
     lut_size: int
     seed: int
     n_features: int
-    layers: list[list[Lut]] = field(default_factory=list)
-    output: Lut | None = None
+    layers: list[np.recarray]
+    output: np.record
 
 
-def _sample_wiring(rng, pool: int, k: int) -> tuple[int, ...]:
-    return tuple(np.sort(rng.choice(pool, size=k, replace=False)).tolist())
+def _sample_wiring(rng, pool: int, k: int) -> np.ndarray:
+    return np.sort(rng.choice(pool, size=k, replace=False))
 
 
 def _popcount(words: np.ndarray) -> np.ndarray:
     return np.bitwise_count(words).sum(axis=-1, dtype=np.int64)
 
 
-def _train_layer(cols: np.ndarray, wirings, ones: np.ndarray, zeros: np.ndarray):
-    """Tables (W, 2**K) and packed outputs (W, words) of one layer; no counts are kept."""
-    inputs = cols[np.asarray(wirings)]  # (W, K, words)
+def _train_layer(cols: np.ndarray, wiring: np.ndarray, ones: np.ndarray, zeros: np.ndarray):
+    """Tables (W, 2**K) and packed outputs (W, words) of a (W, K) wiring; no counts are kept."""
+    inputs = cols[wiring]  # (W, K, words)
     w, k, n_words = inputs.shape
     minterms = np.empty((w, 1 << k, n_words), dtype=cols.dtype)
     minterms[:, 0] = ~np.uint64(0)
@@ -74,14 +81,6 @@ def _train_layer(cols: np.ndarray, wirings, ones: np.ndarray, zeros: np.ndarray)
     tables = (_popcount(minterms & ones) > _popcount(minterms & zeros)).astype(np.uint8)
     minterms[tables == 0] = 0
     return tables, np.bitwise_or.reduce(minterms, axis=1)
-
-
-def _layer_outputs(prev_bits: np.ndarray, luts: list[Lut]) -> np.ndarray:
-    pow2 = 1 << np.arange(len(luts[0].inputs), dtype=np.int64)
-    wiring = np.array([l.inputs for l in luts])
-    patterns = prev_bits[:, wiring].astype(np.int64) @ pow2
-    tables = np.stack([l.table for l in luts])
-    return tables[np.arange(len(luts)), patterns].astype(np.uint8)
 
 
 def train_logicnets(
@@ -112,51 +111,50 @@ def train_logicnets(
 def _train_net(cols, ones, zeros, depth: int, width: int, lut_size: int, seed: int) -> LutNetwork:
     n_features = len(cols)
     rng = np.random.default_rng(seed)
-    net = LutNetwork(depth, width, lut_size, seed, n_features)
     # wiring is sampled up front so it does not depend on the training data
-    layer_wirings = []
-    for layer in range(depth):
-        pool = n_features if layer == 0 else width
-        layer_wirings.append([_sample_wiring(rng, pool, lut_size) for _ in range(width)])
-    out_pool = width if depth else n_features
-    out_wiring = _sample_wiring(rng, out_pool, min(lut_size, out_pool))
-
-    for wirings in layer_wirings + [[out_wiring]]:
-        tables, cols = _train_layer(cols, wirings, ones, zeros)
-        net.layers.append([Lut(wire, table) for wire, table in zip(wirings, tables)])
-    (net.output,) = net.layers.pop()
-    return net
+    wirings, pool = [], n_features
+    for _ in range(depth):
+        wirings.append(np.array([_sample_wiring(rng, pool, lut_size) for _ in range(width)]))
+        pool = width
+    wirings.append(_sample_wiring(rng, pool, min(lut_size, pool))[None])
+    layers = []
+    for wiring in wirings:
+        tables, cols = _train_layer(cols, wiring, ones, zeros)
+        layers.append(lut_layer(wiring, tables))
+    return LutNetwork(depth, width, lut_size, seed, n_features, layers[:-1], layers[-1][0])
 
 
 def eval_logicnet_batch(net: LutNetwork, rows) -> np.ndarray:
-    prev = np.asarray(rows, dtype=np.uint8)
-    for luts in net.layers:
-        prev = _layer_outputs(prev, luts)
-    return _layer_outputs(prev, [net.output])[:, 0]
+    """Output bit per row: each layer maps (n, ·) bits to (n, W), the output LUT to (n,)."""
+    bits = np.asarray(rows, dtype=np.uint8)
+    for luts in (*net.layers, net.output):
+        pow2 = 1 << np.arange(luts.inputs.shape[-1], dtype=np.int64)
+        patterns = bits[:, luts.inputs].astype(np.int64) @ pow2
+        bits = np.take_along_axis(luts.table, patterns.T, axis=-1).T
+    return bits
 
 
-def _live_cone(net: LutNetwork) -> list[set[int]]:
-    """Per-layer LUT indices reachable backward from the output stage."""
-    live: list[set[int]] = [set() for _ in net.layers]
-    frontier = set(net.output.inputs)
-    for layer in range(len(net.layers) - 1, -1, -1):
-        live[layer] = frontier
-        frontier = set()
-        for j in live[layer]:
-            frontier.update(net.layers[layer][j].inputs)
-    return live
+def _live_cone(net: LutNetwork) -> list[np.ndarray]:
+    """Per layer, the ascending indices of the LUTs the output stage reaches backward."""
+    live, frontier = [], net.output.inputs
+    for luts in reversed(net.layers):
+        frontier = np.unique(frontier)
+        live.append(frontier)
+        frontier = luts.inputs[frontier]
+    return live[::-1]
 
 
-def _emit_lut(net: nl.Netlist, lut: Lut, prev) -> int:
+def _emit_lut(net: nl.Netlist, lut: np.record, prev) -> int:
     """One LUT gate; ``prev[q]`` is the signal of the previous layer's q-th bit."""
-    return net.add_gate("LUT", [prev[q] for q in lut.inputs], (lut.table_int(), len(lut.inputs)))
+    code = int.from_bytes(np.packbits(lut.table, bitorder="little").tobytes(), "little")
+    return net.add_gate("LUT", [prev[q] for q in lut.inputs.tolist()], (code, lut.inputs.size))
 
 
 def _emit_logicnet_bit(net: nl.Netlist, feature_sids: list[int], lgn: LutNetwork) -> int:
     """LUT gates of the output cone, layer by layer, then the output LUT."""
     prev = feature_sids
     for luts, live in zip(lgn.layers, _live_cone(lgn)):
-        prev = {j: _emit_lut(net, luts[j], prev) for j in sorted(live)}
+        prev = {j: _emit_lut(net, luts[j], prev) for j in live.tolist()}
     return _emit_lut(net, lgn.output, prev)
 
 
@@ -171,17 +169,10 @@ def logicnet_module(nets: list[LutNetwork], word_width: int | None = None):
 
 
 def logicnet_to_text(net: LutNetwork) -> str:
-    lines = [
-        f"logicnet {net.depth} {net.width} {net.lut_size} {net.seed} {net.n_features}"
-    ]
-
-    def emit(tag: str, lut: Lut) -> None:
-        wiring = ",".join(str(v) for v in lut.inputs)
-        table = "".join(str(int(b)) for b in lut.table)
-        lines.append(f"{tag} {wiring} {table}")
-
-    for layer, luts in enumerate(net.layers):
-        for lut in luts:
-            emit(f"lut{layer}", lut)
-    emit("out", net.output)
+    lines = [f"logicnet {net.depth} {net.width} {net.lut_size} {net.seed} {net.n_features}"]
+    rows = [(f"lut{i}", luts.inputs, luts.table) for i, luts in enumerate(net.layers)]
+    rows.append(("out", net.output.inputs[None], net.output.table[None]))
+    for tag, wirings, tables in rows:
+        for wiring, table in zip(wirings.tolist(), tables.tolist()):
+            lines.append(f"{tag} {','.join(map(str, wiring))} {''.join(map(str, table))}")
     return "\n".join(lines) + "\n"

@@ -174,6 +174,18 @@ def lut_output_reference(rows, inputs, table) -> list[int]:
     return out
 
 
+def live_cone_reference(net) -> list[set[int]]:
+    """Per-layer LUT indices reachable backward from a LUT network's output, as sets."""
+    live: list[set[int]] = [set() for _ in net.layers]
+    frontier = set(net.output.inputs.tolist())
+    for layer in range(len(net.layers) - 1, -1, -1):
+        live[layer] = frontier
+        frontier = set()
+        for j in live[layer]:
+            frontier.update(net.layers[layer][j].inputs.tolist())
+    return live
+
+
 def lut_cofactor_reference(g: AigGraph, table: int, sels: list[int], memo: dict) -> int:
     """The fixed-order LUT lowering: a Shannon mux tree split on ``sels[-1]`` first.
 
@@ -486,16 +498,15 @@ def read_aiger_reference(path) -> AigGraph:
                 raise ValueError(f"undefined variable {spec >> 1}")
             g.add_output(var_lit[spec >> 1] ^ (spec & 1))
         for k in range(end, len(lines)):
-            line = lines[k]
-            if line == "c":
+            if lines[k] == "c":
                 break
-            if line.startswith("i") or line.startswith("o"):
-                tag, _, name = line.partition(" ")
-                idx = int(tag[1:])
-                names = g.input_names if tag[0] == "i" else g.output_names
-                if not 0 <= idx < len(names):
-                    raise ValueError(f"symbol position {tag!r} out of range: {len(names)} declared")
-                names[idx] = name
+            tag, space, name = lines[k].partition(" ")
+            if tag[:1] not in ("i", "o") or not space or not tag[1:].removeprefix("-").isdecimal():
+                raise ValueError(f"stray line {lines[k]!r}: expected i<k> <name>, o<k> <name> or c")
+            names = g.input_names if tag[0] == "i" else g.output_names
+            if not 0 <= int(tag[1:]) < len(names):
+                raise ValueError(f"symbol position {tag!r} out of range: {len(names)} declared")
+            names[int(tag[1:])] = name
     except ValueError as exc:
         raise ValueError(f"{path}:{k + 1}: {exc}") from None
     return g

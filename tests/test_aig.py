@@ -708,12 +708,15 @@ def test_aiger_malformed_body_names_the_line(tmp_path, body, line, message):
         ("i5 a", "symbol position 'i5' out of range: 2 declared"),
         ("o3 y", "symbol position 'o3' out of range: 1 declared"),
         ("o-2 y", "symbol position 'o-2' out of range: 1 declared"),
+        ("hello world", "stray line 'hello world': expected i<k> <name>, o<k> <name> or c"),
+        ("l0 z", "stray line 'l0 z': expected i<k> <name>, o<k> <name> or c"),
     ],
-    ids=["negative-input", "input-past-end", "output-past-end", "negative-output"],
+    ids=["negative-input", "input-past-end", "output-past-end", "negative-output",
+         "stray-text", "latch-symbol"],
 )
 @pytest.mark.parametrize("reader", [read_aiger, read_aiger_reference], ids=["bulk", "reference"])
 def test_aiger_symbol_out_of_range_names_the_line(tmp_path, reader, symbol, message):
-    """A negative or too large symbol position is an error, not a rename of another signal."""
+    """A bad symbol position or a stray line is an error, not a rename or a silent skip."""
     path = tmp_path / "bad.aag"
     path.write_text(f"aag 3 2 0 1 1\n2\n4\n6\n6 2 4\ni0 a\ni1 b\n{symbol}\no0 y\n")
     with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:8: {message}$"):

@@ -287,6 +287,33 @@ def test_compile_rejects_a_split_that_leaks_test_rows(trained, tmp_path, capsys)
     assert not os.path.exists(os.path.join(out, "rf.aag"))
 
 
+@pytest.mark.parametrize("flow", ["direct", "rf", "logicnet"])
+def test_compile_rejects_a_dataset_narrower_than_the_weights(trained, tmp_path, flow, capsys):
+    csv = str(tmp_path / "narrow.csv")
+    write_csv(make_overlapping_gaussians(60, 3, seed=1), csv)
+    out = tmp_path / "out"
+    args = ["compile", csv, trained["weights"], "--config", trained["cfg"],
+            "--pipeline", flow, "--out", str(out)]
+    assert cli.main(args) == 2
+    assert capsys.readouterr().err == (
+        f"error: {csv}:1: 3 feature columns, but {trained['weights']} declares 4 inputs\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n_features", [3, 5])
+def test_evaluate_rejects_a_dataset_of_another_width(trained, decision_aiger, tmp_path,
+                                                       n_features, capsys):
+    _, aag = decision_aiger
+    csv = str(tmp_path / "other.csv")
+    write_csv(make_overlapping_gaussians(60, n_features, seed=1), csv)
+    assert cli.main(["evaluate", aag, csv, trained["weights"], "--config", trained["cfg"]]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {csv}:1: {n_features} feature columns, "
+        f"but {trained['weights']} declares 4 inputs\n"
+    )
+
+
 BLAS_PROBE = """
 import os, sys
 KEYS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")

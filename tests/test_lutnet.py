@@ -9,15 +9,16 @@ from hypothesis import strategies as st
 from nn2logic import lutnet
 from nn2logic.aig import lower_netlist, simulate_batch
 from nn2logic.lutnet import (
-    Lut,
     LutNetwork,
     eval_logicnet_batch,
     logicnet_module,
     logicnet_to_text,
+    lut_layer,
     train_logicnets,
 )
 
 from oracles import (
+    live_cone_reference,
     lut_counts_reference,
     lut_output_reference,
     module_netlist,
@@ -52,10 +53,9 @@ def test_xor_single_lut():
     x = np.array([[0, 0], [0, 1], [1, 0], [1, 1]], dtype=np.uint8)
     y = (x[:, 0] ^ x[:, 1]).astype(int)
     net = train_logicnet(x, y, depth=1, width=1, lut_size=2, seed=0)
-    assert net.layers[0][0].inputs == (0, 1)
+    assert net.layers[0][0].inputs.tolist() == [0, 1]
     assert eval_logicnet_batch(net, x).tolist() == (x[:, 0] ^ x[:, 1]).tolist()
-    table = net.layers[0][0].table
-    assert list(table) == [0, 1, 1, 0]
+    assert net.layers[0][0].table.tolist() == [0, 1, 1, 0]
 
 
 def test_unseen_pattern_defaults_zero():
@@ -107,15 +107,12 @@ def test_memorization_with_full_width_lut():
 
 
 def test_logicnet_to_text_golden():
-    def lut(inputs, table):
-        return Lut(inputs, np.array(table, np.uint8))
-
-    net = LutNetwork(depth=2, width=2, lut_size=2, seed=9, n_features=3)
-    net.layers = [
-        [lut((0, 2), [0, 1, 1, 0]), lut((1, 2), [1, 0, 0, 0])],
-        [lut((0, 1), [0, 0, 0, 1]), lut((0, 1), [1, 1, 1, 0])],
+    layers = [
+        lut_layer([(0, 2), (1, 2)], [[0, 1, 1, 0], [1, 0, 0, 0]]),
+        lut_layer([(0, 1), (0, 1)], [[0, 0, 0, 1], [1, 1, 1, 0]]),
     ]
-    net.output = lut((1,), [1, 0])
+    output = lut_layer([(1,)], [[1, 0]])[0]
+    net = LutNetwork(depth=2, width=2, lut_size=2, seed=9, n_features=3, layers=layers, output=output)
     assert logicnet_to_text(net) == (
         "logicnet 2 2 2 9 3\n"
         "lut0 0,2 0110\n"
@@ -124,6 +121,46 @@ def test_logicnet_to_text_golden():
         "lut1 0,1 1110\n"
         "out 1 10\n"
     )
+
+
+def test_layers_read_as_per_lut_vectors():
+    """Row j of a layer reads as one LUT, as code that walks LUTs one by one expects."""
+    rng = np.random.default_rng(4)
+    x = rng.integers(0, 2, size=(90, 7)).astype(np.uint8)
+    net = train_logicnet(x, rng.integers(0, 2, size=90), depth=2, width=5, lut_size=3, seed=2)
+    for luts in net.layers:
+        assert luts.inputs.shape == (5, 3) and luts.table.shape == (5, 8)
+        for j, lut in enumerate(luts):
+            assert lut.inputs.dtype == np.int64 and lut.inputs.shape == (3,)
+            assert lut.table.dtype == np.uint8 and lut.table.shape == (8,)
+            assert luts[j].inputs.tolist() == luts.inputs[j].tolist()
+            assert luts[j].table.tolist() == luts.table[j].tolist()
+    assert net.output.inputs.shape == (3,) and net.output.table.shape == (8,)
+    assert net.output.table.dtype == np.uint8
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    depth=st.integers(0, 3),
+    width=st.integers(1, 6),
+    lut_size=st.integers(1, 4),
+    n_features=st.integers(4, 9),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_live_cone_matches_set_walk(depth, width, lut_size, n_features, seed):
+    """The array cone picks the LUTs the set walk picks, in ascending order."""
+    rng = np.random.default_rng(seed)
+    layers, pool = [], n_features
+    for _ in range(depth):
+        wiring = [np.sort(rng.choice(pool, size=min(lut_size, pool), replace=False))
+                  for _ in range(width)]
+        layers.append(lut_layer(wiring, np.zeros((width, 1 << len(wiring[0])), np.uint8)))
+        pool = width
+    k = min(lut_size, pool)
+    output = lut_layer([np.sort(rng.choice(pool, size=k, replace=False))], [[0] * (1 << k)])[0]
+    net = LutNetwork(depth, width, lut_size, seed, n_features, layers, output)
+    got = [live.tolist() for live in lutnet._live_cone(net)]
+    assert got == [sorted(live) for live in live_cone_reference(net)]
 
 
 def test_module_passes_bit_through():
