@@ -1,6 +1,3 @@
 """nn2logic: compile trained MLP classifiers into And-Inverter-Graph logic."""
 
-from nn2logic.fixedpoint import FixedPointFormat, dequantize, quantize
-
-__all__ = ["FixedPointFormat", "quantize", "dequantize"]
 __version__ = "0.1.0"

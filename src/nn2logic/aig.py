@@ -532,7 +532,7 @@ def lower_netlist(net: Netlist) -> AigGraph:
         ops = [bits[o] for o in gate.operands]
         kind = gate.kind
         if kind == "CONST":
-            word = [int(c) for c in reversed(gate.params[0])]
+            word = [(gate.params[0] >> j) & 1 for j in range(net.widths[gate.output])]
         elif kind == "NEURON":
             weights, bias, shift, relu = gate.params
             m = len(ops[0])
@@ -740,6 +740,7 @@ def read_aiger(path) -> AigGraph:
             if spec >> 1 not in var_lit:
                 raise ValueError(f"undefined variable {spec >> 1}")
             g.add_output(var_lit[spec >> 1] ^ (spec & 1))
+        named: set[tuple[str, int]] = set()
         for k in range(end, len(lines)):
             if lines[k] == "c":
                 break
@@ -747,9 +748,15 @@ def read_aiger(path) -> AigGraph:
             if tag[:1] not in ("i", "o") or not space or not tag[1:].removeprefix("-").isdecimal():
                 raise ValueError(f"stray line {lines[k]!r}: expected i<k> <name>, o<k> <name> or c")
             names = g.input_names if tag[0] == "i" else g.output_names
-            if not 0 <= int(tag[1:]) < len(names):
+            pos = int(tag[1:])
+            if not 0 <= pos < len(names):
                 raise ValueError(f"symbol position {tag!r} out of range: {len(names)} declared")
-            names[int(tag[1:])] = name
+            if not name:
+                raise ValueError(f"symbol {tag!r} has an empty name")
+            if (tag[0], pos) in named:
+                raise ValueError(f"symbol position {tag!r} named twice")
+            named.add((tag[0], pos))
+            names[pos] = name
     except ValueError as exc:
         raise ValueError(f"{path}:{k + 1}: {exc}") from None
     return g

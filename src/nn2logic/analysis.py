@@ -53,6 +53,12 @@ def dataset_input_words(features: np.ndarray, fmt: FixedPointFormat, scaler=None
     return [int.from_bytes(col.tobytes(), "little") for col in packed.T], len(ints)
 
 
+def unpack_lanes(word: int, n: int) -> np.ndarray:
+    """Bit s of ``word`` at index s, for s < n, as uint8."""
+    raw = np.frombuffer(word.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, bitorder="little")[:n]
+
+
 def evaluate(
     g: AigGraph,
     data,
@@ -84,8 +90,7 @@ def evaluate_packed(
         raise ValueError(
             f"graph expects {len(g.inputs)} input bits, dataset provides {len(words)}"
         )
-    pred_word = simulate_batch(g, words, n)[-1]
-    preds = np.array([(pred_word >> s) & 1 for s in range(n)])
+    preds = unpack_lanes(simulate_batch(g, words, n)[-1], n)
     correct = int((preds == np.asarray(labels)).sum())
     nodes, levels = stats(g)
     return EvaluationReport(

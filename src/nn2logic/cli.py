@@ -17,12 +17,13 @@ from nn2logic import aig, analysis, mlp, pipeline, sat
 from nn2logic.datasets import read_dataset
 
 
-def _common_flags(p: argparse.ArgumentParser) -> None:
+def _common_flags(p: argparse.ArgumentParser, pipeline_flag: bool = True) -> None:
     p.add_argument("--config", help="flat key=value config file")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--bits", type=int, default=None, help="total quantization bits")
     p.add_argument("--frac", type=int, default=None, help="fractional quantization bits")
-    p.add_argument("--pipeline", choices=pipeline.PIPELINES, default=None)
+    if pipeline_flag:
+        p.add_argument("--pipeline", choices=pipeline.PIPELINES, default=None)
     p.add_argument("--out", default=None, help="output directory")
 
 
@@ -229,9 +230,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="run the pipeline/parameter grid")
     p.add_argument("dataset", nargs="?", default=None)
-    p.add_argument("--grid", help="grid file with comma-separated values")
-    _common_flags(p)
-    p.set_defaults(func=cmd_sweep)
+    p.add_argument("--grid", help="grid file with comma-separated values; its pipelines key "
+                   "chooses the pipelines")
+    _common_flags(p, pipeline_flag=False)
+    p.set_defaults(func=cmd_sweep, pipeline=None)
 
     return parser
 

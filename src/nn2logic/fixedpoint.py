@@ -4,13 +4,14 @@ A format (m, i) has m total bits of which i are fractional; one sign bit is
 always implied, so the integer part carries k = m - i bits including sign.
 ``quantize_array`` is the one quantization rule: scale by 2**i, truncate
 toward zero and saturate to the signed m-bit range, giving signed integers.
-``quantize`` and ``dequantize`` write and read a single value as an m-bit
-string, most significant bit first.
+A word is that integer; its real value is ``word / 2**i``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -36,18 +37,6 @@ class FixedPointFormat:
         return -(1 << (self.total_bits - 1))
 
 
-def from_int(value: int, width: int) -> str:
-    """Two's-complement bit string of ``value`` at the given width."""
-    return format(value & ((1 << width) - 1), "b").zfill(width)
-
-
-def signed_value(word: int, width: int) -> int:
-    """Reinterpret an unsigned ``width``-bit word as a signed integer."""
-    if word & (1 << (width - 1)):
-        word -= 1 << width
-    return word
-
-
 def quantize_array(values, fmt: FixedPointFormat):
     """Signed int64 words of ``values``: scaled by 2**i, truncated, saturated.
 
@@ -57,8 +46,6 @@ def quantize_array(values, fmt: FixedPointFormat):
     power of two 2**(m-1), before the cast: ``max_int`` itself is not a
     float64 from m = 55 on.
     """
-    import numpy as np  # not at import time: ``cli`` pins BLAS threads before NumPy loads
-
     x = np.asarray(values, dtype=float)
     bad = ~np.isfinite(x)
     if bad.any():
@@ -78,16 +65,3 @@ def quantize_int(x: float, fmt: FixedPointFormat) -> int:
     """``quantize_array`` of one value, as a Python int."""
     return int(quantize_array(x, fmt))
 
-
-def quantize(x: float, fmt: FixedPointFormat) -> str:
-    """Quantize a real number to a width-m two's-complement bit string."""
-    return from_int(quantize_int(x, fmt), fmt.total_bits)
-
-
-def dequantize(bits: str, fmt: FixedPointFormat) -> float:
-    """Interpret a width-m two's-complement bit string as a real number."""
-    if len(bits) != fmt.total_bits:
-        raise ValueError(
-            f"width mismatch: got {len(bits)} bits for a {fmt.total_bits}-bit format"
-        )
-    return signed_value(int(bits, 2), len(bits)) / (1 << fmt.fractional_bits)

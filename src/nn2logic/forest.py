@@ -42,7 +42,6 @@ import numpy as np
 
 from nn2logic import netlist as nl
 from nn2logic.datasets import bit_training_set, pack_bits
-from nn2logic.fixedpoint import from_int
 
 PROB_FRAC_BITS = 8  # leaf class probabilities as unsigned fixed point
 
@@ -261,7 +260,7 @@ def _emit_tree(net: nl.Netlist, feature_sids: list[int], node, width: int) -> in
     1-bit feature signal, the right subtree taken when the bit is 1.
     """
     if node.feature is None:
-        return net.add_const(from_int(_leaf_vote(node), width))
+        return net.add_const(_leaf_vote(node), width)
     left = _emit_tree(net, feature_sids, node.left, width)
     right = _emit_tree(net, feature_sids, node.right, width)
     return net.add_gate("MUX", (feature_sids[node.feature], right, left))
@@ -286,7 +285,7 @@ def _emit_threshold_diagram(
 
     def const(bit: int) -> int:
         if bit not in consts:
-            consts[bit] = net.add_const(str(bit))
+            consts[bit] = net.add_const(bit, 1)
         return consts[bit]
 
     def mux(node: TreeNode, right: int, left: int) -> int:
@@ -343,7 +342,7 @@ def _emit_forest_bit(net: nl.Netlist, feature_sids: list[int], model: RandomFore
     total = _emit_tree(net, feature_sids, trees[0].root, width)
     for tree in trees[1:]:
         total = net.add_gate("ADD", (total, _emit_tree(net, feature_sids, tree.root, width)))
-    return net.add_gate("GT", (total, net.add_const("0" * width)))
+    return net.add_gate("GT", (total, net.add_const(0, width)))
 
 
 def forest_module(models: list[RandomForestModel], word_width: int | None = None):

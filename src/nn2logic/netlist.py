@@ -12,7 +12,7 @@ bit 0 least significant.  The gate kinds, all emitted by some builder:
   ``acc >> shift`` saturated to m-bit signed,
 * ADD (wrapping) and GT (signed) on two equal-width words,
 * MUX(sel, a, b) yields ``a`` when sel is 1,
-* CONST, SLICE,
+* CONST, params ``(value,)``, and SLICE,
 * CONCAT lists its operands most significant first,
 * LUT select operand q carries pattern weight 2**q.
 
@@ -59,9 +59,9 @@ class Netlist:
         self.inputs.append(sid)
         return sid
 
-    def add_const(self, bits: str, name=None) -> int:
-        sid = self._new_signal(len(bits), name)
-        self.gates.append(Gate("CONST", (), sid, (bits,)))
+    def add_const(self, value: int, width: int, name=None) -> int:
+        sid = self._new_signal(width, name)
+        self.gates.append(Gate("CONST", (), sid, (value & ((1 << width) - 1),)))
         return sid
 
     def set_output(self, sid: int) -> None:

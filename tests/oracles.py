@@ -18,29 +18,31 @@ from fractions import Fraction
 import numpy as np
 
 from nn2logic.aig import AigGraph
-from nn2logic.fixedpoint import from_int, signed_value
 from nn2logic.forest import DecisionTree, RandomForestModel, TreeNode
 from nn2logic.mlp import DenseLayer, FeatureScaler, Mlp
 from nn2logic.netlist import Gate, Netlist
 from nn2logic.sat import CnfFormula
 
 
-def quantize_reference(x: float, m: int, i: int) -> str:
+def quantize_reference(x: float, m: int, i: int) -> int:
     """Straight-line reference for the quantization scheme, in exact rationals."""
     x_int = int((1 << i) * Fraction(x))  # truncation toward zero
     largest_signed_int = (1 << (m - 1)) - 1
     x_int = min(largest_signed_int, x_int)
     smallest_signed_int = -(1 << (m - 1))
-    x_int = max(smallest_signed_int, x_int)
-    largest_unsigned_int = (1 << m) - 1
-    x_int = x_int & largest_unsigned_int
-    return format(x_int, "b").zfill(m)
+    return max(smallest_signed_int, x_int)
 
 
 def signed(word: int, width: int) -> int:
+    """Reinterpret an unsigned ``width``-bit word as a signed integer."""
     if word & (1 << (width - 1)):
         word -= 1 << width
     return word
+
+
+def from_int(value: int, width: int) -> str:
+    """Two's-complement bit string of ``value`` at the given width, most significant first."""
+    return format(value & ((1 << width) - 1), "b").zfill(width)
 
 
 def neuron_reference(weights: list[int], x: list[int], bias: int | None,
@@ -497,6 +499,7 @@ def read_aiger_reference(path) -> AigGraph:
             if spec >> 1 not in var_lit:
                 raise ValueError(f"undefined variable {spec >> 1}")
             g.add_output(var_lit[spec >> 1] ^ (spec & 1))
+        named: set[tuple[str, int]] = set()
         for k in range(end, len(lines)):
             if lines[k] == "c":
                 break
@@ -504,9 +507,15 @@ def read_aiger_reference(path) -> AigGraph:
             if tag[:1] not in ("i", "o") or not space or not tag[1:].removeprefix("-").isdecimal():
                 raise ValueError(f"stray line {lines[k]!r}: expected i<k> <name>, o<k> <name> or c")
             names = g.input_names if tag[0] == "i" else g.output_names
-            if not 0 <= int(tag[1:]) < len(names):
+            pos = int(tag[1:])
+            if not 0 <= pos < len(names):
                 raise ValueError(f"symbol position {tag!r} out of range: {len(names)} declared")
-            names[int(tag[1:])] = name
+            if not name:
+                raise ValueError(f"symbol {tag!r} has an empty name")
+            if (tag[0], pos) in named:
+                raise ValueError(f"symbol position {tag!r} named twice")
+            named.add((tag[0], pos))
+            names[pos] = name
     except ValueError as exc:
         raise ValueError(f"{path}:{k + 1}: {exc}") from None
     return g
@@ -769,12 +778,12 @@ def _eval_gate(net: Netlist, g: Gate, values: dict[int, int]) -> int:
     w = [net.widths[o] for o in g.operands]
     kind = g.kind
     if kind == "CONST":
-        return int(g.params[0], 2)
+        return g.params[0]
     if kind == "NEURON":
         weights, bias, shift, relu = g.params
         m = w[0]
-        acc = bias + sum(c * signed_value(v, m) for c, v in zip(weights, ops))
-        acc = signed_value(acc & ((1 << 3 * m) - 1), 3 * m)
+        acc = bias + sum(c * signed(v, m) for c, v in zip(weights, ops))
+        acc = signed(acc & ((1 << 3 * m) - 1), 3 * m)
         if relu and acc < 0:
             acc = 0
         hi = (1 << (m - 1)) - 1
@@ -782,7 +791,7 @@ def _eval_gate(net: Netlist, g: Gate, values: dict[int, int]) -> int:
     if kind == "ADD":
         return (ops[0] + ops[1]) & ((1 << w[0]) - 1)
     if kind == "GT":
-        return int(signed_value(ops[0], w[0]) > signed_value(ops[1], w[1]))
+        return int(signed(ops[0], w[0]) > signed(ops[1], w[1]))
     if kind == "MUX":
         return ops[1] if ops[0] else ops[2]
     if kind == "SLICE":

@@ -710,9 +710,14 @@ def test_aiger_malformed_body_names_the_line(tmp_path, body, line, message):
         ("o-2 y", "symbol position 'o-2' out of range: 1 declared"),
         ("hello world", "stray line 'hello world': expected i<k> <name>, o<k> <name> or c"),
         ("l0 z", "stray line 'l0 z': expected i<k> <name>, o<k> <name> or c"),
+        ("i0 c", "symbol position 'i0' named twice"),
+        ("i00 c", "symbol position 'i00' named twice"),
+        ("i1 ", "symbol 'i1' has an empty name"),
+        ("o0 ", "symbol 'o0' has an empty name"),
     ],
     ids=["negative-input", "input-past-end", "output-past-end", "negative-output",
-         "stray-text", "latch-symbol"],
+         "stray-text", "latch-symbol", "input-named-twice", "same-position-other-spelling",
+         "empty-input-name", "empty-output-name"],
 )
 @pytest.mark.parametrize("reader", [read_aiger, read_aiger_reference], ids=["bulk", "reference"])
 def test_aiger_symbol_out_of_range_names_the_line(tmp_path, reader, symbol, message):

@@ -7,7 +7,9 @@ from nn2logic.analysis import (
     dataset_input_words,
     emit_equations,
     evaluate,
+    evaluate_packed,
     results_table,
+    unpack_lanes,
 )
 from nn2logic.datasets import LabeledDataset, make_overlapping_gaussians
 from nn2logic.fixedpoint import FixedPointFormat, quantize_int
@@ -56,6 +58,21 @@ def test_dataset_input_words_saturate_wide_formats(m, i):
     want = [[quantize_int(v, fmt) for v in row] for row in x.tolist()]
     assert want[0] == [(1 << (m - 1)) - 1, -(1 << (m - 1))]
     assert got == want
+
+
+@pytest.mark.parametrize("n", [1, 7, 13, 1001])
+def test_unpack_lanes_matches_the_per_row_shift(n):
+    rng = np.random.default_rng(n)
+    for _ in range(5):
+        word = int.from_bytes(rng.bytes((n + 7) // 8), "little") & ((1 << n) - 1)
+        want = [(word >> s) & 1 for s in range(n)]
+        assert unpack_lanes(word, n).tolist() == want
+        # the decision word of a one-input graph is its input word
+        g = AigGraph()
+        g.add_output(g.add_input("x0[0]"), "argmax")
+        labels = rng.integers(0, 2, size=n)
+        report = evaluate_packed(g, [word], labels, n)
+        assert report.correct == sum(int(w == y) for w, y in zip(want, labels.tolist()))
 
 
 def test_evaluate_matches_quantized_forward():

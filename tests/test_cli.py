@@ -210,6 +210,14 @@ def test_sweep_rejects_an_unknown_pipeline_at_its_line(tmp_path, capsys):
     assert f"{grid_path}:1: unknown pipeline 'rff'" in capsys.readouterr().err
 
 
+def test_sweep_has_no_pipeline_flag(tmp_path, capsys):
+    """The grid's pipelines key chooses a sweep's pipelines; a --pipeline would be ignored."""
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["sweep", str(tmp_path / "absent.csv"), "--pipeline", "rf"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --pipeline rf" in capsys.readouterr().err
+
+
 def test_train_rejects_an_out_of_range_config_value_at_its_line(tmp_path, capsys):
     csv = str(tmp_path / "data.csv")
     write_csv(make_overlapping_gaussians(40, 5, seed=2), csv)
@@ -340,3 +348,9 @@ def test_cli_pins_blas_threads_before_numpy_loads(preset, want):
     run = subprocess.run([sys.executable, "-c", BLAS_PROBE], env=env, capture_output=True,
                          text=True, check=True)
     assert run.stdout.split() == want.split()
+
+
+def test_package_import_loads_no_numpy():
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+    probe = "import nn2logic, sys; assert 'numpy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", probe], env=env, check=True)

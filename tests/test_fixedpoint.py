@@ -5,15 +5,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nn2logic.fixedpoint import (
-    FixedPointFormat,
-    dequantize,
-    from_int,
-    quantize,
-    quantize_array,
-)
+from nn2logic.fixedpoint import FixedPointFormat, quantize_array, quantize_int
 
-from oracles import quantize_reference
+from oracles import quantize_reference, signed
 
 FMT42 = FixedPointFormat(4, 2)
 
@@ -32,27 +26,31 @@ def test_format_validation():
 
 
 def test_quantize_examples():
-    assert quantize(0.0, FixedPointFormat(8, 6)) == "00000000"
-    assert quantize(1.0, FMT42) == "0100"
-    assert quantize(10.0, FMT42) == "0111"
-    assert quantize(-0.5, FMT42) == "1110"
+    assert quantize_int(0.0, FixedPointFormat(8, 6)) == 0
+    assert quantize_int(1.0, FMT42) == 0b0100
+    assert quantize_int(10.0, FMT42) == 0b0111
+    assert quantize_int(-0.5, FMT42) == -2  # 0b1110 in 4 bits
 
 
 def test_quantize_rejects_non_finite():
     for bad in (float("nan"), float("inf"), float("-inf")):
         with pytest.raises(ValueError):
-            quantize(bad, FMT42)
+            quantize_int(bad, FMT42)
 
 
 def test_dequantize_examples():
-    assert dequantize("0000", FMT42) == 0.0
-    assert dequantize("0100", FMT42) == 1.0
-    assert dequantize("1110", FMT42) == -0.5
+    """Every (4, 2) word's real value ``word / 2**2`` quantizes back to the word."""
+    for q in range(-8, 8):
+        assert quantize_int(q / 4, FMT42) == q
 
 
 def test_dequantize_width_mismatch():
-    with pytest.raises(ValueError):
-        dequantize("010", FMT42)
+    """Every word fits its format's m bits: signed, in -2**(m-1) .. 2**(m-1) - 1."""
+    for m in range(1, 65):
+        for i in range(m):
+            for q in quantize_array([0.0, 1.0, -1.0, 1e308, -1e308], FixedPointFormat(m, i)):
+                assert -(1 << (m - 1)) <= int(q) < 1 << (m - 1)
+                assert signed(int(q) % (1 << m), m) == q
 
 
 @st.composite
@@ -70,15 +68,14 @@ def value_and_format(draw):
 @given(value_and_format())
 def test_matches_reference(case):
     x, fmt = case
-    assert quantize(x, fmt) == quantize_reference(x, fmt.total_bits, fmt.fractional_bits)
+    assert quantize_int(x, fmt) == quantize_reference(x, fmt.total_bits, fmt.fractional_bits)
 
 
 @given(value_and_format())
 def test_idempotence(case):
     x, fmt = case
-    once = quantize(x, fmt)
-    again = quantize(dequantize(once, fmt), fmt)
-    assert again == once
+    once = quantize_int(x, fmt)
+    assert quantize_int(once / (1 << fmt.fractional_bits), fmt) == once
 
 
 @given(value_and_format())
@@ -90,18 +87,19 @@ def test_bounded_error_in_range(case):
     hi = 2.0 ** (k - 1) - resolution
     if not lo <= x <= hi:
         return
-    err = abs(dequantize(quantize(x, fmt), fmt) - x)
+    err = abs(quantize_int(x, fmt) / (1 << fmt.fractional_bits) - x)
     assert err < resolution
 
 
 @given(value_and_format())
 def test_clipping_patterns(case):
+    """Past the range a word saturates to 0111...1 or 1000...0."""
     x, fmt = case
-    k = fmt.total_bits - fmt.fractional_bits
+    k, m = fmt.total_bits - fmt.fractional_bits, fmt.total_bits
     if x > 2.0 ** (k - 1):
-        assert quantize(x, fmt) == "0" + "1" * (fmt.total_bits - 1)
+        assert quantize_int(x, fmt) == (1 << (m - 1)) - 1
     elif x < -(2.0 ** (k - 1)):
-        assert quantize(x, fmt) == "1" + "0" * (fmt.total_bits - 1)
+        assert quantize_int(x, fmt) == -(1 << (m - 1))
 
 
 @settings(max_examples=2000)
@@ -113,23 +111,21 @@ def test_clipping_patterns(case):
 def test_reference_agreement_wide(x, m, data):
     i = data.draw(st.integers(min_value=0, max_value=m - 1))
     fmt = FixedPointFormat(m, i)
-    assert quantize(x, fmt) == quantize_reference(x, m, i)
+    assert quantize_int(x, fmt) == quantize_reference(x, m, i)
 
 
 def test_huge_magnitude_clips():
     fmt = FixedPointFormat(8, 6)
-    assert quantize(1e300, fmt) == "01111111"
-    assert quantize(-1e300, fmt) == "10000000"
-    assert math.isclose(dequantize(quantize(1e300, fmt), fmt), 127 / 64)
+    assert quantize_int(1e300, fmt) == 0b01111111
+    assert quantize_int(-1e300, fmt) == -128  # 0b10000000 in 8 bits
+    assert math.isclose(quantize_int(1e300, fmt) / (1 << 6), 127 / 64)
 
 
 def assert_array_matches_reference(values, fmt):
     m, i = fmt.total_bits, fmt.fractional_bits
     got = quantize_array(values, fmt)
     assert got.dtype == np.int64 and got.shape == np.shape(values)
-    assert [from_int(int(v), m) for v in got.ravel()] == [
-        quantize_reference(float(x), m, i) for x in np.ravel(values)
-    ]
+    assert got.ravel().tolist() == [quantize_reference(float(x), m, i) for x in np.ravel(values)]
 
 
 def test_quantize_array_matches_reference_at_every_format():

@@ -9,7 +9,7 @@ from nn2logic.datasets import (
     read_dataset,
     stratified_split,
 )
-from nn2logic.fixedpoint import FixedPointFormat, dequantize, from_int, quantize, quantize_int
+from nn2logic.fixedpoint import FixedPointFormat, quantize_int
 from nn2logic.mlp import (
     DenseLayer,
     Mlp,
@@ -27,6 +27,7 @@ from nn2logic.mlp import (
 )
 
 from oracles import (
+    from_int,
     loss_and_grad_reference,
     quantize_reference,
     signed,
@@ -311,7 +312,7 @@ FMT = FixedPointFormat(4, 2)
 def test_quantize_to_bits_matches_scalar():
     vals = np.array([[0.0, 1.0], [-0.5, 10.0]])
     bits = quantize_to_bits(vals, FMT)
-    expect = [quantize(v, FMT) for v in (0.0, 1.0, -0.5, 10.0)]
+    expect = [from_int(quantize_int(v, FMT), 4) for v in (0.0, 1.0, -0.5, 10.0)]
     got = "".join(str(b) for b in bits.reshape(-1))
     assert got == "".join(expect)
 
@@ -333,7 +334,7 @@ def test_quantize_layers_matches_reference(m, i):
     ])
 
     def q(x):
-        return signed(int(quantize_reference(float(x), m, i), 2), m)
+        return quantize_reference(float(x), m, i)
 
     one = q(1.0)
     if i == m - 1:
@@ -413,9 +414,9 @@ def test_distillation_labels_requantize():
         assert s.label_bits.shape == (len(data), acts[s.index - 1].shape[1] * m)
         for row, act_row in zip(s.label_bits, acts[s.index - 1]):
             for n, act in enumerate(act_row):
-                word = "".join(str(b) for b in row[n * m : (n + 1) * m])
-                assert word == quantize(act, fmt)
-                assert quantize(dequantize(word, fmt), fmt) == word
+                word = signed(int("".join(str(b) for b in row[n * m : (n + 1) * m]), 2), m)
+                assert word == quantize_int(act, fmt)
+                assert quantize_int(word / (1 << fmt.fractional_bits), fmt) == word
 
 
 def test_dataset_csv_roundtrip(tmp_path):

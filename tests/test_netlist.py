@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from nn2logic import netlist
 from nn2logic.aig import lower_netlist, simulate_batch
 from nn2logic.datasets import LabeledDataset, make_overlapping_gaussians
-from nn2logic.fixedpoint import FixedPointFormat, from_int, quantize
+from nn2logic.fixedpoint import FixedPointFormat, quantize_int
 from nn2logic.forest import forest_module
 from nn2logic.lutnet import logicnet_module
 from nn2logic.mlp import (
@@ -27,7 +27,7 @@ from nn2logic.netlist import (
 )
 from nn2logic.pipeline import train_lgn_modules, train_rf_modules
 
-from oracles import module_netlist, neuron_reference, signed, simulate_netlist
+from oracles import from_int, module_netlist, neuron_reference, signed, simulate_netlist
 
 FMT = FixedPointFormat(4, 2)
 
@@ -39,8 +39,26 @@ def neuron_netlist(params: tuple, m: int) -> Netlist:
 
 def test_const_netlist():
     net = Netlist()
-    net.set_output(net.add_const("1010"))
+    net.set_output(net.add_const(0b1010, 4))
     assert simulate_netlist(net, []) == ["1010"]
+
+
+@st.composite
+def width_and_value(draw):
+    w = draw(st.integers(1, 70))
+    return w, draw(st.integers(-(1 << (w - 1)), (1 << w) - 1))
+
+
+@given(width_and_value())
+def test_const_lowers_to_its_value_mod_2_to_the_width(case):
+    """A signed or unsigned value fits the declared width as its two's-complement word."""
+    w, v = case
+    net = Netlist()
+    net.set_output(net.add_const(v, w))
+    assert net.gates[0].params == (v % (1 << w),)
+    bits = simulate_batch(lower_netlist(net), [], 1)
+    assert sum(b << j for j, b in enumerate(bits)) == v % (1 << w)
+    assert simulate_netlist(net, []) == [from_int(v, w)]
 
 
 def test_gate_width_rules():
@@ -236,7 +254,7 @@ def test_direct_network_matches_quantized_forward():
     circuit = build_network_direct(mlp_net, fmt)
     acts, preds = quantized_forward(mlp_net, data.features[:40], fmt)
     for x, final, pred in zip(data.features[:40], acts[-1].tolist(), preds):
-        inputs = [quantize(float(v), fmt) for v in mlp_net.scale(x)]
+        inputs = [quantize_int(float(v), fmt) for v in mlp_net.scale(x)]
         out = simulate_netlist(circuit, inputs)
         assert [signed(int(w, 2), 8) for w in out[:2]] == final
         assert out[2] == str(pred)
