@@ -1,28 +1,41 @@
 """Check the JSON line of one ``bench/run.py`` round against pinned circuit figures.
 
     python3 bench/run.py --workload paper-flows --seed 1 --seconds 0 --trace 0 \
-        | tail -n 1 | python3 .github/check_round.py direct=88655,134,460/600 ...
+        | tail -n 1 | python3 .github/check_round.py paper-flows
 
-Each argument pins one flow as ``flow=and_nodes,levels,hits/rows``.  The
-round fails unless it is correct with no failed operation and every pinned
-flow's ``and_nodes`` and ``levels`` equal the pin and its ``test_acc`` is
-within 1e-9 of ``hits/rows``.  A change that moves a circuit on purpose
-updates its pin.
+``PINS`` holds each workload's pins, one per flow as ``(and_nodes, levels,
+hits, rows)``.  The round fails unless it is correct with no failed
+operation and every pinned flow's ``and_nodes`` and ``levels`` equal the pin
+and its ``test_acc`` is within 1e-9 of ``hits/rows``.  A change that moves
+a circuit on purpose updates its pin here.
 """
 
 import json
 import sys
 
+PAPER_FLOWS = {
+    "direct": (88655, 134, 460, 600),
+    "rf": (97006, 95, 416, 600),
+    "logicnet": (14087, 49, 363, 600),
+}
+PINS = {
+    "paper-flows": PAPER_FLOWS,
+    "large-flows": {
+        "direct": (88655, 134, 460, 600),
+        "rf": (110779, 73, 401, 600),
+        "logicnet": (49047, 63, 402, 600),
+    },
+    "verify": PAPER_FLOWS,  # the same circuits as paper-flows
+}
+
+(workload,) = sys.argv[1:]
 result = json.load(sys.stdin)
 metrics = result["metrics"]
 problems = []
 if result["correct"] is not True or result["failed"] != 0:
     problems.append(f"correct is {result['correct']}, failed is {result['failed']}")
-for pin in sys.argv[1:]:
-    flow, _, figures = pin.partition("=")
-    nodes, levels, acc = figures.split(",")
-    hits, rows = acc.split("/")
-    want = {"and_nodes": int(nodes), "levels": int(levels), "test_acc": int(hits) / int(rows)}
+for flow, (nodes, levels, hits, rows) in PINS[workload].items():
+    want = {"and_nodes": nodes, "levels": levels, "test_acc": hits / rows}
     for name, value in want.items():
         key = f"{flow}.{name}"
         got = metrics.get(key, {}).get("value")

@@ -748,7 +748,7 @@ def read_aiger(path) -> AigGraph:
             if tag[:1] not in ("i", "o") or not space or not tag[1:].removeprefix("-").isdecimal():
                 raise ValueError(f"stray line {lines[k]!r}: expected i<k> <name>, o<k> <name> or c")
             names = g.input_names if tag[0] == "i" else g.output_names
-            pos = int(tag[1:])
+            pos = -1 if tag[1] == "-" else int(tag[1:])  # "i-0" names no input either
             if not 0 <= pos < len(names):
                 raise ValueError(f"symbol position {tag!r} out of range: {len(names)} declared")
             if not name:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import fields
 
 # one BLAS thread unless the user chose otherwise: two threads on a busy
 # 2-CPU machine slow mlp.train tenfold; this must run before NumPy loads
@@ -17,26 +18,27 @@ from nn2logic import aig, analysis, mlp, pipeline, sat
 from nn2logic.datasets import read_dataset
 
 
-def _common_flags(p: argparse.ArgumentParser, pipeline_flag: bool = True) -> None:
+# config flag -> its argparse keywords; dest is the config key it overrides
+_CONFIG_FLAGS = {
+    "--seed": dict(dest="seed", type=int),
+    "--bits": dict(dest="total_bits", type=int, help="total quantization bits"),
+    "--frac": dict(dest="fractional_bits", type=int, help="fractional quantization bits"),
+    "--pipeline": dict(dest="pipeline", choices=pipeline.PIPELINES),
+    "--out": dict(dest="out_dir", help="output directory"),
+}
+
+
+def _common_flags(p: argparse.ArgumentParser, *flags: str) -> None:
+    """``--config`` and the config flags ``flags``, the ones the command reads."""
     p.add_argument("--config", help="flat key=value config file")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--bits", type=int, default=None, help="total quantization bits")
-    p.add_argument("--frac", type=int, default=None, help="fractional quantization bits")
-    if pipeline_flag:
-        p.add_argument("--pipeline", choices=pipeline.PIPELINES, default=None)
-    p.add_argument("--out", default=None, help="output directory")
+    for flag in flags:
+        p.add_argument(flag, **_CONFIG_FLAGS[flag])
 
 
-def _config_from(args, extra: dict | None = None) -> pipeline.PipelineConfig:
-    overrides = {
-        "seed": args.seed,
-        "total_bits": args.bits,
-        "fractional_bits": args.frac,
-        "pipeline": args.pipeline,
-        "out_dir": args.out,
-    }
-    overrides.update(extra or {})
-    return pipeline.parse_config(args.config, overrides)
+def _config_from(args) -> pipeline.PipelineConfig:
+    """The ``--config`` file, with every parsed value named after a config key on top."""
+    keys = {f.name for f in fields(pipeline.PipelineConfig)}
+    return pipeline.parse_config(args.config, {k: v for k, v in vars(args).items() if k in keys})
 
 
 def _weights_for(data, data_path: str, weights_path: str) -> mlp.Mlp:
@@ -49,7 +51,7 @@ def _weights_for(data, data_path: str, weights_path: str) -> mlp.Mlp:
 
 
 def cmd_train(args) -> int:
-    cfg = _config_from(args, {"dataset": args.dataset})
+    cfg = _config_from(args)
     data, train_idx, test_idx = pipeline.load_split(cfg)
     net = mlp.train(
         data.subset(train_idx), cfg.hidden_nodes, cfg.epochs, cfg.learning_rate, cfg.seed
@@ -71,23 +73,18 @@ def cmd_train(args) -> int:
 
 
 def cmd_compile(args) -> int:
-    cfg = _config_from(args, {"dataset": args.dataset})
+    cfg = _config_from(args)
     data, train_idx, _ = pipeline.load_split(cfg)
     net = _weights_for(data, cfg.dataset, args.weights)
-    fmt = cfg.fmt
     os.makedirs(cfg.out_dir, exist_ok=True)
     if args.split:
         train_idx, _ = pipeline.read_split_manifest(args.split, len(data))
-    names = data.feature_names
-    if cfg.pipeline == "direct":
-        graph = pipeline.compile_direct(net, fmt, names)
-    else:
-        sets = mlp.extract_distillation_sets(net, data.subset(train_idx), fmt)
+    sets = mlp.extract_distillation_sets(net, data.subset(train_idx), cfg.fmt)
+    graph, modules = pipeline.compile_pipeline(
+        cfg.pipeline, net, sets, cfg.fmt, cfg.params, cfg.seed, data.feature_names
+    )
+    if modules is not None:
         distiller = pipeline.DISTILLERS[cfg.pipeline]
-        params = {label: getattr(cfg, key) for key, label in distiller.params}
-        graph, modules = pipeline.compile_distilled(
-            cfg.pipeline, net, sets, fmt, params, cfg.seed, names
-        )
         dump = "\n".join(
             f"module {l} {n}\n" + "".join(distiller.to_text(m) for m in models)
             for (l, n), models in sorted(modules.items())
@@ -102,7 +99,7 @@ def cmd_compile(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    cfg = _config_from(args, {"dataset": args.dataset})
+    cfg = _config_from(args)
     graph = aig.read_aiger(args.aig)
     data = read_dataset(cfg.dataset)
     if args.split:
@@ -165,14 +162,14 @@ def cmd_equiv(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = _config_from(args, {"dataset": args.dataset} if args.dataset else None)
-    grid = pipeline.parse_grid(args.grid) if args.grid else pipeline.SweepGrid()
+    cfg = _config_from(args)
+    grid = pipeline.parse_grid(args.grid, cfg) if args.grid else pipeline.SweepGrid()
     data = read_dataset(cfg.dataset)
     reports = pipeline.sweep_experiments(data, cfg, grid)
     table = analysis.results_table(reports)
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        path = os.path.join(args.out, "sweep.csv")
+    if args.out_dir:
+        os.makedirs(args.out_dir, exist_ok=True)
+        path = os.path.join(args.out_dir, "sweep.csv")
         with open(path, "w") as fh:
             fh.write(table)
         print(f"wrote {path}")
@@ -189,14 +186,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train an MLP and write weights plus split")
     p.add_argument("dataset")
-    _common_flags(p)
+    _common_flags(p, "--seed", "--out")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("compile", help="compile a pipeline into an AIGER file")
     p.add_argument("dataset")
     p.add_argument("weights")
     p.add_argument("--split", help="split manifest restricting distillation rows")
-    _common_flags(p)
+    _common_flags(p, "--seed", "--bits", "--frac", "--pipeline", "--out")
     p.set_defaults(func=cmd_compile)
 
     p = sub.add_parser("evaluate", help="score a compiled AIG on a dataset")
@@ -204,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("dataset")
     p.add_argument("weights", help="weights file providing the feature scaler")
     p.add_argument("--split", help="split manifest selecting the test rows")
-    _common_flags(p)
+    _common_flags(p, "--bits", "--frac", "--pipeline")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("report", help="emit an equation report for an AIG")
@@ -231,9 +228,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="run the pipeline/parameter grid")
     p.add_argument("dataset", nargs="?", default=None)
     p.add_argument("--grid", help="grid file with comma-separated values; its pipelines key "
-                   "chooses the pipelines")
-    _common_flags(p, pipeline_flag=False)
-    p.set_defaults(func=cmd_sweep, pipeline=None)
+                   "chooses the pipelines (all by default), and a parameter axis it leaves "
+                   "out takes the config's value; without it, sweep runs a built-in grid")
+    _common_flags(p, "--seed", "--bits", "--frac", "--out")
+    p.set_defaults(func=cmd_sweep)
 
     return parser
 

@@ -2,8 +2,8 @@
 
 ``DISTILLERS`` is the one place a per-bit distiller is registered: its
 training of one layer's bits at a time, its word-level module, its model
-dump and its parameters.
-Compiling, sweeping and the CLI all dispatch through it.
+dump and its parameters.  Every pipeline, direct included, compiles
+through ``compile_pipeline``, so the CLI and sweeps dispatch through it.
 Grid sweeps fan out over processes; NN2LOGIC_THREADS caps the worker count.
 All randomness is derived from the config seeds, so reruns are byte-stable.
 """
@@ -47,6 +47,11 @@ class PipelineConfig:
     def fmt(self) -> FixedPointFormat:
         return FixedPointFormat(self.total_bits, self.fractional_bits)
 
+    @property
+    def params(self) -> dict:
+        """Report label -> value of each parameter ``pipeline`` reads."""
+        return {label: getattr(self, key) for key, label in PARAMS[self.pipeline]}
+
 
 def _error(where: str, msg: str) -> ValueError:
     """``msg`` prefixed with the ``path:line`` it comes from, if it has one."""
@@ -71,7 +76,8 @@ def _read_key_values(path) -> list[tuple[str, str, str]]:
 _NON_NEGATIVE = (lambda v: v >= 0, "an integer >= 0")
 _POSITIVE = (lambda v: v >= 1, "an integer >= 1")
 # config and grid key -> (test, what it admits): the values the trainers take
-# without failing or quietly training on nothing; depth 0 grows one leaf or LUT
+# without failing or quietly training on nothing; depth 0 grows one leaf or LUT.
+# pipeline and pipelines join it below PIPELINES.
 _RANGES = {
     "seed": _NON_NEGATIVE,
     "split_seed": _NON_NEGATIVE,
@@ -100,11 +106,6 @@ def _convert(cast, key: str, val, where: str):
     return value
 
 
-def _check_pipeline(name: str, where: str) -> None:
-    if name not in PIPELINES:
-        raise _error(where, f"unknown pipeline {name!r}")
-
-
 def parse_config(path=None, overrides: dict | None = None) -> PipelineConfig:
     """Flat key=value config file, then flag overrides on top."""
     entries = _read_key_values(path) if path else []
@@ -115,8 +116,6 @@ def parse_config(path=None, overrides: dict | None = None) -> PipelineConfig:
     for key, val, where in entries:
         if key not in casts:
             raise _error(where, f"unknown config key {key!r}")
-        if key == "pipeline":
-            _check_pipeline(val, where)
         setattr(cfg, key, _convert(casts[key], key, val, where))
         set_at[key] = where
     m, i = cfg.total_bits, cfg.fractional_bits
@@ -237,10 +236,14 @@ DISTILLERS = {
         (("lgn_depth", "depth"), ("lgn_width", "width"), ("lgn_lut_size", "lut_size")),
     ),
 }
-PIPELINES = ("direct", *DISTILLERS)
+# pipeline -> (config and grid key, report label) of each parameter it reads
+PARAMS = {"direct": (), **{name: d.params for name, d in DISTILLERS.items()}}
+PIPELINES = tuple(PARAMS)
+_RANGES["pipeline"] = _RANGES["pipelines"] = (lambda v: v in PIPELINES,
+                                              "one of " + ", ".join(PIPELINES))
 
 
-def compile_distilled(
+def compile_pipeline(
     name: str,
     net_mlp: mlp.Mlp,
     sets,
@@ -249,11 +252,14 @@ def compile_distilled(
     seed: int,
     input_names=None,
 ):
-    """Distil every neuron with ``DISTILLERS[name]``, cascade, lower and sweep.
+    """Compile ``net_mlp`` into a swept AIG by pipeline ``name``.
 
-    ``params`` maps each of the distiller's report labels to its value.
-    Returns the swept AIG and the trained models keyed by (layer, node).
+    A distiller trains its models on ``sets`` with ``params`` (report label ->
+    value) and cascades them; direct lowers the arithmetic and reads neither.
+    Returns the AIG and the models keyed by (layer, node), None for direct.
     """
+    if name == "direct":
+        return compile_direct(net_mlp, fmt, input_names), None
     distiller = DISTILLERS[name]
     modules = distiller.train(sets, *(params[label] for _, label in distiller.params), seed)
     sizes = net_mlp.layer_sizes
@@ -274,9 +280,9 @@ def compile_rf(
     seed: int,
     input_names=None,
 ):
-    """``compile_distilled("rf", ...)``; only the benchmark and tests call it."""
+    """``compile_pipeline("rf", ...)``; only the benchmark and tests call it."""
     params = {"estimators": n_estimators, "max_depth": max_depth}
-    return compile_distilled("rf", net_mlp, sets, fmt, params, seed, input_names)
+    return compile_pipeline("rf", net_mlp, sets, fmt, params, seed, input_names)
 
 
 def compile_logicnet(
@@ -289,9 +295,9 @@ def compile_logicnet(
     seed: int,
     input_names=None,
 ):
-    """``compile_distilled("logicnet", ...)``; only the benchmark and tests call it."""
+    """``compile_pipeline("logicnet", ...)``; only the benchmark and tests call it."""
     params = {"depth": depth, "width": width, "lut_size": lut_size}
-    return compile_distilled("logicnet", net_mlp, sets, fmt, params, seed, input_names)
+    return compile_pipeline("logicnet", net_mlp, sets, fmt, params, seed, input_names)
 
 
 def worker_count() -> int:
@@ -311,20 +317,27 @@ class SweepGrid:
     lgn_lut_size: list[int] = field(default_factory=lambda: [4, 6, 8])
 
     def points(self) -> list[tuple[str, dict]]:
-        """Direct first, then each distiller's parameter product in table order."""
-        pts: list[tuple[str, dict]] = [("direct", {})] if "direct" in self.pipelines else []
-        for name, distiller in DISTILLERS.items():
+        """Each chosen pipeline's parameter product, in ``PIPELINES`` order."""
+        pts: list[tuple[str, dict]] = []
+        for name, params in PARAMS.items():
             if name not in self.pipelines:
                 continue
-            labels = [label for _, label in distiller.params]
-            axes = [getattr(self, key) for key, _ in distiller.params]
+            labels = [label for _, label in params]
+            axes = [getattr(self, key) for key, _ in params]
             pts += [(name, dict(zip(labels, values))) for values in itertools.product(*axes)]
         return pts
 
 
-def parse_grid(path) -> SweepGrid:
-    """key=value lines of comma-separated values, one line per grid axis."""
+def parse_grid(path, cfg: PipelineConfig | None = None) -> SweepGrid:
+    """key=value lines of comma-separated values, one line per grid axis.
+
+    A parameter axis the file leaves out takes ``cfg``'s one value, if given.
+    """
     grid = SweepGrid()
+    if cfg is not None:
+        for params in PARAMS.values():
+            for key, _ in params:
+                setattr(grid, key, [getattr(cfg, key)])
     axes = {f.name for f in fields(SweepGrid)}
     for key, val, where in _read_key_values(path):
         items = [v.strip() for v in val.split(",") if v.strip()]
@@ -332,12 +345,8 @@ def parse_grid(path) -> SweepGrid:
             raise _error(where, f"unknown grid key {key!r}")
         if not items:
             raise _error(where, f"{key}: expected at least one value")
-        if key == "pipelines":
-            for name in items:
-                _check_pipeline(name, where)
-            grid.pipelines = items
-        else:
-            setattr(grid, key, [_convert(int, key, v, where) for v in items])
+        cast = str if key == "pipelines" else int
+        setattr(grid, key, [_convert(cast, key, v, where) for v in items])
     return grid
 
 
@@ -348,20 +357,9 @@ def _sweep_point(task):
     """Worker body; reads the per-process state installed by the initializer."""
     pipeline, params = task
     st = _SWEEP_STATE
-    fmt, net_mlp, sets, seed = st["fmt"], st["mlp"], st["sets"], st["seed"]
-    if pipeline == "direct":
-        graph = compile_direct(net_mlp, fmt)
-    else:
-        graph, _ = compile_distilled(pipeline, net_mlp, sets, fmt, params, seed)
-    report = analysis.evaluate_packed(
-        graph,
-        st["words"],
-        st["labels"],
-        st["n_test"],
-        pipeline=pipeline,
-        config=params,
-    )
-    return report
+    graph, _ = compile_pipeline(pipeline, st["mlp"], st["sets"], st["fmt"], params, st["seed"])
+    return analysis.evaluate_packed(graph, st["words"], st["labels"], st["n_test"],
+                                    pipeline=pipeline, config=params)
 
 
 def _init_sweep(state):

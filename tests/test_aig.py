@@ -708,6 +708,8 @@ def test_aiger_malformed_body_names_the_line(tmp_path, body, line, message):
         ("i5 a", "symbol position 'i5' out of range: 2 declared"),
         ("o3 y", "symbol position 'o3' out of range: 1 declared"),
         ("o-2 y", "symbol position 'o-2' out of range: 1 declared"),
+        ("i-0 z", "symbol position 'i-0' out of range: 2 declared"),
+        ("o-0 y", "symbol position 'o-0' out of range: 1 declared"),
         ("hello world", "stray line 'hello world': expected i<k> <name>, o<k> <name> or c"),
         ("l0 z", "stray line 'l0 z': expected i<k> <name>, o<k> <name> or c"),
         ("i0 c", "symbol position 'i0' named twice"),
@@ -716,6 +718,7 @@ def test_aiger_malformed_body_names_the_line(tmp_path, body, line, message):
         ("o0 ", "symbol 'o0' has an empty name"),
     ],
     ids=["negative-input", "input-past-end", "output-past-end", "negative-output",
+         "negative-zero-input", "negative-zero-output",
          "stray-text", "latch-symbol", "input-named-twice", "same-position-other-spelling",
          "empty-input-name", "empty-output-name"],
 )

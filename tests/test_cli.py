@@ -109,21 +109,18 @@ def _in_memory_compile(run, flow):
     net = mlp.load_weights(run["weights"])
     data = read_dataset(run["csv"])
     train_idx, _ = pipeline.read_split_manifest(run["split"], len(data))
-    if flow == "direct":
-        return pipeline.compile_direct(net, cfg.fmt, data.feature_names), None
     sets = mlp.extract_distillation_sets(net, data.subset(train_idx), cfg.fmt)
-    distiller = pipeline.DISTILLERS[flow]
-    params = {label: getattr(cfg, key) for key, label in distiller.params}
-    return pipeline.compile_distilled(
-        flow, net, sets, cfg.fmt, params, cfg.seed, data.feature_names
+    return pipeline.compile_pipeline(
+        flow, net, sets, cfg.fmt, cfg.params, cfg.seed, data.feature_names
     )
 
 
 @pytest.mark.parametrize("flow", ["direct", "rf", "logicnet"])
 def test_cli_flow_end_to_end(trained, flow, capsys):
     run = trained
-    common = ["--config", run["cfg"], "--pipeline", flow, "--out", run["out"]]
-    assert cli.main(["compile", run["csv"], run["weights"], "--split", run["split"], *common]) == 0
+    common = ["--config", run["cfg"], "--pipeline", flow]
+    assert cli.main(["compile", run["csv"], run["weights"], "--split", run["split"], *common,
+                     "--out", run["out"]]) == 0
     aag = os.path.join(run["out"], f"{flow}.aag")
     got = read_aiger(aag)
     want, modules = _in_memory_compile(run, flow)
@@ -207,7 +204,8 @@ def test_sweep_rejects_an_unknown_pipeline_at_its_line(tmp_path, capsys):
     grid_path = tmp_path / "bad.grid"
     grid_path.write_text("pipelines=direct,rff\n")
     assert cli.main(["sweep", str(tmp_path / "absent.csv"), "--grid", str(grid_path)]) == 2
-    assert f"{grid_path}:1: unknown pipeline 'rff'" in capsys.readouterr().err
+    assert (f"{grid_path}:1: pipelines: expected one of direct, rf, logicnet, got 'rff'"
+            in capsys.readouterr().err)
 
 
 def test_sweep_has_no_pipeline_flag(tmp_path, capsys):
@@ -216,6 +214,36 @@ def test_sweep_has_no_pipeline_flag(tmp_path, capsys):
         cli.main(["sweep", str(tmp_path / "absent.csv"), "--pipeline", "rf"])
     assert exit_info.value.code == 2
     assert "unrecognized arguments: --pipeline rf" in capsys.readouterr().err
+
+
+def test_sweep_grid_axes_left_out_take_the_config_value(trained, tmp_path, monkeypatch,
+                                                        capsys):
+    monkeypatch.setenv("NN2LOGIC_THREADS", "1")
+    grid_path = tmp_path / "est.grid"
+    grid_path.write_text("pipelines=rf\nrf_estimators=2\n")
+    assert cli.main(["sweep", trained["csv"], "--grid", str(grid_path),
+                     "--config", trained["cfg"]]) == 0
+    header, row = capsys.readouterr().out.splitlines()
+    assert row.startswith("rf,estimators=2 max_depth=3,")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["train", "data.csv", "--bits", "6"],
+        ["train", "data.csv", "--frac", "4"],
+        ["train", "data.csv", "--pipeline", "rf"],
+        ["evaluate", "c.aag", "data.csv", "weights.txt", "--seed", "3"],
+        ["evaluate", "c.aag", "data.csv", "weights.txt", "--out", "out"],
+    ],
+    ids=["train-bits", "train-frac", "train-pipeline", "evaluate-seed", "evaluate-out"],
+)
+def test_commands_take_only_the_flags_they_read(argv, capsys):
+    """A flag a command would ignore is a usage error, not a quiet no-op."""
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(argv)
+    assert exit_info.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
 
 
 def test_train_rejects_an_out_of_range_config_value_at_its_line(tmp_path, capsys):

@@ -44,7 +44,8 @@ def test_config_unknown_key_names_line(tmp_path):
 
 def test_config_unknown_pipeline_names_line(tmp_path):
     path = _write(tmp_path, "run.cfg", "seed=2\n\npipeline=rff\n")
-    with pytest.raises(ValueError, match=r"run\.cfg:3: unknown pipeline 'rff'"):
+    with pytest.raises(ValueError, match=r"run\.cfg:3: pipeline: expected one of direct, rf, "
+                                         r"logicnet, got 'rff'$"):
         pipeline.parse_config(path)
 
 
@@ -95,7 +96,8 @@ def test_config_accepts_the_edge_values(tmp_path):
 def test_flag_values_name_the_key():
     with pytest.raises(ValueError, match=r"^epochs: expected int, got 'abc'$"):
         pipeline.parse_config(None, {"epochs": "abc"})
-    with pytest.raises(ValueError, match=r"^unknown pipeline 'rff'$"):
+    with pytest.raises(ValueError, match=r"^pipeline: expected one of direct, rf, logicnet, "
+                                         r"got 'rff'$"):
         pipeline.parse_config(None, {"pipeline": "rff"})
 
 
@@ -115,9 +117,32 @@ def test_grid_points_order_and_labels(tmp_path):
     ]
 
 
+def test_grid_axes_left_out_take_the_config_value(tmp_path):
+    cfg = pipeline.PipelineConfig(rf_estimators=7, rf_max_depth=3, lgn_depth=1, lgn_lut_size=2)
+    path = _write(tmp_path, "g.grid", "pipelines=rf,logicnet\nrf_estimators=2,3\nlgn_width=8\n")
+    assert pipeline.parse_grid(path, cfg).points() == [
+        ("rf", {"estimators": 2, "max_depth": 3}),
+        ("rf", {"estimators": 3, "max_depth": 3}),
+        ("logicnet", {"depth": 1, "width": 8, "lut_size": 2}),
+    ]
+    # without a config the left-out axes keep the built-in values
+    grid, built_in = pipeline.parse_grid(path), pipeline.SweepGrid()
+    assert (grid.rf_estimators, grid.lgn_width) == ([2, 3], [8])
+    for key in ("rf_max_depth", "lgn_depth", "lgn_lut_size"):
+        assert getattr(grid, key) == getattr(built_in, key)
+    # a grid without a pipelines key still runs every pipeline
+    path = _write(tmp_path, "e.grid", "rf_estimators=2\n")
+    assert pipeline.parse_grid(path, cfg).points() == [
+        ("direct", {}),
+        ("rf", {"estimators": 2, "max_depth": 3}),
+        ("logicnet", {"depth": 1, "width": 50, "lut_size": 2}),
+    ]
+
+
 def test_grid_unknown_pipeline_names_line(tmp_path):
     path = _write(tmp_path, "g.grid", "rf_estimators=2\npipelines=direct,rff\n")
-    with pytest.raises(ValueError, match=r"g\.grid:2: unknown pipeline 'rff'"):
+    with pytest.raises(ValueError, match=r"g\.grid:2: pipelines: expected one of direct, rf, "
+                                         r"logicnet, got 'rff'$"):
         pipeline.parse_grid(path)
 
 
@@ -201,6 +226,21 @@ def _seeded_sets():
     ])
     data = LabeledDataset(rng.uniform(-1.0, 1.0, size=(70, 4)), rng.integers(0, 2, size=70))
     return extract_distillation_sets(net, data, FixedPointFormat(4, 2))
+
+
+def test_compile_pipeline_lowers_direct_without_sets_or_models():
+    rng = np.random.default_rng(3)
+    net = Mlp([
+        DenseLayer(rng.normal(0.0, 0.8, size=(3, 2)), rng.normal(0.0, 0.3, size=3), "relu"),
+        DenseLayer(rng.normal(0.0, 0.8, size=(2, 3)), rng.normal(0.0, 0.3, size=2), "identity"),
+    ])
+    fmt = FixedPointFormat(4, 2)
+    want = pipeline.compile_direct(net, fmt, ["a", "b"])
+    got, models = pipeline.compile_pipeline("direct", net, None, fmt, {}, 0, ["a", "b"])
+    assert models is None
+    assert (got.fanin0, got.fanin1, got.outputs, got.input_names, got.output_names) == (
+        want.fanin0, want.fanin1, want.outputs, want.input_names, want.output_names
+    )
 
 
 def test_distillation_layers_keep_the_per_node_bits():
