@@ -328,16 +328,15 @@ class SweepGrid:
         return pts
 
 
-def parse_grid(path, cfg: PipelineConfig | None = None) -> SweepGrid:
+def parse_grid(path, cfg: PipelineConfig) -> SweepGrid:
     """key=value lines of comma-separated values, one line per grid axis.
 
-    A parameter axis the file leaves out takes ``cfg``'s one value, if given.
+    A parameter axis the file leaves out takes ``cfg``'s one value.
     """
     grid = SweepGrid()
-    if cfg is not None:
-        for params in PARAMS.values():
-            for key, _ in params:
-                setattr(grid, key, [getattr(cfg, key)])
+    for params in PARAMS.values():
+        for key, _ in params:
+            setattr(grid, key, [getattr(cfg, key)])
     axes = {f.name for f in fields(SweepGrid)}
     for key, val, where in _read_key_values(path):
         items = [v.strip() for v in val.split(",") if v.strip()]

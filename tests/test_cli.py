@@ -191,7 +191,7 @@ def test_sweep_grid_matches_the_library(trained, tmp_path, monkeypatch, capsys):
     with open(os.path.join(out, "sweep.csv")) as fh:
         table = fh.read()
     cfg = pipeline.parse_config(trained["cfg"], {"dataset": trained["csv"]})
-    grid = pipeline.parse_grid(str(grid_path))
+    grid = pipeline.parse_grid(str(grid_path), cfg)
     want = analysis.results_table(
         pipeline.sweep_experiments(read_dataset(trained["csv"]), cfg, grid)
     )

@@ -108,7 +108,7 @@ def test_grid_points_order_and_labels(tmp_path):
         "pipelines=logicnet,rf,direct\nrf_estimators=2,3\nrf_max_depth=4\n"
         "lgn_depth=1\nlgn_width=8,16\nlgn_lut_size=2\n",
     )
-    assert pipeline.parse_grid(path).points() == [
+    assert pipeline.parse_grid(path, pipeline.PipelineConfig()).points() == [
         ("direct", {}),
         ("rf", {"estimators": 2, "max_depth": 4}),
         ("rf", {"estimators": 3, "max_depth": 4}),
@@ -125,11 +125,6 @@ def test_grid_axes_left_out_take_the_config_value(tmp_path):
         ("rf", {"estimators": 3, "max_depth": 3}),
         ("logicnet", {"depth": 1, "width": 8, "lut_size": 2}),
     ]
-    # without a config the left-out axes keep the built-in values
-    grid, built_in = pipeline.parse_grid(path), pipeline.SweepGrid()
-    assert (grid.rf_estimators, grid.lgn_width) == ([2, 3], [8])
-    for key in ("rf_max_depth", "lgn_depth", "lgn_lut_size"):
-        assert getattr(grid, key) == getattr(built_in, key)
     # a grid without a pipelines key still runs every pipeline
     path = _write(tmp_path, "e.grid", "rf_estimators=2\n")
     assert pipeline.parse_grid(path, cfg).points() == [
@@ -143,19 +138,19 @@ def test_grid_unknown_pipeline_names_line(tmp_path):
     path = _write(tmp_path, "g.grid", "rf_estimators=2\npipelines=direct,rff\n")
     with pytest.raises(ValueError, match=r"g\.grid:2: pipelines: expected one of direct, rf, "
                                          r"logicnet, got 'rff'$"):
-        pipeline.parse_grid(path)
+        pipeline.parse_grid(path, pipeline.PipelineConfig())
 
 
 def test_grid_non_integer_value_names_line_and_key(tmp_path):
     path = _write(tmp_path, "g.grid", "rf_estimators=2,x\n")
     with pytest.raises(ValueError, match=r"g\.grid:1: rf_estimators: expected int, got 'x'"):
-        pipeline.parse_grid(path)
+        pipeline.parse_grid(path, pipeline.PipelineConfig())
 
 
 def test_grid_unknown_key_names_line(tmp_path):
     path = _write(tmp_path, "g.grid", "pipelines=direct\npoints=1\n")
     with pytest.raises(ValueError, match=r"g\.grid:2: unknown grid key 'points'"):
-        pipeline.parse_grid(path)
+        pipeline.parse_grid(path, pipeline.PipelineConfig())
 
 
 @pytest.mark.parametrize(
@@ -178,7 +173,7 @@ def test_grid_unknown_key_names_line(tmp_path):
 def test_grid_value_out_of_range_names_line_and_key(tmp_path, text, match):
     path = _write(tmp_path, "g.grid", text)
     with pytest.raises(ValueError, match=match):
-        pipeline.parse_grid(path)
+        pipeline.parse_grid(path, pipeline.PipelineConfig())
 
 
 def test_worker_count_rejects_a_non_integer(monkeypatch):
