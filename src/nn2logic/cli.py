@@ -35,10 +35,14 @@ def _common_flags(p: argparse.ArgumentParser, *flags: str) -> None:
         p.add_argument(flag, **_CONFIG_FLAGS[flag])
 
 
-def _config_from(args) -> pipeline.PipelineConfig:
-    """The ``--config`` file, with every parsed value named after a config key on top."""
+def _config_from(args, **defaults) -> pipeline.PipelineConfig:
+    """The ``--config`` file, with every parsed value named after a config key on top.
+
+    ``defaults`` replace the built-in values of keys that neither sets.
+    """
     keys = {f.name for f in fields(pipeline.PipelineConfig)}
-    return pipeline.parse_config(args.config, {k: v for k, v in vars(args).items() if k in keys})
+    overrides = {k: v for k, v in vars(args).items() if k in keys}
+    return pipeline.parse_config(args.config, overrides, defaults)
 
 
 def _weights_for(data, data_path: str, weights_path: str) -> mlp.Mlp:
@@ -162,14 +166,14 @@ def cmd_equiv(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = _config_from(args)
+    cfg = _config_from(args, out_dir="")  # no sweep.csv unless --out or the config names an out_dir
     grid = pipeline.parse_grid(args.grid, cfg) if args.grid else pipeline.SweepGrid()
     data = read_dataset(cfg.dataset)
     reports = pipeline.sweep_experiments(data, cfg, grid)
     table = analysis.results_table(reports)
-    if args.out_dir:
-        os.makedirs(args.out_dir, exist_ok=True)
-        path = os.path.join(args.out_dir, "sweep.csv")
+    if cfg.out_dir:
+        os.makedirs(cfg.out_dir, exist_ok=True)
+        path = os.path.join(cfg.out_dir, "sweep.csv")
         with open(path, "w") as fh:
             fh.write(table)
         print(f"wrote {path}")

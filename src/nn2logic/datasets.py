@@ -86,6 +86,31 @@ def pack_bits(bits: np.ndarray) -> np.ndarray:
     return np.pad(packed, pad).view("<u8")
 
 
+def sorted_choices(rng: np.random.Generator, pool: int, k: int, count: int) -> np.ndarray:
+    """(count, k) int64 rows: row i is the i-th of ``count`` successive
+    ``np.sort(rng.choice(pool, k, replace=False))`` calls, and ``rng`` is left
+    in the state those calls leave.
+
+    ``choice`` runs Floyd's algorithm (Bentley & Floyd 1987): for j = pool - k
+    .. pool - 1 it draws v in [0, j] and keeps v, or j when v is already
+    kept; it then shuffles the k values with draws in [0, i], i = k - 1 .. 1,
+    an order the sort undoes.  Every one of those draws is the bounded sampler
+    (Lemire 2019) that ``integers`` applies to each element of an array of
+    upper bounds, so one ``integers`` call makes every row's draws.  Above
+    10000 with k > pool // 50, ``choice`` shuffles the tail of an arange
+    instead; there the rows come from ``choice`` itself.
+    """
+    if pool > 10000 and k > pool // 50:
+        rows = [np.sort(rng.choice(pool, k, replace=False)) for _ in range(count)]
+        return np.array(rows, dtype=np.int64).reshape(count, k)
+    highs = np.concatenate([np.arange(pool - k + 1, pool + 1), np.arange(k, 1, -1)])
+    rows = rng.integers(0, np.tile(highs, count)).reshape(count, len(highs))[:, :k]
+    for j in range(1, k):  # Floyd's rule: a value already in the row becomes its bound
+        taken = (rows[:, :j] == rows[:, j, None]).any(axis=1)
+        rows[taken, j] = pool - k + j
+    return np.sort(rows, axis=1)
+
+
 def read_dataset(path) -> LabeledDataset:
     """Read a comma-separated file: header row, last column label 0 or 1.
 
@@ -175,9 +200,8 @@ def make_overlapping_gaussians(
     features = np.vstack([x0, x1])
     labels = np.concatenate([np.zeros(n0, dtype=int), np.ones(n1, dtype=int)])
     n_out = int(round(OUTLIER_FRACTION * n_samples))
-    if n_out:
-        for j in range(n_features):  # heavy tails per measurement column
-            rows = rng.choice(n_samples, size=n_out, replace=False)
-            features[rows, j] *= OUTLIER_SCALE
+    if n_out:  # heavy tails per measurement column, column j's rows in row j
+        rows = sorted_choices(rng, n_samples, n_out, n_features)
+        features[rows, np.arange(n_features)[:, None]] *= OUTLIER_SCALE
     perm = rng.permutation(n_samples)
     return LabeledDataset(features[perm], labels[perm])

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from nn2logic import netlist as nl
-from nn2logic.datasets import bit_training_set, pack_bits
+from nn2logic.datasets import bit_training_set, pack_bits, sorted_choices
 
 PROB_FRAC_BITS = 8  # leaf class probabilities as unsigned fixed point
 
@@ -117,17 +117,27 @@ def _multiplicity_planes(draws: np.ndarray, n: int) -> np.ndarray:
 def _grow_forest(model: RandomForestModel, labels, packed_labels, cols):
     """Grow ``model``'s trees depth first, left child first, as a generator of split requests.
 
-    Draws come from ``default_rng(model.seed)``: a tree's bootstrap rows at
-    its start, then ceil(sqrt(F)) sorted candidate columns (all F, undrawn,
-    when that is F or more) at each node that can split, i.e. is impure
-    above ``max_depth``.  At each such node it
-    yields ``(planes, rows, ones, candidates)``, ``planes`` being the
-    (2, P, words) rows and ones planes masked to the node, and receives
-    ``(feature, right rows, right ones)``, or None to leave the node a leaf.
+    Draws come from ``default_rng(model.seed)``, in the order of one
+    ``integers`` call for a tree's bootstrap rows at its start, then one
+    ``np.sort(rng.choice(F, ceil(sqrt(F)), replace=False))`` per node that
+    can split, i.e. is impure above ``max_depth`` (all F columns, undrawn,
+    when ceil(sqrt(F)) >= F).  The per-node rows come in blocks: at the
+    first such node, and whenever a block runs out, the generator state is
+    saved and one ``sorted_choices`` call draws the next
+    min(2**max_depth - 1, 255) rows.  A tree that leaves rows unused, with a
+    tree after it, restores the last saved state and redraws just the rows
+    it used, so the next bootstrap starts where per-node draws would have
+    left it.
+
+    At each node that can split it yields ``(planes, rows, ones,
+    candidates)``, ``planes`` being the (2, P, words) rows and ones planes
+    masked to the node, and receives ``(feature, right rows, right ones)``,
+    or None to leave the node a leaf.
     """
     rng = np.random.default_rng(model.seed)
     n, f = len(labels), model.n_features
     n_candidates = math.ceil(math.sqrt(f))
+    block = min((1 << model.max_depth) - 1, 255)
     stack: list[tuple] = []
 
     def node(planes, mask, rows: int, ones: int, depth: int) -> TreeNode:
@@ -137,24 +147,32 @@ def _grow_forest(model: RandomForestModel, labels, packed_labels, cols):
             stack.append((tree_node, planes & mask, rows, ones, depth))
         return tree_node
 
-    for _ in range(model.n_estimators):
+    for t in range(model.n_estimators):
         draws = rng.integers(0, n, size=n)
         planes = _multiplicity_planes(draws, n)
         planes = np.stack([planes, planes & packed_labels])
         root = node(planes, ~np.uint64(0), n, int(labels[draws].sum()), 0)
         model.trees.append(DecisionTree(root))
+        drawn, used = (), 0
         while stack:
             parent, planes, rows, ones, depth = stack.pop()
             if n_candidates >= f:
                 candidates = np.arange(f)
             else:
-                candidates = np.sort(rng.choice(f, size=n_candidates, replace=False))
+                if used == len(drawn):
+                    saved = rng.bit_generator.state
+                    drawn, used = sorted_choices(rng, f, n_candidates, block), 0
+                candidates = drawn[used]
+                used += 1
             split = yield planes, rows, ones, candidates
             if split is not None:
                 feature, rn, ro = split
                 parent.feature = feature
                 parent.right = node(planes, cols[feature], rn, ro, depth + 1)
                 parent.left = node(planes, ~cols[feature], rows - rn, ones - ro, depth + 1)
+        if used < len(drawn) and t + 1 < model.n_estimators:
+            rng.bit_generator.state = saved
+            sorted_choices(rng, f, n_candidates, used)
 
 
 def _count_right(cols: np.ndarray, planes: tuple, candidates: tuple) -> np.ndarray:

@@ -1,7 +1,11 @@
 """Randomly wired LUT networks trained by pattern counting, plus lowering.
 
 Each LUT draws K distinct inputs from the previous layer (raw feature bits
-for the first layer); input j is bit j of the LUT's pattern index.
+for the first layer); input j is bit j of the LUT's pattern index.  A
+layer's W wirings are drawn as one block (``datasets.sorted_choices``): one
+generator call gives the sorted rows, and leaves the generator state, that
+W successive ``choice`` calls would.
+
 Training is one counting sweep per layer: each pattern's entry of the
 truth table is the majority label of the samples showing that pattern;
 ties and never-seen patterns give 0; the counts are dropped once the
@@ -33,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from nn2logic import netlist as nl
-from nn2logic.datasets import bit_training_set, pack_bits
+from nn2logic.datasets import bit_training_set, pack_bits, sorted_choices
 
 
 def lut_layer(inputs, tables) -> np.recarray:
@@ -57,10 +61,6 @@ class LutNetwork:
     n_features: int
     layers: list[np.recarray]
     output: np.record
-
-
-def _sample_wiring(rng, pool: int, k: int) -> np.ndarray:
-    return np.sort(rng.choice(pool, size=k, replace=False))
 
 
 def _popcount(words: np.ndarray) -> np.ndarray:
@@ -114,9 +114,9 @@ def _train_net(cols, ones, zeros, depth: int, width: int, lut_size: int, seed: i
     # wiring is sampled up front so it does not depend on the training data
     wirings, pool = [], n_features
     for _ in range(depth):
-        wirings.append(np.array([_sample_wiring(rng, pool, lut_size) for _ in range(width)]))
+        wirings.append(sorted_choices(rng, pool, lut_size, width))
         pool = width
-    wirings.append(_sample_wiring(rng, pool, min(lut_size, pool))[None])
+    wirings.append(sorted_choices(rng, pool, min(lut_size, pool), 1))
     layers = []
     for wiring in wirings:
         tables, cols = _train_layer(cols, wiring, ones, zeros)

@@ -106,11 +106,16 @@ def _convert(cast, key: str, val, where: str):
     return value
 
 
-def parse_config(path=None, overrides: dict | None = None) -> PipelineConfig:
-    """Flat key=value config file, then flag overrides on top."""
+def parse_config(
+    path=None, overrides: dict | None = None, defaults: dict | None = None
+) -> PipelineConfig:
+    """Flat key=value config file, then flag overrides on top.
+
+    ``defaults`` replace ``PipelineConfig``'s values of keys that neither sets.
+    """
     entries = _read_key_values(path) if path else []
     entries += [(k, v, "") for k, v in (overrides or {}).items() if v is not None]
-    cfg = PipelineConfig()
+    cfg = PipelineConfig(**(defaults or {}))
     casts = {f.name: type(getattr(cfg, f.name)) for f in fields(PipelineConfig)}
     set_at = {}
     for key, val, where in entries:

@@ -227,6 +227,23 @@ def test_sweep_grid_axes_left_out_take_the_config_value(trained, tmp_path, monke
     assert row.startswith("rf,estimators=2 max_depth=3,")
 
 
+def test_sweep_writes_into_the_config_files_out_dir(trained, tmp_path, monkeypatch, capsys):
+    """Without --out, sweep.csv goes to the config's out_dir, and nowhere if it names none."""
+    monkeypatch.setenv("NN2LOGIC_THREADS", "1")
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "est.grid").write_text("pipelines=rf\nrf_estimators=2\n")
+    (tmp_path / "out.cfg").write_text(TINY_CONFIG + "out_dir=cfgout\n")
+    sweep = ["sweep", trained["csv"], "--grid", "est.grid", "--config"]
+    assert cli.main(sweep + [trained["cfg"]]) == 0
+    table = capsys.readouterr().out
+    assert sorted(os.listdir(tmp_path)) == ["est.grid", "out.cfg"]
+    assert cli.main(sweep + ["out.cfg"]) == 0
+    wrote, *printed = capsys.readouterr().out.splitlines(keepends=True)
+    assert wrote == f"wrote {os.path.join('cfgout', 'sweep.csv')}\n"
+    assert "".join(printed) == table
+    assert (tmp_path / "cfgout" / "sweep.csv").read_text() == table
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -403,6 +403,44 @@ def test_layer_forests_match_the_recursive_reference(layer):
         assert forest_to_text(model) == forest_to_text(want)
 
 
+def _splits(node) -> int:
+    return 0 if node.feature is None else 1 + _splits(node.left) + _splits(node.right)
+
+
+# the most candidate rows one block draws: min(2**max_depth - 1, 255)
+BLOCK = 255
+
+
+@pytest.mark.parametrize(
+    "n, f, n_estimators, max_depth, splits",
+    [
+        (1500, 20, 3, 9, "over"),  # trees need a second block of candidate rows
+        (300, 20, 3, 9, "under"),  # trees leave most of their one block unused
+        (200, 12, 4, 3, "under"),  # a block of 7 rows, the tree's whole depth
+        (200, 12, 2, 0, "none"),  # max_depth 0: a leaf per tree, no candidate draw
+        (200, 3, 2, 9, "under"),  # ceil(sqrt(3)) = 2 of 3 columns, drawn in blocks
+        (200, 2, 3, 9, "under"),  # ceil(sqrt(2)) = 2 covers both columns: no draw
+    ],
+)
+def test_block_drawn_forests_match_per_node_choice(n, f, n_estimators, max_depth, splits):
+    """Forests drawing candidate rows in blocks equal the reference's per-node ``choice``.
+
+    With two or more trees, a tree that leaves rows of its block unused rewinds
+    the generator before the next tree's bootstrap, so a wrong rewind shows up
+    from the second tree on.
+    """
+    rng = np.random.default_rng(n + f)
+    x = rng.integers(0, 2, size=(n, f), dtype=np.uint8)
+    y = rng.integers(0, 2, size=(n, 2), dtype=np.uint8)
+    seeds = [n, n + 1]
+    models = train_forests(x, y, seeds, n_estimators, max_depth)
+    most = max(_splits(t.root) for m in models for t in m.trees)
+    assert {"over": most > BLOCK, "under": 0 < most <= BLOCK, "none": most == 0}[splits]
+    for j, model in enumerate(models):
+        want = forest_reference(x, y[:, j], n_estimators, max_depth, seeds[j])
+        assert forest_to_text(model) == forest_to_text(want)
+
+
 # sha256 of the forest_to_text dumps of the 16 forests below, computed with
 # the per-bit trainer that grew one forest at a time on copied rows
 LAYER_DIGESTS = {
