@@ -167,7 +167,10 @@ def cmd_equiv(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _config_from(args, out_dir="")  # no sweep.csv unless --out or the config names an out_dir
-    grid = pipeline.parse_grid(args.grid, cfg) if args.grid else pipeline.SweepGrid()
+    if not cfg.dataset:
+        raise ValueError("no dataset given: name a CSV on the command line "
+                         "or set dataset= in the config")
+    grid = pipeline.parse_grid(args.grid, cfg)
     data = read_dataset(cfg.dataset)
     reports = pipeline.sweep_experiments(data, cfg, grid)
     table = analysis.results_table(reports)
@@ -230,10 +233,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_equiv)
 
     p = sub.add_parser("sweep", help="run the pipeline/parameter grid")
-    p.add_argument("dataset", nargs="?", default=None)
+    p.add_argument("dataset", nargs="?", default=None, help="CSV (default: the config's dataset)")
     p.add_argument("--grid", help="grid file with comma-separated values; its pipelines key "
                    "chooses the pipelines (all by default), and a parameter axis it leaves "
-                   "out takes the config's value; without it, sweep runs a built-in grid")
+                   "out takes the config's value; without it, sweep runs each pipeline once, "
+                   "at the config's values")
     _common_flags(p, "--seed", "--bits", "--frac", "--out")
     p.set_defaults(func=cmd_sweep)
 

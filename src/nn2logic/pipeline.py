@@ -59,8 +59,12 @@ def _error(where: str, msg: str) -> ValueError:
 
 
 def _read_key_values(path) -> list[tuple[str, str, str]]:
-    """``(key, value, "path:line")`` per ``key=value`` line; ``#`` starts a comment."""
+    """``(key, value, "path:line")`` per ``key=value`` line; ``#`` starts a comment.
+
+    A key may be set on one line only.
+    """
     entries = []
+    set_on: dict[str, int] = {}  # key -> line that sets it
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#")[0].strip()
@@ -69,7 +73,11 @@ def _read_key_values(path) -> list[tuple[str, str, str]]:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value")
             key, _, val = line.partition("=")
-            entries.append((key.strip(), val.strip(), f"{path}:{lineno}"))
+            key = key.strip()
+            if key in set_on:
+                raise ValueError(f"{path}:{lineno}: {key}: already set on line {set_on[key]}")
+            set_on[key] = lineno
+            entries.append((key, val.strip(), f"{path}:{lineno}"))
     return entries
 
 
@@ -157,6 +165,8 @@ def read_split_manifest(path, n_rows: int) -> tuple[np.ndarray, np.ndarray]:
             if tag not in ("train", "test") or tag in parts:
                 raise _error(where, f"expected one 'train' and one 'test' line, got {tag!r}")
             rows = [_convert(int, tag, v, where) for v in values]
+            if not rows:
+                raise _error(where, f"{tag}: expected at least one row")
             for row in rows:
                 if not 0 <= row < n_rows:
                     raise _error(where, f"{tag}: row {row} is not in 0..{n_rows - 1}")
@@ -198,11 +208,11 @@ def _train_modules(sets: list[mlp.DistillationLayer], train_layer, seed: int) ->
 
 def train_rf_modules(
     sets: list[mlp.DistillationLayer],
-    n_estimators: int,
+    estimators: int,
     max_depth: int,
     seed: int,
 ) -> dict[tuple[int, int], list[forest.RandomForestModel]]:
-    train_layer = partial(forest.train_forests, n_estimators=n_estimators, max_depth=max_depth)
+    train_layer = partial(forest.train_forests, n_estimators=estimators, max_depth=max_depth)
     return _train_modules(sets, train_layer, seed)
 
 
@@ -221,10 +231,10 @@ def train_lgn_modules(
 class Distiller:
     """A per-bit model family that stands in for each MLP neuron."""
 
-    train: Callable  # (sets, *parameter values, seed) -> models keyed by (layer, node)
+    train: Callable  # (sets, seed=, **{report label: value}) -> models keyed by (layer, node)
     module: Callable  # (per-bit models, word width) -> a node's netlist.cascade_modules module
     to_text: Callable  # one model -> its text dump
-    params: tuple[tuple[str, str], ...]  # (config and grid key, report label)
+    params: tuple[tuple[str, str], ...]  # (config and grid key, report label = train keyword)
 
 
 DISTILLERS = {
@@ -266,7 +276,7 @@ def compile_pipeline(
     if name == "direct":
         return compile_direct(net_mlp, fmt, input_names), None
     distiller = DISTILLERS[name]
-    modules = distiller.train(sets, *(params[label] for _, label in distiller.params), seed)
+    modules = distiller.train(sets, seed=seed, **params)
     sizes = net_mlp.layer_sizes
     rows = [
         [distiller.module(modules[(l, n)], fmt.total_bits) for n in range(sizes[l])]
@@ -314,12 +324,14 @@ def worker_count() -> int:
 
 @dataclass
 class SweepGrid:
+    """The values of each grid axis; a parameter axis defaults to ``PipelineConfig``'s value."""
+
     pipelines: list[str] = field(default_factory=lambda: list(PIPELINES))
-    rf_estimators: list[int] = field(default_factory=lambda: [2, 3, 4])
-    rf_max_depth: list[int] = field(default_factory=lambda: [5, 10, 15])
-    lgn_depth: list[int] = field(default_factory=lambda: [2, 3, 4])
-    lgn_width: list[int] = field(default_factory=lambda: [50, 100, 200])
-    lgn_lut_size: list[int] = field(default_factory=lambda: [4, 6, 8])
+    rf_estimators: list[int] = field(default_factory=lambda: [PipelineConfig.rf_estimators])
+    rf_max_depth: list[int] = field(default_factory=lambda: [PipelineConfig.rf_max_depth])
+    lgn_depth: list[int] = field(default_factory=lambda: [PipelineConfig.lgn_depth])
+    lgn_width: list[int] = field(default_factory=lambda: [PipelineConfig.lgn_width])
+    lgn_lut_size: list[int] = field(default_factory=lambda: [PipelineConfig.lgn_lut_size])
 
     def points(self) -> list[tuple[str, dict]]:
         """Each chosen pipeline's parameter product, in ``PIPELINES`` order."""
@@ -336,14 +348,12 @@ class SweepGrid:
 def parse_grid(path, cfg: PipelineConfig) -> SweepGrid:
     """key=value lines of comma-separated values, one line per grid axis.
 
-    A parameter axis the file leaves out takes ``cfg``'s one value.
+    A parameter axis the file leaves out takes ``cfg``'s one value; with no
+    file (``path`` None) every axis does, so each pipeline runs once.
     """
-    grid = SweepGrid()
-    for params in PARAMS.values():
-        for key, _ in params:
-            setattr(grid, key, [getattr(cfg, key)])
+    grid = SweepGrid(**{key: [getattr(cfg, key)] for ps in PARAMS.values() for key, _ in ps})
     axes = {f.name for f in fields(SweepGrid)}
-    for key, val, where in _read_key_values(path):
+    for key, val, where in _read_key_values(path) if path else []:
         items = [v.strip() for v in val.split(",") if v.strip()]
         if key not in axes:
             raise _error(where, f"unknown grid key {key!r}")

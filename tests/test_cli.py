@@ -227,6 +227,27 @@ def test_sweep_grid_axes_left_out_take_the_config_value(trained, tmp_path, monke
     assert row.startswith("rf,estimators=2 max_depth=3,")
 
 
+def test_sweep_without_a_grid_runs_each_pipeline_once_at_the_config_values(trained, monkeypatch,
+                                                                         capsys):
+    monkeypatch.setenv("NN2LOGIC_THREADS", "1")
+    assert cli.main(["sweep", trained["csv"], "--config", trained["cfg"]]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header == analysis.RESULTS_HEADER
+    assert [row.split(",")[:2] for row in rows] == [
+        ["direct", "-"],
+        ["rf", "estimators=2 max_depth=3"],
+        ["logicnet", "depth=1 width=4 lut_size=2"],
+    ]
+
+
+def test_sweep_without_a_dataset_says_where_one_comes_from(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(TINY_CONFIG)
+    assert cli.main(["sweep", "--config", str(cfg)]) == 2
+    assert ("no dataset given: name a CSV on the command line or set dataset= in the config"
+            in capsys.readouterr().err)
+
+
 def test_sweep_writes_into_the_config_files_out_dir(trained, tmp_path, monkeypatch, capsys):
     """Without --out, sweep.csv goes to the config's out_dir, and nowhere if it names none."""
     monkeypatch.setenv("NN2LOGIC_THREADS", "1")

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -54,7 +55,7 @@ def test_config_unknown_pipeline_names_line(tmp_path):
     [
         ("seed=-1\n", r"run\.cfg:1: seed: expected an integer >= 0, got -1$"),
         ("seed=1\nsplit_seed=-2\n", r"run\.cfg:2: split_seed: expected an integer >= 0, got -2$"),
-        ("epochs=5\nepochs=-3\n", r"run\.cfg:2: epochs: expected an integer >= 1, got -3$"),
+        ("hidden_nodes=5\nepochs=-3\n", r"run\.cfg:2: epochs: expected an integer >= 1, got -3$"),
         ("hidden_nodes=0\n", r"run\.cfg:1: hidden_nodes: expected an integer >= 1, got 0$"),
         ("learning_rate=nan\n", r"run\.cfg:1: learning_rate: expected a finite number > 0, "
                                 r"got nan$"),
@@ -67,7 +68,7 @@ def test_config_unknown_pipeline_names_line(tmp_path):
         ("total_bits=65\n", r"run\.cfg:1: total_bits: expected an integer in 1\.\.64, got 65$"),
         ("total_bits=4\n", r"run\.cfg:1: fractional_bits: expected an integer in 0\.\.3 for 4 "
                            r"total bits, got 6$"),
-        ("fractional_bits=8\ntotal_bits=16\nfractional_bits=-1\n",
+        ("seed=8\ntotal_bits=16\nfractional_bits=-1\n",
          r"run\.cfg:3: fractional_bits: expected an integer in 0\.\.15 for 16 total bits, got -1$"),
         ("rf_estimators=0\n", r"run\.cfg:1: rf_estimators: expected an integer >= 1, got 0$"),
         ("rf_max_depth=-1\n", r"run\.cfg:1: rf_max_depth: expected an integer >= 0, got -1$"),
@@ -84,6 +85,15 @@ def test_config_value_out_of_range_names_line_and_key(tmp_path, text, match):
     path = _write(tmp_path, "run.cfg", text)
     with pytest.raises(ValueError, match=match):
         pipeline.parse_config(path)
+
+
+def test_config_key_set_twice_names_both_lines(tmp_path):
+    path = _write(tmp_path, "run.cfg", "rf_max_depth=2\nseed=1\nrf_max_depth=3\n")
+    with pytest.raises(ValueError, match=r"run\.cfg:3: rf_max_depth: already set on line 1$"):
+        pipeline.parse_config(path)
+    # a flag still overrides the file's one value
+    path = _write(tmp_path, "one.cfg", "rf_max_depth=2\n")
+    assert pipeline.parse_config(path, {"rf_max_depth": "3"}).rf_max_depth == 3
 
 
 def test_config_accepts_the_edge_values(tmp_path):
@@ -132,6 +142,21 @@ def test_grid_axes_left_out_take_the_config_value(tmp_path):
         ("rf", {"estimators": 2, "max_depth": 3}),
         ("logicnet", {"depth": 1, "width": 50, "lut_size": 2}),
     ]
+
+
+def test_grid_without_a_file_runs_each_pipeline_once_at_the_config_values():
+    cfg = pipeline.PipelineConfig(rf_estimators=7, rf_max_depth=3, lgn_depth=1, lgn_lut_size=2)
+    assert pipeline.parse_grid(None, cfg).points() == [
+        ("direct", {}),
+        ("rf", {"estimators": 7, "max_depth": 3}),
+        ("logicnet", {"depth": 1, "width": 50, "lut_size": 2}),
+    ]
+
+
+def test_grid_key_set_twice_names_both_lines(tmp_path):
+    path = _write(tmp_path, "g.grid", "rf_estimators=1\nrf_estimators=2\n")
+    with pytest.raises(ValueError, match=r"g\.grid:2: rf_estimators: already set on line 1$"):
+        pipeline.parse_grid(path, pipeline.PipelineConfig())
 
 
 def test_grid_unknown_pipeline_names_line(tmp_path):
@@ -202,9 +227,11 @@ def test_split_manifest_round_trip(tmp_path):
         ("train 0 1\n\ntest 3\n", r"m\.txt:2: expected one 'train' and one 'test' line, got ''$"),
         ("train 0\ntrain 1\ntest 3\n", r"m\.txt:2: expected one 'train' and one 'test' line"),
         ("train 0 1\n", r"m\.txt: manifest needs 'train' and 'test' lines$"),
+        ("train\ntest 3\n", r"m\.txt:1: train: expected at least one row$"),
+        ("train 0 1\ntest  \n", r"m\.txt:2: test: expected at least one row$"),
     ],
     ids=["negative", "out-of-range", "in-train-and-test", "repeated", "non-integer", "blank-line",
-         "second-train-line", "no-test-line"],
+         "second-train-line", "no-test-line", "no-train-rows", "no-test-rows"],
 )
 def test_split_manifest_rejects_bad_rows_at_their_line(tmp_path, text, match):
     path = _write(tmp_path, "m.txt", text)
@@ -212,15 +239,15 @@ def test_split_manifest_rejects_bad_rows_at_their_line(tmp_path, text, match):
         pipeline.read_split_manifest(path, 10)
 
 
-def _seeded_sets():
-    """Distillation sets of a seeded 4-3-2 MLP at (4, 2): 3 + 2 nodes of 4 bits."""
+def _seeded_net_and_sets():
+    """A seeded 4-3-2 MLP and its distillation sets at (4, 2): 3 + 2 nodes of 4 bits."""
     rng = np.random.default_rng(6)
     net = Mlp([
         DenseLayer(rng.normal(0.0, 0.8, size=(3, 4)), rng.normal(0.0, 0.3, size=3), "relu"),
         DenseLayer(rng.normal(0.0, 0.8, size=(2, 3)), rng.normal(0.0, 0.3, size=2), "identity"),
     ])
     data = LabeledDataset(rng.uniform(-1.0, 1.0, size=(70, 4)), rng.integers(0, 2, size=70))
-    return extract_distillation_sets(net, data, FixedPointFormat(4, 2))
+    return net, extract_distillation_sets(net, data, FixedPointFormat(4, 2))
 
 
 def test_compile_pipeline_lowers_direct_without_sets_or_models():
@@ -241,7 +268,8 @@ def test_compile_pipeline_lowers_direct_without_sets_or_models():
 def test_distillation_layers_keep_the_per_node_bits():
     """Per layer, the features and then every node's label bits side by side in node order."""
     h = hashlib.sha256()
-    for z in _seeded_sets():
+    _, sets = _seeded_net_and_sets()
+    for z in sets:
         h.update(np.ascontiguousarray(z.feature_bits, dtype=np.uint8).tobytes())
         h.update(np.ascontiguousarray(z.label_bits, dtype=np.uint8).tobytes())
     assert h.hexdigest() == "4f9fae427132af7a57a913e4a27edad3a645bb91fe5d15eefdd61149d9b7edcb"
@@ -249,7 +277,7 @@ def test_distillation_layers_keep_the_per_node_bits():
 
 def test_layer_training_gives_each_bit_its_own_forest():
     """Trained a layer at a time, each (layer, node, bit) still gets its labels and seed."""
-    sets = _seeded_sets()
+    _, sets = _seeded_net_and_sets()
     models = pipeline.train_rf_modules(sets, 2, 3, seed=9)
     keys = [(z.index, n) for z in sets for n in range(z.label_bits.shape[1] // 4)]
     assert keys == [(1, 0), (1, 1), (1, 2), (2, 0), (2, 1)]
@@ -261,3 +289,18 @@ def test_layer_training_gives_each_bit_its_own_forest():
                 seed = pipeline._bit_seed(9, z.index, n, j)
                 want = forest_reference(z.feature_bits, z.label_bits[:, 4 * n + j], 2, 3, seed)
                 assert forest_to_text(model) == forest_to_text(want)
+
+def test_compile_pipeline_hands_each_setting_to_its_keyword(monkeypatch):
+    """No code depends on the order of a distiller's parameters."""
+    got = {}
+
+    def train(sets, seed, max_depth, estimators):
+        got.update(seed=seed, max_depth=max_depth, estimators=estimators)
+        return pipeline.train_rf_modules(sets, estimators, max_depth, seed)
+
+    rf = pipeline.DISTILLERS["rf"]
+    monkeypatch.setitem(pipeline.DISTILLERS, "rf", dataclasses.replace(rf, train=train))
+    net, sets = _seeded_net_and_sets()
+    params = {"estimators": 2, "max_depth": 3}
+    pipeline.compile_pipeline("rf", net, sets, FixedPointFormat(4, 2), params, 9)
+    assert got == {"seed": 9, "max_depth": 3, "estimators": 2}
