@@ -22,7 +22,7 @@ PINS = {
     "paper-flows": PAPER_FLOWS,
     "large-flows": {
         "direct": (88655, 134, 460, 600),
-        "rf": (110779, 73, 401, 600),
+        "rf": (110760, 73, 401, 600),
         "logicnet": (49047, 63, 402, 600),
     },
     "verify": PAPER_FLOWS,  # the same circuits as paper-flows

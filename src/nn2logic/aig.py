@@ -27,8 +27,13 @@ and run on NumPy arrays of the fanins.
 A LUT gate lowers as a Shannon mux tree.  Before lowering, one pass gives
 each distinct table of the netlist the select order of least model cost
 (`_shannon_orders`, an exact program over subsets of the selects); a table
-and its complement share one cone through an inverted edge, and a MUX with
+and its complement share one cone through an inverted edge, and a mux with
 a constant child costs one AND.
+
+A MODEL gate is one distilled bit: ``lower_netlist`` hands its emitter the
+graph and the bit's feature literals, so a forest bit's mux trees, ripple
+adders and compare with zero (``forest._emit_forest_bit``) are written
+straight into the graph.
 """
 
 from __future__ import annotations
@@ -531,9 +536,7 @@ def lower_netlist(net: Netlist) -> AigGraph:
     for gate in net.gates:
         ops = [bits[o] for o in gate.operands]
         kind = gate.kind
-        if kind == "CONST":
-            word = [(gate.params[0] >> j) & 1 for j in range(net.widths[gate.output])]
-        elif kind == "NEURON":
+        if kind == "NEURON":
             weights, bias, shift, relu = gate.params
             m = len(ops[0])
             # shift, saturate, then the ReLU: saturating first gives the same
@@ -544,13 +547,8 @@ def lower_netlist(net: Netlist) -> AigGraph:
             word = [g.mux(fits, src[j], sign if j == m - 1 else sign ^ 1) for j in range(m)]
             if relu:
                 word = [g.and2(bit, word[-1] ^ 1) for bit in word]
-        elif kind == "ADD":
-            word = _ripple_add(g, ops[0], ops[1])
         elif kind == "GT":
             word = [_is_positive(g, ops[0], ops[1])]
-        elif kind == "MUX":
-            sel = ops[0][0]
-            word = [g.mux(sel, x, y) for x, y in zip(ops[1], ops[2])]
         elif kind == "SLICE":
             lo, hi = gate.params
             word = ops[0][lo : hi + 1]
@@ -561,6 +559,9 @@ def lower_netlist(net: Netlist) -> AigGraph:
         elif kind == "LUT":
             table, order = lut_orders[gate.params]
             word = [_lut_cofactor(g, table, [ops[i][0] for i in order], {})]
+        elif kind == "MODEL":
+            emit, model = gate.params
+            word = [emit(g, [op[0] for op in ops], model)]
         else:
             raise ValueError(f"cannot lower gate kind {kind!r}")
         bits[gate.output] = word

@@ -156,7 +156,10 @@ def read_dataset(path) -> LabeledDataset:
 def stratified_split(
     data: LabeledDataset, test_fraction: float = 0.2, seed: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Seeded per-class shuffle; returns sorted (train, test) index arrays."""
+    """Seeded per-class shuffle; returns sorted (train, test) index arrays.
+
+    Raises ValueError, naming ``test_fraction``, when either part is empty.
+    """
     rng = np.random.default_rng(seed)
     train_idx, test_idx = [], []
     for cls in np.unique(data.labels):
@@ -165,6 +168,11 @@ def stratified_split(
         n_test = int(round(len(idx) * test_fraction))
         test_idx.extend(idx[:n_test])
         train_idx.extend(idx[n_test:])
+    for part, rows in (("test", test_idx), ("train", train_idx)):
+        if not rows:
+            raise ValueError(
+                f"test_fraction={test_fraction} leaves no {part} rows of {len(data.labels)}"
+            )
     return np.sort(np.array(train_idx)), np.sort(np.array(test_idx))
 
 

@@ -23,13 +23,16 @@ one Gini expression and sends each forest its split, so a forest does not
 depend on the others it grows beside.
 
 A forest bit votes ``sum(q(p1) - q(p0)) > 0`` over its trees' leaves, with
-``q`` the 8-bit quantized probability.  It lowers in one of two forms, chosen
-by the tree count T: at T <= 2 a reduced threshold decision diagram of 1-bit
-MUXes (tree 0's leaf with vote v selects tree 1's leaf vote above -v), at
-T >= 3 one signed vote word per tree, summed and compared with zero.  On the
-benchmark's distillation sets (176 forests per point) the diagram took
-22-85% fewer AND nodes than the vote words at T <= 2 and about two to three
-times as many at T = 3 and 4.
+``q`` the 8-bit quantized probability.  In the word netlist it is one MODEL
+gate over the module's feature bits; ``aig.lower_netlist`` calls
+``_emit_forest_bit``, which writes the bit straight into the AIG, so no mux,
+adder or constant of a forest is ever a netlist gate.  The bit takes one of
+two forms, chosen by the tree count T: at T <= 2 a reduced threshold
+decision diagram of 1-bit muxes (tree 0's leaf with vote v selects tree 1's
+leaf vote above -v), at T >= 3 one signed vote word per tree, summed and
+compared with zero.  On the benchmark's distillation sets (176 forests per
+point) the diagram took 22-85% fewer AND nodes than the vote words at T <= 2
+and about two to three times as many at T = 3 and 4.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from nn2logic import netlist as nl
+from nn2logic.aig import AigGraph, _is_positive, _ripple_add
 from nn2logic.datasets import bit_training_set, pack_bits, sorted_choices
 
 PROB_FRAC_BITS = 8  # leaf class probabilities as unsigned fixed point
@@ -271,83 +275,95 @@ def _leaf_vote(leaf: TreeNode) -> int:
     return quantize_prob(leaf.p1) - quantize_prob(leaf.p0)
 
 
-def _emit_tree(net: nl.Netlist, feature_sids: list[int], node, width: int) -> int:
+def _emit_tree(g: AigGraph, features: list[int], node: TreeNode, width: int) -> list[int]:
     """Mux tree of one tree; returns its signed vote word ``q(p1) - q(p0)``.
 
-    Each leaf is one constant and each internal node one MUX selected by its
-    1-bit feature signal, the right subtree taken when the bit is 1.
+    Each leaf is its vote as constant literals and each internal node one
+    mux per bit, selected by its feature literal, the right subtree taken
+    when the bit is 1.
     """
     if node.feature is None:
-        return net.add_const(_leaf_vote(node), width)
-    left = _emit_tree(net, feature_sids, node.left, width)
-    right = _emit_tree(net, feature_sids, node.right, width)
-    return net.add_gate("MUX", (feature_sids[node.feature], right, left))
+        vote = _leaf_vote(node)
+        return [(vote >> j) & 1 for j in range(width)]
+    left = _emit_tree(g, features, node.left, width)
+    right = _emit_tree(g, features, node.right, width)
+    sel = features[node.feature]
+    return [g.mux(sel, a, b) for a, b in zip(right, left)]
 
 
-def _emit_threshold_diagram(
-    net: nl.Netlist, feature_sids: list[int], trees: list[DecisionTree]
+def _leaf_votes(node: TreeNode, votes: dict) -> list[int]:
+    """Sorted distinct leaf votes of ``node``'s subtree, memoised in ``votes`` by node id."""
+    key = id(node)
+    if key not in votes:
+        if node.feature is None:
+            votes[key] = [_leaf_vote(node)]
+        else:
+            both = _leaf_votes(node.left, votes) + _leaf_votes(node.right, votes)
+            votes[key] = sorted(set(both))
+    return votes[key]
+
+
+def _diagram_mux(g: AigGraph, sel: int, right: int, left: int) -> int:
+    """A mux of two diagram nodes, left out when both are one literal."""
+    return left if right == left else g.mux(sel, right, left)
+
+
+def _above(
+    g: AigGraph, features: list[int], node: TreeNode, t: int, votes: dict, shared: dict
 ) -> int:
+    """The literal of ``v > t``, ``v`` the vote of the leaf the input reaches under ``node``."""
+    vs = _leaf_votes(node, votes)
+    rank = bisect.bisect_right(vs, t)  # leaf votes at or below t
+    if rank == 0 or rank == len(vs):
+        return int(rank == 0)
+    key = (id(node), rank)
+    if key not in shared:
+        left = _above(g, features, node.left, t, votes, shared)
+        right = _above(g, features, node.right, t, votes, shared)
+        shared[key] = _diagram_mux(g, features[node.feature], right, left)
+    return shared[key]
+
+
+def _select(
+    g: AigGraph, features: list[int], node: TreeNode, root1: TreeNode, votes: dict, shared: dict
+) -> int:
+    """Tree 0's mux tree over ``node``, each leaf with vote v selecting ``v1 > -v``."""
+    if node.feature is None:
+        return _above(g, features, root1, -_leaf_vote(node), votes, shared)
+    left = _select(g, features, node.left, root1, votes, shared)
+    right = _select(g, features, node.right, root1, votes, shared)
+    return _diagram_mux(g, features[node.feature], right, left)
+
+
+def _emit_threshold_diagram(g: AigGraph, features: list[int], trees: list[DecisionTree]) -> int:
     """Reduced decision diagram of ``v0 + v1 > 0`` over one or two trees.
 
-    ``above(node, t)`` is the bit ``v > t``, where ``v`` is the vote of the
+    ``_above(node, t)`` is the bit ``v > t``, where ``v`` is the vote of the
     leaf the input reaches in ``node``'s subtree.  Thresholds of the same
     rank among the node's sorted distinct leaf votes give the same bit, so
     each (node, rank) is emitted once, a subtree whose leaves all agree is a
-    shared constant, and a MUX whose two children are one signal is left out
-    (Bryant's two reductions).  One tree gives ``above(root, 0)``; with two,
-    tree 0's MUX tree selects ``above(root1, -v0)`` at each of its leaves.
+    constant literal, and a mux whose two children are one literal is left
+    out (Bryant's two reductions).  One tree gives ``_above(root, 0)``; with
+    two, tree 0's mux tree selects ``_above(root1, -v0)`` at each of its
+    leaves.  The memo dicts live only for this call, and the recursion is
+    module functions, not closures, so the bit leaves no reference cycle.
     """
-    consts: dict[int, int] = {}
     votes: dict[int, list[int]] = {}
     shared: dict[tuple[int, int], int] = {}
-
-    def const(bit: int) -> int:
-        if bit not in consts:
-            consts[bit] = net.add_const(bit, 1)
-        return consts[bit]
-
-    def mux(node: TreeNode, right: int, left: int) -> int:
-        if right == left:
-            return left
-        return net.add_gate("MUX", (feature_sids[node.feature], right, left))
-
-    def leaf_votes(node: TreeNode) -> list[int]:
-        if id(node) not in votes:
-            if node.feature is None:
-                votes[id(node)] = [_leaf_vote(node)]
-            else:
-                both = leaf_votes(node.left) + leaf_votes(node.right)
-                votes[id(node)] = sorted(set(both))
-        return votes[id(node)]
-
-    def above(node: TreeNode, t: int) -> int:
-        vs = leaf_votes(node)
-        rank = bisect.bisect_right(vs, t)  # leaf votes at or below t
-        if rank == 0 or rank == len(vs):
-            return const(int(rank == 0))
-        key = (id(node), rank)
-        if key not in shared:
-            left = above(node.left, t)
-            shared[key] = mux(node, above(node.right, t), left)
-        return shared[key]
-
-    def select(node: TreeNode) -> int:
-        if node.feature is None:
-            return above(trees[1].root, -_leaf_vote(node))
-        left = select(node.left)
-        return mux(node, select(node.right), left)
-
-    return above(trees[0].root, 0) if len(trees) == 1 else select(trees[0].root)
+    if len(trees) == 1:
+        return _above(g, features, trees[0].root, 0, votes, shared)
+    return _select(g, features, trees[0].root, trees[1].root, votes, shared)
 
 
-def _emit_forest_bit(net: nl.Netlist, feature_sids: list[int], model: RandomForestModel) -> int:
-    """Vote circuit of one forest bit, ``sum(q1 - q0) > 0`` over its trees.
+def _emit_forest_bit(g: AigGraph, features: list[int], model: RandomForestModel) -> int:
+    """Vote circuit of one forest bit, ``sum(q1 - q0) > 0`` over its trees, as a literal.
 
-    ``sum(q1) > sum(q0)`` exactly when ``sum(q1 - q0) > 0``, so the bit is
-    the function ``predict_forest`` computes.  One or two trees lower as a
-    threshold decision diagram (``_emit_threshold_diagram``); three or more
-    sum the trees' vote words in one ADD chain and compare with one GT.  On
-    the benchmark's distillation sets the diagram never lost to the vote
+    ``features`` holds the literal of each feature bit.  ``sum(q1) > sum(q0)``
+    exactly when ``sum(q1 - q0) > 0``, so the bit is the function
+    ``predict_forest`` computes.  One or two trees lower as a threshold
+    decision diagram (``_emit_threshold_diagram``); three or more sum the
+    trees' vote words with ripple adders and compare the total with zero.
+    On the benchmark's distillation sets the diagram never lost to the vote
     words at T <= 2 by more than one node in total, and the rule reads only
     T: extended to three and four trees, where each tree multiplies the
     partial sums to carry, it was larger in 148 and 149 of 176 forests and
@@ -355,12 +371,17 @@ def _emit_forest_bit(net: nl.Netlist, feature_sids: list[int], model: RandomFore
     """
     trees = model.trees
     if len(trees) <= 2:
-        return _emit_threshold_diagram(net, feature_sids, trees)
+        return _emit_threshold_diagram(g, features, trees)
     width = vote_width(len(trees))
-    total = _emit_tree(net, feature_sids, trees[0].root, width)
+    total = _emit_tree(g, features, trees[0].root, width)
     for tree in trees[1:]:
-        total = net.add_gate("ADD", (total, _emit_tree(net, feature_sids, tree.root, width)))
-    return net.add_gate("GT", (total, net.add_const(0, width)))
+        total = _ripple_add(g, total, _emit_tree(g, features, tree.root, width))
+    return _is_positive(g, total, [0] * width)
+
+
+def _forest_gate(net: nl.Netlist, feature_sids: list[int], model: RandomForestModel) -> int:
+    """A forest bit as one MODEL gate, lowered by ``_emit_forest_bit``."""
+    return net.add_gate("MODEL", feature_sids, (_emit_forest_bit, model))
 
 
 def forest_module(models: list[RandomForestModel], word_width: int | None = None):
@@ -368,7 +389,7 @@ def forest_module(models: list[RandomForestModel], word_width: int | None = None
 
     ``models[j]`` predicts bit j of the output word; see ``netlist.bit_module``.
     """
-    return nl.bit_module(models, word_width, _emit_forest_bit)
+    return nl.bit_module(models, word_width, _forest_gate)
 
 
 def forest_to_text(model: RandomForestModel) -> str:

@@ -10,11 +10,13 @@ bit 0 least significant.  The gate kinds, all emitted by some builder:
   weights and an integer bias.  ``acc = bias + sum(weights[k] * x_k)``
   wrapped to 3m-bit signed, then 0 if ``relu`` and ``acc < 0``, then
   ``acc >> shift`` saturated to m-bit signed,
-* ADD (wrapping) and GT (signed) on two equal-width words,
-* MUX(sel, a, b) yields ``a`` when sel is 1,
-* CONST, params ``(value,)``, and SLICE,
-* CONCAT lists its operands most significant first,
-* LUT select operand q carries pattern weight 2**q.
+* GT (signed) on two equal-width words,
+* SLICE, and CONCAT, which lists its operands most significant first,
+* LUT select operand q carries pattern weight 2**q,
+* MODEL, params ``(emit, model)``: one distilled bit over 1-bit feature
+  operands, one per ``model.n_features``; ``aig.lower_netlist`` emits it
+  as ``emit(g, feature_literals, model)``.  A forest bit is one, so the
+  netlist never holds a forest's mux trees, adders or constants.
 
 A module is one network node: ``module(net, words)`` emits the node's gates
 into the network netlist ``net`` over the previous layer's m-bit words and
@@ -59,11 +61,6 @@ class Netlist:
         self.inputs.append(sid)
         return sid
 
-    def add_const(self, value: int, width: int, name=None) -> int:
-        sid = self._new_signal(width, name)
-        self.gates.append(Gate("CONST", (), sid, (value & ((1 << width) - 1),)))
-        return sid
-
     def set_output(self, sid: int) -> None:
         self.outputs.append(sid)
 
@@ -101,18 +98,9 @@ class Netlist:
             self._need(0 <= shift <= 2 * w[0], "NEURON shift must be in 0..2m")
             self._need(isinstance(relu, bool), "NEURON relu must be a bool")
             return w[0]
-        if kind == "ADD":
-            self._need(len(w) == 2 and w[0] == w[1], "ADD needs two equal-width operands")
-            return w[0]
         if kind == "GT":
             self._need(len(w) == 2 and w[0] == w[1], "GT needs two equal-width operands")
             return 1
-        if kind == "MUX":
-            self._need(
-                len(w) == 3 and w[0] == 1 and w[1] == w[2],
-                "MUX needs a 1-bit select and two equal-width data operands",
-            )
-            return w[1]
         if kind == "SLICE":
             lo, hi = params
             self._need(len(w) == 1 and 0 <= lo <= hi < w[0], "SLICE range out of bounds")
@@ -125,6 +113,13 @@ class Netlist:
             self._need(
                 len(w) == k and all(x == 1 for x in w) and 0 <= table < (1 << (1 << k)),
                 "LUT needs k 1-bit selects and a 2**k-entry table",
+            )
+            return 1
+        if kind == "MODEL":
+            emit, model = params
+            self._need(
+                callable(emit) and len(w) == model.n_features and all(x == 1 for x in w),
+                "MODEL needs an emitter and one 1-bit operand per model feature",
             )
             return 1
         raise ValueError(f"unknown gate kind {kind!r}")

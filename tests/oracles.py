@@ -757,7 +757,9 @@ def simulate_netlist(net: Netlist, input_bits) -> list[str]:
     """Gate-by-gate evaluation of a netlist; returns one bit string per output.
 
     Inputs are bit strings of their signal's width or integers.  Each gate
-    kind is evaluated from its definition in ``nn2logic.netlist``.
+    kind is evaluated from its definition in ``nn2logic.netlist``, except
+    MODEL: its function is its model's own (``predict_forest``), so the
+    forest tests check the lowered AIG against that instead.
     """
     if len(input_bits) != len(net.inputs):
         raise ValueError(f"expected {len(net.inputs)} inputs, got {len(input_bits)}")
@@ -777,8 +779,6 @@ def _eval_gate(net: Netlist, g: Gate, values: dict[int, int]) -> int:
     ops = [values[o] for o in g.operands]
     w = [net.widths[o] for o in g.operands]
     kind = g.kind
-    if kind == "CONST":
-        return g.params[0]
     if kind == "NEURON":
         weights, bias, shift, relu = g.params
         m = w[0]
@@ -788,12 +788,8 @@ def _eval_gate(net: Netlist, g: Gate, values: dict[int, int]) -> int:
             acc = 0
         hi = (1 << (m - 1)) - 1
         return max(-hi - 1, min(hi, acc >> shift)) & ((1 << m) - 1)
-    if kind == "ADD":
-        return (ops[0] + ops[1]) & ((1 << w[0]) - 1)
     if kind == "GT":
         return int(signed(ops[0], w[0]) > signed(ops[1], w[1]))
-    if kind == "MUX":
-        return ops[1] if ops[0] else ops[2]
     if kind == "SLICE":
         lo, hi = g.params
         return (ops[0] >> lo) & ((1 << (hi - lo + 1)) - 1)

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from nn2logic.aig import (
     AigGraph,
     _and_all,
+    _is_positive,
+    _ripple_add,
     _shannon_orders,
     import_graph,
     lower_netlist,
@@ -99,13 +101,10 @@ def test_stats_wire_and_tree():
 
 
 def test_mux_lowering_exhaustive_and_small():
-    net = Netlist()
-    s = net.add_input(1, "s")
-    a = net.add_input(1, "a")
-    b = net.add_input(1, "b")
-    net.set_output(net.add_gate("MUX", (s, a, b)))
-    g = lower_netlist(net)
-    assert g.and_count() <= 7
+    g = AigGraph()
+    s, a, b = g.add_input("s"), g.add_input("a"), g.add_input("b")
+    g.add_output(g.mux(s, a, b))
+    assert g.and_count() == 3
     for sv in (0, 1):
         for av in (0, 1):
             for bv in (0, 1):
@@ -127,11 +126,24 @@ def test_mux_lowering_exhaustive_and_small():
 NEURON_PARAMS = ((-8, 5), 37, 2, False)  # weights on a and b, bias, shift, relu
 
 
+def adder_graph(width: int = 4) -> AigGraph:
+    """``_ripple_add`` of two input words ``a`` and ``b``."""
+    g = AigGraph()
+    a = [g.add_input(f"a[{j}]") for j in range(width)]
+    b = [g.add_input(f"b[{j}]") for j in range(width)]
+    for literal in _ripple_add(g, a, b):
+        g.add_output(literal)
+    return g
+
+
 @pytest.mark.parametrize("kind", ["ADD", "NEURON", "GT"])
 def test_lowering_exhaustive_width4(kind):
-    net = two_input_netlist(kind, params=NEURON_PARAMS if kind == "NEURON" else ())
-    g = lower_netlist(net)
-    out_width = net.widths[net.outputs[0]]
+    """Every pair of 4-bit words through the adder, a NEURON gate and a GT gate."""
+    if kind == "ADD":
+        g, out_width = adder_graph(), 4
+    else:
+        net = two_input_netlist(kind, params=NEURON_PARAMS if kind == "NEURON" else ())
+        g, out_width = lower_netlist(net), net.widths[net.outputs[0]]
     for a in range(16):
         for b in range(16):
             bits = feed(a, 4) + feed(b, 4)
@@ -146,6 +158,32 @@ def test_lowering_exhaustive_width4(kind):
                 want = int(sa > sb)
             assert got == want, (kind, a, b)
             assert out_width == len(g.outputs)
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 4])
+def test_adder_and_compare_helpers_exhaustive(width):
+    """``_ripple_add`` with a carry in, and ``_is_positive`` against a word and against zero.
+
+    A forest's vote words add with ``_ripple_add`` and compare with a word of
+    constant 0 literals, which folds the subtraction's constants.
+    """
+    g = AigGraph()
+    a = [g.add_input() for _ in range(width)]
+    b = [g.add_input() for _ in range(width)]
+    carry = g.add_input()
+    for literal in _ripple_add(g, a, b, carry):
+        g.add_output(literal)
+    g.add_output(_is_positive(g, a, b))
+    g.add_output(_is_positive(g, a, [0] * width))
+    mask = (1 << width) - 1
+    for x in range(1 << width):
+        for y in range(1 << width):
+            for c in (0, 1):
+                out = simulate_aig(g, feed(x, width) + feed(y, width) + [c])
+                assert read_word(out[:width]) == (x + y + c) & mask
+                assert out[width:] == [
+                    int(signed(x, width) > signed(y, width)), int(signed(x, width) > 0)
+                ]
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 8, 9])
@@ -524,7 +562,10 @@ def test_two_tree_rf_aiger_matches_golden_digest(tmp_path):
     Two-tree forests lower as threshold decision diagrams.  The circuit with
     the two-AND constant-child MUX (915 AND nodes) gave the same outputs as
     the two trees' summed vote words (4,567 nodes) on 20,000 seeded random
-    input rows, and so did this one (879 nodes) with the one-AND MUX.
+    input rows, and so did the one with the one-AND MUX (879 nodes) and this
+    one (877 nodes), whose diagram also leaves out a mux of two equal
+    literals, not just of one netlist signal; this one also matched
+    ``predict_forest`` on those rows.
     """
     rng = np.random.default_rng(12)
 
@@ -542,9 +583,9 @@ def test_two_tree_rf_aiger_matches_golden_digest(tmp_path):
     path = tmp_path / "rf.aag"
     write_aiger(graph, path)
     text = path.read_text()
-    assert text.splitlines()[0] == "aag 911 32 0 17 879"
+    assert text.splitlines()[0] == "aag 909 32 0 17 877"
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "70694bea53b46929dab7196f9b9e63369fbdec17987ffaf67d0de9836f92a8e7"
+        "235d01cc2d99ef2a510b7573a55350fbe27215fd3423592cfb2bf6410dc3974f"
     )
 
 
@@ -604,8 +645,7 @@ def test_sweep_preserves_function_and_shrinks():
 
 
 def test_simulate_batch_matches_single():
-    net = two_input_netlist("ADD")
-    g = lower_netlist(net)
+    g = adder_graph()
     rng = np.random.default_rng(2)
     rows = [[int(v) for v in rng.integers(0, 2, size=8)] for _ in range(100)]
     words = [sum(row[k] << s for s, row in enumerate(rows)) for k in range(8)]

@@ -5,9 +5,8 @@ import sys
 import pytest
 
 from nn2logic import analysis, cli, mlp, pipeline
-from nn2logic.aig import lower_netlist, read_aiger, simulate_aig, write_aiger
+from nn2logic.aig import AigGraph, _is_positive, _ripple_add, read_aiger, simulate_aig, write_aiger
 from nn2logic.datasets import make_overlapping_gaussians, read_dataset
-from nn2logic.netlist import Netlist
 
 from oracles import write_csv
 
@@ -15,12 +14,12 @@ from oracles import write_csv
 @pytest.fixture
 def decision_aiger(tmp_path):
     """Two 2-bit inputs; outputs the word a + b, then the decision a > b last."""
-    net = Netlist()
-    a = net.add_input(2, "a")
-    b = net.add_input(2, "b")
-    net.set_output(net.add_gate("ADD", (a, b)))
-    net.set_output(net.add_gate("GT", (a, b), name="argmax"))
-    g = lower_netlist(net)
+    g = AigGraph()
+    a = [g.add_input(f"a[{j}]") for j in range(2)]
+    b = [g.add_input(f"b[{j}]") for j in range(2)]
+    for j, literal in enumerate(_ripple_add(g, a, b)):
+        g.add_output(literal, f"sum[{j}]")
+    g.add_output(_is_positive(g, a, b), "argmax")
     path = tmp_path / "tiny.aag"
     write_aiger(g, path)
     return g, str(path)
@@ -294,6 +293,20 @@ def test_train_rejects_an_out_of_range_config_value_at_its_line(tmp_path, capsys
     err = capsys.readouterr().err
     assert f"{cfg}:2: learning_rate: expected a finite number > 0, got nan" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("fraction, part", [("0.01", "test"), ("0.99", "train")])
+def test_train_rejects_a_split_with_an_empty_part(tmp_path, fraction, part, capsys):
+    """Each class's share of 40 rows rounds to 0 test rows, or to no train rows."""
+    csv = str(tmp_path / "data.csv")
+    write_csv(make_overlapping_gaussians(40, 5, seed=2), csv)
+    cfg = tmp_path / "split.cfg"
+    cfg.write_text(f"epochs=3\ntest_fraction={fraction}\n")
+    out = tmp_path / "out"
+    assert cli.main(["train", csv, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: test_fraction={fraction} leaves no {part} rows of 40\n"
+    assert not (out / "weights.txt").exists() and not (out / "split.txt").exists()
 
 
 def test_train_rejects_a_csv_with_no_feature_column(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nn2logic import forest
-from nn2logic.aig import lower_netlist, simulate_batch
+from nn2logic.aig import lower_netlist, simulate_aig, simulate_batch, stats
 from nn2logic.forest import (
     PROB_FRAC_BITS,
     DecisionTree,
@@ -24,7 +25,6 @@ from oracles import (
     forest_reference,
     grow_reference,
     module_netlist,
-    simulate_netlist,
     tree_depth,
 )
 
@@ -37,6 +37,28 @@ def rows_to_words(rows: np.ndarray, m: int) -> list[int]:
             col = rows[:, k * m + (m - 1 - j)]
             words.append(int(sum(int(b) << s for s, b in enumerate(col))))
     return words
+
+
+def forest_aig(models, n_words: int, m: int):
+    """The lowered AIG of one forest module over ``n_words`` m-bit words."""
+    return lower_netlist(module_netlist(forest_module(models, word_width=m), n_words, m))
+
+
+def aig_bits(g, rows: np.ndarray) -> list[int]:
+    """The 1-bit output of ``g`` on each row of 1-bit features."""
+    (word,) = simulate_batch(g, rows_to_words(rows, 1), len(rows))
+    return [(word >> s) & 1 for s in range(len(rows))]
+
+
+def assert_software_votes(model, rows, bits) -> None:
+    """``bits`` are ``predict_forest`` on ``rows``, and the unquantized vote wherever
+    the quantization cannot flip it."""
+    margin = 2 * len(model.trees) * 2.0**-PROB_FRAC_BITS
+    for row, bit in zip(rows, bits):
+        assert bit == predict_forest(model, row)
+        s0, s1 = exact_vote_sums(model, row)
+        if abs(s1 - s0) > margin:
+            assert bit == int(s1 > s0)
 
 
 def train_forest(x, y, n_estimators: int, max_depth: int, seed: int = 0) -> RandomForestModel:
@@ -147,6 +169,7 @@ def test_forest_to_text_golden():
 
 
 def test_tree_circuit_shape_depth2():
+    """One tree lowers as a threshold diagram of 1-bit muxes, one per internal node."""
     x = np.array(
         [[0, 0, 0, 0], [0, 1, 0, 1], [1, 0, 1, 0], [1, 1, 1, 1]] * 4, dtype=np.uint8
     )
@@ -155,13 +178,13 @@ def test_tree_circuit_shape_depth2():
     tree = model.trees[0]
     assert tree_depth(tree.root) == 2
     net = module_netlist(forest_module([model], word_width=1), 4, 1)
-    kinds = [g.kind for g in net.gates]
-    assert kinds.count("MUX") == 3  # one per internal node, selected by its feature bit
-    assert "GT" not in kinds and "ADD" not in kinds  # each leaf is its constant vote bit
-    assert "GTU" not in kinds
+    assert [g.kind for g in net.gates] == ["SLICE"] * 4 + ["MODEL"]
+    # the two lower muxes choose between the constant leaf bits, so each is its
+    # feature literal or its complement; the root's mux of the two is 3 ANDs
+    assert stats(lower_netlist(net)) == (3, 2)
 
 
-def test_three_tree_circuit_shape_depth2():
+def test_three_tree_circuit_shape_depth2(monkeypatch):
     """From three trees on, the trees' vote words are summed and compared with zero."""
     x = np.array(
         [[0, 0, 0, 0], [0, 1, 0, 1], [1, 0, 1, 0], [1, 1, 1, 1]] * 4, dtype=np.uint8
@@ -170,20 +193,38 @@ def test_three_tree_circuit_shape_depth2():
     model = full_data_forest(x, y, 3, 2)
     assert [tree_depth(tree.root) for tree in model.trees] == [2, 2, 2]
     net = module_netlist(forest_module([model], word_width=1), 4, 1)
-    kinds = [g.kind for g in net.gates]
-    assert kinds.count("MUX") == 9  # a vote-word mux tree per tree
-    assert kinds.count("ADD") == 2 and kinds.count("GT") == 1
-    (gt,) = [g for g in net.gates if g.kind == "GT"]
-    assert net.widths[gt.operands[0]] == forest.vote_width(3)
+    assert [g.kind for g in net.gates] == ["SLICE"] * 4 + ["MODEL"]
+    calls = []
+
+    def recorded(name):
+        helper = getattr(forest, name)
+
+        def call(g, a, b, *rest):
+            calls.append((name, len(a), b if name == "_is_positive" else len(b)))
+            return helper(g, a, b, *rest)
+
+        return call
+
+    for name in ("_ripple_add", "_is_positive"):
+        monkeypatch.setattr(forest, name, recorded(name))
+    g = lower_netlist(net)
+    w = forest.vote_width(3)
+    assert calls == [("_ripple_add", w, w)] * 2 + [("_is_positive", w, [0] * w)]
+    # the three trees are the same XOR tree, so their mux trees share its
+    # 3 AND nodes and the adders and the compare fold away on its literal
+    assert stats(g) == (3, 2)
+    rows = ((np.arange(16)[:, None] >> np.arange(4)) & 1).astype(np.uint8)
+    assert_software_votes(model, rows, aig_bits(g, rows))
 
 
 def test_stump_selects_right_leaf():
     x = np.array([[0], [1]] * 10, dtype=np.uint8)
     y = np.array([0, 1] * 10)
     model = full_data_forest(x, y, 1, 1)
-    net = module_netlist(forest_module([model], word_width=1), 1, 1)
-    assert simulate_netlist(net, ["1"]) == ["1"]
-    assert simulate_netlist(net, ["0"]) == ["0"]
+    g = forest_aig([model], 1, 1)
+    assert simulate_aig(g, [1]) == [1]
+    assert simulate_aig(g, [0]) == [0]
+    assert g.and_count() == 0  # the output is the feature literal itself
 
 
 def test_forest_bit_netlist_matches_software():
@@ -191,10 +232,8 @@ def test_forest_bit_netlist_matches_software():
     x = rng.integers(0, 2, size=(100, 6)).astype(np.uint8)
     y = rng.integers(0, 2, size=100)
     model = train_forest(x, y, 3, 3, seed=8)
-    net = module_netlist(forest_module([model], word_width=1), 6, 1)
-    for row in x[:50]:
-        got = simulate_netlist(net, [str(int(b)) for b in row])[0]
-        assert int(got) == predict_forest(model, row)
+    rows = np.vstack([x, rng.integers(0, 2, size=(1000, 6)).astype(np.uint8)])
+    assert_software_votes(model, rows, aig_bits(forest_aig([model], 6, 1), rows))
 
 
 def test_forest_module_cross_simulation():
@@ -205,22 +244,21 @@ def test_forest_module_cross_simulation():
         train_forest(x, rng.integers(0, 2, size=120), 2, 3, seed=10 + j)
         for j in range(m)
     ]
-    net = module_netlist(forest_module(models), n_words, m)
-    g = lower_netlist(net)
+    g = forest_aig(models, n_words, m)
     rows = np.vstack([x, rng.integers(0, 2, size=(1000, m * n_words)).astype(np.uint8)])
     out = simulate_batch(g, rows_to_words(rows, m), len(rows))
     for j, model in enumerate(models):
-        want = np.array([predict_forest(model, row) for row in rows])
         # output word bit j (msb-first) is AIG output index m-1-j (lsb-first)
-        got = np.array([(out[m - 1 - j] >> s) & 1 for s in range(len(rows))])
-        assert np.array_equal(got, want)
+        got = [(out[m - 1 - j] >> s) & 1 for s in range(len(rows))]
+        assert_software_votes(model, rows, got)
 
 
 def test_constant_forest_module():
     x = np.zeros((10, 4), dtype=np.uint8)
     models = [train_forest(x, np.zeros(10, dtype=int), 2, 2, seed=j) for j in range(2)]
-    net = module_netlist(forest_module(models), 2, 2)
-    assert simulate_netlist(net, ["00", "11"]) == ["00"]
+    g = forest_aig(models, 2, 2)
+    assert g.outputs == [0, 0] and g.and_count() == 0  # constant literals, no logic
+    assert simulate_aig(g, [0, 0, 1, 1]) == [0, 0]
 
 
 def test_probability_quantization_soundness():
@@ -259,14 +297,10 @@ def _hand_forest(n_trees: int, all_p1: bool):
 
 
 def _vote_bits_on_every_input(model):
-    """Rows of all inputs, with the lowered AIG's and the netlist's vote bit on each."""
+    """Rows of all inputs, with the lowered AIG's vote bit on each."""
     f = model.n_features
     rows = ((np.arange(1 << f)[:, None] >> np.arange(f)) & 1).astype(np.uint8)
-    net = module_netlist(forest_module([model], word_width=1), f, 1)
-    (word,) = simulate_batch(lower_netlist(net), rows_to_words(rows, 1), len(rows))
-    aig_bits = [(word >> s) & 1 for s in range(len(rows))]
-    net_bits = [int(simulate_netlist(net, [int(b) for b in row])[0]) for row in rows]
-    return rows, aig_bits, net_bits
+    return rows, aig_bits(forest_aig([model], f, 1), rows)
 
 
 def _vote_sum(model, row) -> int:
@@ -279,13 +313,33 @@ def _vote_sum(model, row) -> int:
 @pytest.mark.parametrize("n_trees", [1, 2, 3, 4])
 def test_vote_bit_exhaustive(n_trees, all_p1):
     model = _hand_forest(n_trees, all_p1)
-    rows, aig_bits, net_bits = _vote_bits_on_every_input(model)
-    assert aig_bits == net_bits == [predict_forest(model, row) for row in rows]
+    rows, bits = _vote_bits_on_every_input(model)
+    assert_software_votes(model, rows, bits)
     sums = {_vote_sum(model, row) for row in rows}
     if all_p1:
         assert sums == {(1 << PROB_FRAC_BITS) * n_trees}  # the largest sum T trees can reach
     else:
         assert 0 in sums and min(sums) < 0 < max(sums)  # ties, losses and wins all occur
+
+
+@pytest.mark.parametrize("n_trees", [1, 2, 3])
+def test_lowering_a_forest_leaves_no_reference_cycle(n_trees):
+    """With the collector off, lowering a forest bit leaves no cyclic garbage behind.
+
+    Emitters built from self-calling closures are reference cycles, and their
+    memo dicts then outlive the bit until a full collection, which raised the
+    peak memory of a large rf compile.
+    """
+    net = module_netlist(forest_module([_hand_forest(n_trees, all_p1=False)], 1), 10, 1)
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        lower_netlist(net)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _leaf(p1: float) -> TreeNode:
@@ -322,9 +376,9 @@ def _forest_of(*roots: TreeNode) -> RandomForestModel:
 @example(_forest_of(_leaf(0.25), _leaf(0.75)))  # two root-only trees summing to 0
 @example(_forest_of(_leaf(0.25), TreeNode(feature=3, left=_leaf(0.75), right=_leaf(1.0))))
 def test_diagram_bit_exhaustive(model):
-    """AIG, netlist and ``predict_forest`` agree on every input of a 1- or 2-tree forest."""
-    rows, aig_bits, net_bits = _vote_bits_on_every_input(model)
-    assert aig_bits == net_bits == [predict_forest(model, row) for row in rows]
+    """The AIG and ``predict_forest`` agree on every input of a 1- or 2-tree forest."""
+    rows, bits = _vote_bits_on_every_input(model)
+    assert_software_votes(model, rows, bits)
 
 
 @pytest.mark.parametrize("n_trees", [4, 8])
@@ -338,9 +392,9 @@ def test_vote_width_one_bit_narrower_wraps(n_trees, monkeypatch):
     model = _hand_forest(n_trees, all_p1=True)
     width = forest.vote_width
     monkeypatch.setattr(forest, "vote_width", lambda t: width(t) - 1)
-    rows, aig_bits, net_bits = _vote_bits_on_every_input(model)
+    rows, bits = _vote_bits_on_every_input(model)
     assert {predict_forest(model, row) for row in rows} == {1}
-    assert set(aig_bits) == set(net_bits) == {0}
+    assert set(bits) == {0}
 
 
 @pytest.mark.parametrize(

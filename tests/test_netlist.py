@@ -9,7 +9,13 @@ from nn2logic import netlist
 from nn2logic.aig import lower_netlist, simulate_batch
 from nn2logic.datasets import LabeledDataset, make_overlapping_gaussians
 from nn2logic.fixedpoint import FixedPointFormat, quantize_int
-from nn2logic.forest import forest_module
+from nn2logic.forest import (
+    DecisionTree,
+    RandomForestModel,
+    TreeNode,
+    _emit_forest_bit,
+    forest_module,
+)
 from nn2logic.lutnet import logicnet_module
 from nn2logic.mlp import (
     DenseLayer,
@@ -37,43 +43,22 @@ def neuron_netlist(params: tuple, m: int) -> Netlist:
     return module_netlist(build_neuron(params), len(params[0]), m)
 
 
-def test_const_netlist():
-    net = Netlist()
-    net.set_output(net.add_const(0b1010, 4))
-    assert simulate_netlist(net, []) == ["1010"]
-
-
-@st.composite
-def width_and_value(draw):
-    w = draw(st.integers(1, 70))
-    return w, draw(st.integers(-(1 << (w - 1)), (1 << w) - 1))
-
-
-@given(width_and_value())
-def test_const_lowers_to_its_value_mod_2_to_the_width(case):
-    """A signed or unsigned value fits the declared width as its two's-complement word."""
-    w, v = case
-    net = Netlist()
-    net.set_output(net.add_const(v, w))
-    assert net.gates[0].params == (v % (1 << w),)
-    bits = simulate_batch(lower_netlist(net), [], 1)
-    assert sum(b << j for j, b in enumerate(bits)) == v % (1 << w)
-    assert simulate_netlist(net, []) == [from_int(v, w)]
-
-
 def test_gate_width_rules():
     net = Netlist()
     a = net.add_input(4)
     b = net.add_input(4)
     assert net.widths[net.add_gate("NEURON", (a, b), ((-8, 7), 1000, 0, False))] == 4
     assert net.widths[net.add_gate("NEURON", (a,), ((0,), 0, 8, True))] == 4
-    assert net.widths[net.add_gate("ADD", (a, b))] == 4
     assert net.widths[net.add_gate("GT", (a, b))] == 1
     c = net.add_input(2)
     with pytest.raises(ValueError):
-        net.add_gate("ADD", (a, c))
-    with pytest.raises(ValueError):
-        net.add_gate("MUX", (a, a, b))
+        net.add_gate("GT", (a, c))
+    bits = [net.bit(a, 0), net.bit(c, 1)]
+    model = RandomForestModel([DecisionTree(TreeNode(p0=1.0))], 1, 0, 0, 2)
+    assert net.widths[net.add_gate("MODEL", bits, (_emit_forest_bit, model))] == 1
+    for operands, emit in [((a, c), _emit_forest_bit), (bits[:1], _emit_forest_bit), (bits, None)]:
+        with pytest.raises(ValueError, match="MODEL needs an emitter and one 1-bit operand"):
+            net.add_gate("MODEL", operands, (emit, model))
     for operands, weights in [((a, c), (1, 1)), ((a, b), (1,)), ((a,), (8,)), ((a,), (-9,))]:
         with pytest.raises(ValueError, match="NEURON needs words of one width m"):
             net.add_gate("NEURON", operands, (weights, 0, 0, False))
@@ -119,16 +104,14 @@ def test_arith_gates_match_integers(a, b, wa, wb, bias, shift, relu):
     sa = net.add_input(4)
     sb = net.add_input(4)
     net.set_output(net.add_gate("NEURON", (sa, sb), ((wa, wb), bias, shift, relu)))
-    for kind in ("ADD", "GT"):
-        net.set_output(net.add_gate(kind, (sa, sb)))
+    net.set_output(net.add_gate("GT", (sa, sb)))
     out = simulate_netlist(net, [a, b])
     sa_, sb_ = signed(a, 4), signed(b, 4)
     acc = signed((wa * sa_ + wb * sb_ + bias) & 0xFFF, 12)  # wrapped to 3m = 12 bits
     if relu:
         acc = max(acc, 0)
     assert signed(int(out[0], 2), 4) == max(-8, min(7, acc >> shift))
-    assert int(out[1], 2) == (a + b) % 16
-    assert out[2] == str(int(sa_ > sb_))
+    assert out[1] == str(int(sa_ > sb_))
 
 
 @given(st.integers(0, 255))
@@ -156,16 +139,6 @@ def test_concat_msb_first():
     b = net.add_input(3)
     net.set_output(net.add_gate("CONCAT", (a, b)))
     assert simulate_netlist(net, ["10", "011"]) == ["10011"]
-
-
-def test_mux_select():
-    net = Netlist()
-    s = net.add_input(1)
-    a = net.add_input(4)
-    b = net.add_input(4)
-    net.set_output(net.add_gate("MUX", (s, a, b)))
-    assert simulate_netlist(net, [1, 5, 9]) == ["0101"]
-    assert simulate_netlist(net, [0, 5, 9]) == ["1001"]
 
 
 def test_neuron_identity_product():
@@ -341,7 +314,7 @@ def test_distilled_module_rejects_a_layer_of_other_width(flow):
         module_netlist(module, 4, 4)
 
 
-GATE_KINDS = {"NEURON", "ADD", "GT", "MUX", "CONST", "SLICE", "CONCAT", "LUT"}
+GATE_KINDS = {"NEURON", "GT", "SLICE", "CONCAT", "LUT", "MODEL"}
 
 
 def test_builders_emit_exactly_the_documented_gate_kinds():
@@ -356,8 +329,8 @@ def test_builders_emit_exactly_the_documented_gate_kinds():
 
 
 def test_unknown_gate_kinds_are_rejected():
-    """The kinds the NEURON gate replaced are unknown to building, simulation and lowering."""
-    for kind in ("WSUM", "SHR", "CLIP"):
+    """The kinds NEURON and MODEL gates replaced are unknown to building, simulation, lowering."""
+    for kind in ("WSUM", "SHR", "CLIP", "ADD", "MUX", "CONST"):
         net = Netlist()
         a = net.add_input(4)
         with pytest.raises(ValueError, match=f"unknown gate kind '{kind}'"):
