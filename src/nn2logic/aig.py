@@ -60,6 +60,7 @@ class AigGraph:
         self.outputs: list[int] = []  # literals
         self.input_names: list = []
         self.output_names: list = []
+        self.comments: list[str] = []  # AIGER comment lines, written after a ``c`` line
         self._strash: dict[int, int] | None = {}  # (fanin0 << 32 | fanin1) -> node
 
     # -- construction ----------------------------------------------------
@@ -581,7 +582,8 @@ def write_aiger(g: AigGraph, path) -> None:
     """ASCII AIGER (`aag M I L O A`, combinational: L = 0).
 
     Inputs are variables 1..I in input order and the ANDs follow in node
-    order, so every AND line comes after the lines of its fanins.
+    order, so every AND line comes after the lines of its fanins.  The
+    comment section is written only when ``g.comments`` holds a line.
     """
     f0, f1 = g.fanin_arrays()
     ands = np.flatnonzero(f0 >= 0)
@@ -593,6 +595,8 @@ def write_aiger(g: AigGraph, path) -> None:
     lines += map(str, ren(np.asarray(g.outputs, dtype=np.int64)).tolist())
     lines += [f"i{pos} {name}" for pos, name in enumerate(g.input_names) if name]
     lines += [f"o{pos} {name}" for pos, name in enumerate(g.output_names) if name]
+    if g.comments:
+        lines += ["c", *g.comments]
     head = 1 + n_in + len(g.outputs)
     with open(path, "w") as fh:
         fh.write("".join(f"{line}\n" for line in lines[:head]))
@@ -654,7 +658,8 @@ def read_aiger(path) -> AigGraph:
     AND section is parsed in one step and appended in bulk.  Otherwise each
     line is checked and built with ``and2`` as soon as both fanins are
     defined, and the ANDs left waiting are resolved afterwards in ascending
-    variable order.
+    variable order.  The lines after a ``c`` line, to the end of the file,
+    are the graph's ``comments``.
     """
     with open(path) as fh:
         lines = fh.read().splitlines()
@@ -744,6 +749,7 @@ def read_aiger(path) -> AigGraph:
         named: set[tuple[str, int]] = set()
         for k in range(end, len(lines)):
             if lines[k] == "c":
+                g.comments = lines[k + 1 :]
                 break
             tag, space, name = lines[k].partition(" ")
             if tag[:1] not in ("i", "o") or not space or not tag[1:].removeprefix("-").isdecimal():

@@ -65,7 +65,6 @@ def evaluate(
     fmt: FixedPointFormat,
     scaler=None,
     pipeline: str = "direct",
-    config: dict | None = None,
 ) -> EvaluationReport:
     """Quantize every sample, simulate, and score the argmax output bit.
 
@@ -75,7 +74,7 @@ def evaluate(
     if len(data) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
     words, n = dataset_input_words(data.features, fmt, scaler)
-    return evaluate_packed(g, words, data.labels, n, pipeline, config)
+    return evaluate_packed(g, words, data.labels, n, pipeline)
 
 
 def evaluate_packed(

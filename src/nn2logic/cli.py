@@ -45,6 +45,45 @@ def _config_from(args, **defaults) -> pipeline.PipelineConfig:
     return pipeline.parse_config(args.config, overrides, defaults)
 
 
+# the config keys of a circuit's format: `compile` records them in one AIGER
+# comment line, `nn2logic pipeline=rf total_bits=8 fractional_bits=6`
+_FORMAT_KEYS = ("pipeline", "total_bits", "fractional_bits")
+
+
+def _recorded_format(path: str, graph: aig.AigGraph) -> dict:
+    """The format keys of ``graph``'s ``nn2logic`` comment, {} if it has none.
+
+    The record must set each of ``_FORMAT_KEYS`` once, to values that make a
+    format on their own; otherwise ValueError names its ``path:line``.
+    """
+    found = [j for j, line in enumerate(graph.comments) if line.split(" ")[0] == "nn2logic"]
+    if not found:
+        return {}
+    j = found[-1]
+    items = [item.partition("=") for item in graph.comments[j].split()[1:]]
+    record = {key: val for key, _, val in items}
+    try:
+        if len(found) > 1:
+            raise ValueError("the format is recorded more than once")
+        if sorted(key for key, _, _ in items) != sorted(_FORMAT_KEYS):
+            raise ValueError(f"format record {graph.comments[j]!r}: expected "
+                             + " ".join(f"{key}=<value>" for key in _FORMAT_KEYS))
+        pipeline.parse_config(None, record)
+    except ValueError as exc:
+        with open(path) as fh:  # the comment section runs to the end of the file
+            line = len(fh.read().splitlines()) - len(graph.comments) + j + 1
+        raise ValueError(f"{path}:{line}: {exc}") from None
+    return record
+
+
+def _read_circuit(path: str) -> aig.AigGraph:
+    """The AIG of ``path``; it must have an output, as its last output is the decision."""
+    graph = aig.read_aiger(path)
+    if not graph.outputs:
+        raise ValueError(f"{path}: the circuit has no outputs")
+    return graph
+
+
 def _weights_for(data, data_path: str, weights_path: str) -> mlp.Mlp:
     """The MLP of ``weights_path``, which must read as many features as ``data`` has."""
     net = mlp.load_weights(weights_path)
@@ -96,6 +135,7 @@ def cmd_compile(args) -> int:
         with open(os.path.join(cfg.out_dir, f"{cfg.pipeline}_models.txt"), "w") as fh:
             fh.write(dump + "\n")
     aig_path = os.path.join(cfg.out_dir, f"{cfg.pipeline}.aag")
+    graph.comments.append("nn2logic " + " ".join(f"{k}={getattr(cfg, k)}" for k in _FORMAT_KEYS))
     aig.write_aiger(graph, aig_path)
     nodes, levels = aig.stats(graph)
     print(f"wrote {aig_path}: {nodes} nodes, {levels} levels")
@@ -103,13 +143,13 @@ def cmd_compile(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    cfg = _config_from(args)
-    graph = aig.read_aiger(args.aig)
-    data = read_dataset(cfg.dataset)
+    graph = _read_circuit(args.aig)
+    cfg = pipeline.parse_config(args.config, _recorded_format(args.aig, graph))
+    data = read_dataset(args.dataset)
     if args.split:
         _, test_idx = pipeline.read_split_manifest(args.split, len(data))
         data = data.subset(test_idx)
-    scaler = _weights_for(data, cfg.dataset, args.weights).scaler
+    scaler = _weights_for(data, args.dataset, args.weights).scaler
     report = analysis.evaluate(graph, data, cfg.fmt, scaler, pipeline=cfg.pipeline)
     print(analysis.RESULTS_HEADER)
     print(report.csv_row())
@@ -141,7 +181,7 @@ def cmd_report(args) -> int:
 
 
 def cmd_sat(args) -> int:
-    graph = aig.read_aiger(args.aig)
+    graph = _read_circuit(args.aig)
     last = len(graph.outputs) - 1
     index = last if args.output_index is None else args.output_index
     if not 0 <= index <= last:
@@ -203,12 +243,17 @@ def build_parser() -> argparse.ArgumentParser:
     _common_flags(p, "--seed", "--bits", "--frac", "--pipeline", "--out")
     p.set_defaults(func=cmd_compile)
 
-    p = sub.add_parser("evaluate", help="score a compiled AIG on a dataset")
+    p = sub.add_parser(
+        "evaluate", help="score a compiled AIG on a dataset",
+        description="Score a compiled AIG on a dataset. The circuit's pipeline, total_bits "
+        "and fractional_bits come from the comment line `compile` writes into the AIGER "
+        "file; a circuit without one takes them from --config.",
+    )
     p.add_argument("aig")
     p.add_argument("dataset")
     p.add_argument("weights", help="weights file providing the feature scaler")
     p.add_argument("--split", help="split manifest selecting the test rows")
-    _common_flags(p, "--bits", "--frac", "--pipeline")
+    _common_flags(p)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("report", help="emit an equation report for an AIG")

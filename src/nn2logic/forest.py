@@ -384,7 +384,7 @@ def _forest_gate(net: nl.Netlist, feature_sids: list[int], model: RandomForestMo
     return net.add_gate("MODEL", feature_sids, (_emit_forest_bit, model))
 
 
-def forest_module(models: list[RandomForestModel], word_width: int | None = None):
+def forest_module(models: list[RandomForestModel], word_width: int):
     """One node's module: its per-bit forests, concatenated into its word.
 
     ``models[j]`` predicts bit j of the output word; see ``netlist.bit_module``.

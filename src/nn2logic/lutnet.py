@@ -158,7 +158,7 @@ def _emit_logicnet_bit(net: nl.Netlist, feature_sids: list[int], lgn: LutNetwork
     return _emit_lut(net, lgn.output, prev)
 
 
-def logicnet_module(nets: list[LutNetwork], word_width: int | None = None):
+def logicnet_module(nets: list[LutNetwork], word_width: int):
     """One node's module: its per-bit LUT networks, concatenated into its word.
 
     ``nets[j]`` yields bit j of the output word; see ``netlist.bit_module``.

@@ -190,7 +190,7 @@ def build_network_direct(net_mlp, fmt: FixedPointFormat, input_names=None) -> Ne
     return cascade_modules(modules, net_mlp.layer_sizes, fmt, input_names)
 
 
-def bit_module(models, word_width: int | None, emit_bit):
+def bit_module(models, word_width: int, emit_bit):
     """One node's module from per-bit models over the previous layer's bits.
 
     ``models[j]`` predicts bit j of the output word, most significant first,
@@ -199,7 +199,7 @@ def bit_module(models, word_width: int | None, emit_bit):
     words; feature column k*m + j is the j-th most significant bit of word k,
     sliced once per netlist by ``Netlist.bit``.
     """
-    m = word_width if word_width is not None else len(models)
+    m = word_width
 
     def module(net: Netlist, words: list[int]) -> int:
         for model in models:

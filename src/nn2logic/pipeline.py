@@ -293,11 +293,10 @@ def compile_rf(
     n_estimators: int,
     max_depth: int,
     seed: int,
-    input_names=None,
 ):
     """``compile_pipeline("rf", ...)``; only the benchmark and tests call it."""
     params = {"estimators": n_estimators, "max_depth": max_depth}
-    return compile_pipeline("rf", net_mlp, sets, fmt, params, seed, input_names)
+    return compile_pipeline("rf", net_mlp, sets, fmt, params, seed)
 
 
 def compile_logicnet(
@@ -308,11 +307,10 @@ def compile_logicnet(
     width: int,
     lut_size: int,
     seed: int,
-    input_names=None,
 ):
     """``compile_pipeline("logicnet", ...)``; only the benchmark and tests call it."""
     params = {"depth": depth, "width": width, "lut_size": lut_size}
-    return compile_pipeline("logicnet", net_mlp, sets, fmt, params, seed, input_names)
+    return compile_pipeline("logicnet", net_mlp, sets, fmt, params, seed)
 
 
 def worker_count() -> int:

@@ -502,6 +502,7 @@ def read_aiger_reference(path) -> AigGraph:
         named: set[tuple[str, int]] = set()
         for k in range(end, len(lines)):
             if lines[k] == "c":
+                g.comments = lines[k + 1 :]
                 break
             tag, space, name = lines[k].partition(" ")
             if tag[:1] not in ("i", "o") or not space or not tag[1:].removeprefix("-").isdecimal():

@@ -691,6 +691,23 @@ def test_aiger_roundtrip(tmp_path):
         assert simulate_aig(g, bits) == simulate_aig(back, bits)
 
 
+def test_aiger_comments_round_trip_and_are_written_only_when_present(tmp_path):
+    g = AigGraph()
+    a, b = g.add_input("a"), g.add_input("b")
+    g.add_output(g.and2(a, b ^ 1), "y")
+    path = tmp_path / "c.aag"
+    write_aiger(g, path)
+    plain = "aag 3 2 0 1 1\n2\n4\n6\n6 2 5\ni0 a\ni1 b\no0 y\n"
+    assert path.read_text() == plain
+    assert read_aiger(path).comments == []
+    g.comments = ["nn2logic pipeline=rf total_bits=6 fractional_bits=4", "", "c i0 o0"]
+    write_aiger(g, path)
+    assert path.read_text() == plain + "c\n" + "".join(f"{line}\n" for line in g.comments)
+    back = read_aiger(path)
+    assert back.comments == g.comments
+    assert (back.input_names, back.output_names) == (g.input_names, g.output_names)
+
+
 def test_aiger_rejects_latches(tmp_path):
     path = tmp_path / "bad.aag"
     path.write_text("aag 1 0 1 0 0\n2 3\n")
@@ -1111,7 +1128,7 @@ def read_outcome(reader, path):
         return str(exc)
     return (
         g.fanin0, g.fanin1, list(g.levels), g.inputs, g.outputs,
-        g.input_names, g.output_names, g._structural_hash(),
+        g.input_names, g.output_names, g.comments, g._structural_hash(),
     )
 
 

@@ -128,10 +128,12 @@ def test_emit_equations_inlines_only_an_unshared_output_and():
 
 
 def test_results_table_layout():
-    data = LabeledDataset(np.zeros((4, 1)), np.array([0, 1, 0, 1]), feature_names=["x0"])
-    direct = evaluate(constant_zero_graph(8), data, FMT, pipeline="direct")
-    rf = evaluate(
-        constant_zero_graph(8), data, FMT, pipeline="rf", config={"estimators": 2, "max_depth": 5}
+    words, n = dataset_input_words(np.zeros((4, 1)), FMT)
+    labels = np.array([0, 1, 0, 1])
+    direct = evaluate_packed(constant_zero_graph(8), words, labels, n, pipeline="direct")
+    rf = evaluate_packed(
+        constant_zero_graph(8), words, labels, n, pipeline="rf",
+        config={"estimators": 2, "max_depth": 5},
     )
     lines = results_table([direct, rf]).splitlines()
     assert lines[0] == RESULTS_HEADER

@@ -7,6 +7,7 @@ import pytest
 from nn2logic import analysis, cli, mlp, pipeline
 from nn2logic.aig import AigGraph, _is_positive, _ripple_add, read_aiger, simulate_aig, write_aiger
 from nn2logic.datasets import make_overlapping_gaussians, read_dataset
+from nn2logic.fixedpoint import FixedPointFormat
 
 from oracles import write_csv
 
@@ -114,6 +115,14 @@ def _in_memory_compile(run, flow):
     )
 
 
+def _test_rows_report(run, graph, fmt, flow):
+    """``analysis.evaluate`` of ``graph`` on the split's test rows, in ``fmt``."""
+    data = read_dataset(run["csv"])
+    _, test_idx = pipeline.read_split_manifest(run["split"], len(data))
+    scaler = mlp.load_weights(run["weights"]).scaler
+    return analysis.evaluate(graph, data.subset(test_idx), fmt, scaler, pipeline=flow)
+
+
 @pytest.mark.parametrize("flow", ["direct", "rf", "logicnet"])
 def test_cli_flow_end_to_end(trained, flow, capsys):
     run = trained
@@ -143,13 +152,9 @@ def test_cli_flow_end_to_end(trained, flow, capsys):
     capsys.readouterr()
 
     assert cli.main(["evaluate", aag, run["csv"], run["weights"], "--split", run["split"],
-                     *common]) == 0
+                     "--config", run["cfg"]]) == 0
     header, row = capsys.readouterr().out.strip().splitlines()
-    data = read_dataset(run["csv"])
-    _, test_idx = pipeline.read_split_manifest(run["split"], len(data))
-    test_data = data.subset(test_idx)
-    scaler = mlp.load_weights(run["weights"]).scaler
-    report = analysis.evaluate(want, test_data, cfg.fmt, scaler, pipeline=flow)
+    report = _test_rows_report(run, want, cfg.fmt, flow)
     assert (header, row) == (analysis.RESULTS_HEADER, report.csv_row())
 
     assert cli.main(["report", aag, "--names", "f0,f1,f2,f3", "--title", flow,
@@ -166,6 +171,94 @@ def test_cli_flow_end_to_end(trained, flow, capsys):
 
     assert cli.main(["equiv", aag, aag]) == 0
     assert capsys.readouterr().out.strip() == "EQUIVALENT"
+
+
+@pytest.fixture
+def rf_6_4(trained, tmp_path, capsys):
+    """An rf circuit compiled at 6 bits, 4 of them fractional, and its AIGER lines."""
+    out = str(tmp_path / "rf64")
+    assert cli.main(["compile", trained["csv"], trained["weights"], "--split", trained["split"],
+                     "--config", trained["cfg"], "--pipeline", "rf", "--bits", "6",
+                     "--frac", "4", "--out", out]) == 0
+    capsys.readouterr()
+    aag = os.path.join(out, "rf.aag")
+    with open(aag) as fh:
+        return aag, fh.read().splitlines()
+
+
+@pytest.mark.parametrize("config_text", [None, TINY_CONFIG,
+                                         "total_bits=8\nfractional_bits=6\npipeline=direct\n"],
+                         ids=["no-config", "tiny", "says-8-6-direct"])
+def test_evaluate_reads_the_format_compile_recorded(trained, rf_6_4, tmp_path, config_text,
+                                                    capsys):
+    aag, lines = rf_6_4
+    assert lines[-2:] == ["c", "nn2logic pipeline=rf total_bits=6 fractional_bits=4"]
+    args = ["evaluate", aag, trained["csv"], trained["weights"], "--split", trained["split"]]
+    if config_text is not None:
+        (tmp_path / "eval.cfg").write_text(config_text)
+        args += ["--config", str(tmp_path / "eval.cfg")]
+    assert cli.main(args) == 0
+    row = capsys.readouterr().out.splitlines()[1]
+    want, _ = _in_memory_compile(trained, "rf")
+    report = _test_rows_report(trained, want, FixedPointFormat(6, 4), "rf")
+    assert row == report.csv_row() and row.startswith("rf,")
+
+
+def test_evaluate_takes_an_unrecorded_format_from_the_config(trained, rf_6_4, tmp_path, capsys):
+    """Without its comment section the circuit is scored as --config says, here at 6.3."""
+    aag, lines = rf_6_4
+    bare = tmp_path / "bare.aag"
+    bare.write_text("\n".join(lines[:-2]) + "\n")
+    assert read_aiger(bare).comments == []
+    cfg = tmp_path / "six3.cfg"
+    cfg.write_text("total_bits=6\nfractional_bits=3\npipeline=logicnet\n")
+    assert cli.main(["evaluate", str(bare), trained["csv"], trained["weights"],
+                     "--split", trained["split"], "--config", str(cfg)]) == 0
+    row = capsys.readouterr().out.splitlines()[1]
+    report = _test_rows_report(trained, read_aiger(bare), FixedPointFormat(6, 3), "logicnet")
+    assert row == report.csv_row()
+
+
+@pytest.mark.parametrize(
+    "record, message",
+    [
+        ("nn2logic pipeline=rf total_bits=0 fractional_bits=4",
+         "total_bits: expected an integer in 1..64, got 0"),
+        ("nn2logic pipeline=rf total_bits=6 fractional_bits=6",
+         "fractional_bits: expected an integer in 0..5 for 6 total bits, got 6"),
+        ("nn2logic pipeline=rff total_bits=6 fractional_bits=4",
+         "pipeline: expected one of direct, rf, logicnet, got 'rff'"),
+        ("nn2logic pipeline=rf total_bits=6 fractional_bits=4 seed=3",
+         "format record 'nn2logic pipeline=rf total_bits=6 fractional_bits=4 seed=3': "
+         "expected pipeline=<value> total_bits=<value> fractional_bits=<value>"),
+        ("nn2logic pipeline=rf total_bits=6",
+         "format record 'nn2logic pipeline=rf total_bits=6': "
+         "expected pipeline=<value> total_bits=<value> fractional_bits=<value>"),
+        ("nn2logic pipeline=rf total_bits=6 fractional_bits=4\n"
+         "nn2logic pipeline=rf total_bits=6 fractional_bits=4",
+         "the format is recorded more than once"),
+    ],
+    ids=["bits-out-of-range", "frac-out-of-range", "unknown-pipeline", "unknown-key",
+         "missing-key", "recorded-twice"],
+)
+def test_evaluate_rejects_a_bad_format_record_at_its_line(trained, rf_6_4, tmp_path, record,
+                                                          message, capsys):
+    aag, lines = rf_6_4
+    bad = tmp_path / "bad.aag"
+    bad.write_text("\n".join(lines[:-1] + [record, "a comment after it"]) + "\n")
+    line = len(lines) + record.count("\n")
+    assert cli.main(["evaluate", str(bad), trained["csv"], trained["weights"],
+                     "--config", trained["cfg"]]) == 2
+    assert capsys.readouterr().err == f"error: {bad}:{line}: {message}\n"
+
+
+@pytest.mark.parametrize("command", [["evaluate", "{}", "data.csv", "weights.txt"], ["sat", "{}"]],
+                         ids=["evaluate", "sat"])
+def test_a_circuit_with_no_outputs_is_rejected(tmp_path, command, capsys):
+    path = tmp_path / "none.aag"
+    path.write_text("aag 40 40 0 0 0\n" + "".join(f"{2 * v}\n" for v in range(1, 41)))
+    assert cli.main([arg.format(path) for arg in command]) == 2
+    assert capsys.readouterr().err == f"error: {path}: the circuit has no outputs\n"
 
 
 @pytest.mark.parametrize("flow", ["direct", "rf", "logicnet"])
@@ -272,8 +365,12 @@ def test_sweep_writes_into_the_config_files_out_dir(trained, tmp_path, monkeypat
         ["train", "data.csv", "--pipeline", "rf"],
         ["evaluate", "c.aag", "data.csv", "weights.txt", "--seed", "3"],
         ["evaluate", "c.aag", "data.csv", "weights.txt", "--out", "out"],
+        ["evaluate", "c.aag", "data.csv", "weights.txt", "--bits", "6"],
+        ["evaluate", "c.aag", "data.csv", "weights.txt", "--frac", "3"],
+        ["evaluate", "c.aag", "data.csv", "weights.txt", "--pipeline", "rf"],
     ],
-    ids=["train-bits", "train-frac", "train-pipeline", "evaluate-seed", "evaluate-out"],
+    ids=["train-bits", "train-frac", "train-pipeline", "evaluate-seed", "evaluate-out",
+         "evaluate-bits", "evaluate-frac", "evaluate-pipeline"],
 )
 def test_commands_take_only_the_flags_they_read(argv, capsys):
     """A flag a command would ignore is a usage error, not a quiet no-op."""

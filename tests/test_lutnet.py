@@ -192,7 +192,7 @@ def test_module_cross_simulation_m4():
         train_logicnet(x, rng.integers(0, 2, size=80), depth=2, width=6, lut_size=3, seed=j)
         for j in range(m)
     ]
-    module = module_netlist(logicnet_module(nets), n_words, m)
+    module = module_netlist(logicnet_module(nets, m), n_words, m)
     g = lower_netlist(module)
     rows = np.vstack([x, rng.integers(0, 2, size=(1000, m * n_words)).astype(np.uint8)])
     out = simulate_batch(g, rows_to_words(rows, m), len(rows))
