@@ -104,12 +104,8 @@ def cmd_train(args) -> int:
     split_path = os.path.join(cfg.out_dir, "split.txt")
     mlp.save_weights(net, weights_path)
     pipeline.write_split_manifest(split_path, train_idx, test_idx)
-    train_acc = float(
-        np.mean(mlp.predict_batch(net, data.features[train_idx]) == data.labels[train_idx])
-    )
-    test_acc = float(
-        np.mean(mlp.predict_batch(net, data.features[test_idx]) == data.labels[test_idx])
-    )
+    train_acc, test_acc = (np.mean(mlp.predict_batch(net, data.features[i]) == data.labels[i])
+                           for i in (train_idx, test_idx))
     print(f"wrote {weights_path} and {split_path}")
     print(f"train accuracy {train_acc:.4f}, test accuracy {test_acc:.4f}")
     return 0
@@ -123,9 +119,8 @@ def cmd_compile(args) -> int:
     if args.split:
         train_idx, _ = pipeline.read_split_manifest(args.split, len(data))
     sets = mlp.extract_distillation_sets(net, data.subset(train_idx), cfg.fmt)
-    graph, modules = pipeline.compile_pipeline(
-        cfg.pipeline, net, sets, cfg.fmt, cfg.params, cfg.seed, data.feature_names
-    )
+    graph, modules = pipeline.compile_pipeline(cfg.pipeline, net, sets, cfg.fmt, cfg.params,
+                                               cfg.seed, data.feature_names)
     if modules is not None:
         distiller = pipeline.DISTILLERS[cfg.pipeline]
         dump = "\n".join(
@@ -195,9 +190,17 @@ def cmd_sat(args) -> int:
 
 
 def cmd_equiv(args) -> int:
-    g1 = aig.read_aiger(args.aig_a)
-    g2 = aig.read_aiger(args.aig_b)
-    counterexample = sat.check_equivalence(g1, g2)
+    paths = args.aig_a, args.aig_b
+    graphs = [_read_circuit(path) for path in paths]
+    # equal input bits mean equal feature values only in one fixed-point format
+    fmts = [pipeline.parse_config(None, r).fmt for r in map(_recorded_format, paths, graphs) if r]
+    if len(fmts) == 2 and fmts[0] != fmts[1]:
+        a, b = (f"total_bits={f.total_bits} fractional_bits={f.fractional_bits}" for f in fmts)
+        raise ValueError(f"{paths[0]} records {a}, but {paths[1]} records {b}")
+    try:
+        counterexample = sat.check_equivalence(*graphs)
+    except ValueError as exc:
+        raise ValueError(f"{paths[0]} and {paths[1]}: {exc}") from None
     if counterexample is None:
         print("EQUIVALENT")
         return 0

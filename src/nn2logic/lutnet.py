@@ -19,15 +19,16 @@ as ``lut.inputs`` and ``lut.table`` for code that walks LUTs one by one.
 
 Training counts on sample-packed columns.  Every feature bit, label and LUT
 output is a row of uint64 words in which sample i is bit i % 64 of word
-i // 64.  A layer expands each LUT's K input columns into its 2**K minterm
-masks, one per pattern, by K AND / AND-NOT steps; table[p] is 1 when the
-popcount of minterm p ANDed with the ``ones`` mask of the labels exceeds
-its popcount ANDed with ``zeros = valid & ~ones``.  The padding bits past
-sample n - 1 in the last word are set in some minterms, but ``valid``
-keeps them out of both masks, so they are never counted.  A LUT's output
-column is the OR of the minterms its table maps to 1, so each layer forms
-its patterns once.  ``train_logicnets`` trains every bit of one MLP layer
-and packs their shared feature columns once.
+i // 64.  A layer expands its LUTs' inputs into one minterm-major block,
+(2**K, W, words): minterm 0 starts as the ``valid`` mask of the n samples,
+and each of K steps splits all minterms so far on one input of all W LUTs
+by one AND and one AND-NOT.  No minterm holds a padding bit, so table[p] is
+1 when the popcount of minterm p ANDed with the labels' ``ones`` mask
+exceeds half the popcount of minterm p.  Word sums are float64 products
+with a ones vector, exact while a count stays below 2**53.  A LUT's output
+column, whose padding bits are 0, is the OR of the minterms its table maps
+to 1.  ``train_logicnets`` trains every bit of one MLP layer and packs
+their shared feature columns once.
 """
 
 from __future__ import annotations
@@ -63,24 +64,21 @@ class LutNetwork:
     output: np.record
 
 
-def _popcount(words: np.ndarray) -> np.ndarray:
-    return np.bitwise_count(words).sum(axis=-1, dtype=np.int64)
-
-
-def _train_layer(cols: np.ndarray, wiring: np.ndarray, ones: np.ndarray, zeros: np.ndarray):
+def _train_layer(cols: np.ndarray, wiring: np.ndarray, ones: np.ndarray, valid: np.ndarray):
     """Tables (W, 2**K) and packed outputs (W, words) of a (W, K) wiring; no counts are kept."""
-    inputs = cols[wiring]  # (W, K, words)
-    w, k, n_words = inputs.shape
-    minterms = np.empty((w, 1 << k, n_words), dtype=cols.dtype)
-    minterms[:, 0] = ~np.uint64(0)
+    w, k = wiring.shape
+    minterms = np.empty((1 << k, w, cols.shape[1]), dtype=cols.dtype)  # minterm-major
+    minterms[0] = valid
     for j in range(k):  # minterm p + 2**j is minterm p with input j at 1
-        col = inputs[:, j, None, :]
-        low = minterms[:, : 1 << j]
-        np.bitwise_and(low, col, out=minterms[:, 1 << j : 2 << j])
+        col = cols[wiring[:, j]]
+        low = minterms[: 1 << j]
+        np.bitwise_and(low, col, out=minterms[1 << j : 2 << j])
         low &= ~col
-    tables = (_popcount(minterms & ones) > _popcount(minterms & zeros)).astype(np.uint8)
-    minterms[tables == 0] = 0
-    return tables, np.bitwise_or.reduce(minterms, axis=1)
+    word_sum = np.ones(cols.shape[1])
+    seen = np.bitwise_count(minterms) @ word_sum
+    tables = (2 * (np.bitwise_count(minterms & ones) @ word_sum) > seen).astype(cols.dtype)
+    minterms &= -tables[..., None]
+    return tables.T.astype(np.uint8), np.bitwise_or.reduce(minterms, axis=0)
 
 
 def train_logicnets(
@@ -100,15 +98,12 @@ def train_logicnets(
         raise ValueError(f"lut_size {lut_size} exceeds the {n_features} feature bits")
     if depth >= 2 and lut_size > width:
         raise ValueError(f"lut_size {lut_size} exceeds the layer width {width}")
-    cols = pack_bits(x.T)
-    valid = pack_bits(np.ones(len(x), dtype=np.uint8))
-    return [
-        _train_net(cols, ones, valid & ~ones, depth, width, lut_size, seed)
-        for ones, seed in zip(pack_bits(y.T), seeds)
-    ]
+    cols, valid = pack_bits(x.T), pack_bits(np.ones(len(x), dtype=np.uint8))
+    return [_train_net(cols, ones, valid, depth, width, lut_size, seed)
+            for ones, seed in zip(pack_bits(y.T), seeds)]
 
 
-def _train_net(cols, ones, zeros, depth: int, width: int, lut_size: int, seed: int) -> LutNetwork:
+def _train_net(cols, ones, valid, depth: int, width: int, lut_size: int, seed: int) -> LutNetwork:
     n_features = len(cols)
     rng = np.random.default_rng(seed)
     # wiring is sampled up front so it does not depend on the training data
@@ -119,7 +114,7 @@ def _train_net(cols, ones, zeros, depth: int, width: int, lut_size: int, seed: i
     wirings.append(sorted_choices(rng, pool, min(lut_size, pool), 1))
     layers = []
     for wiring in wirings:
-        tables, cols = _train_layer(cols, wiring, ones, zeros)
+        tables, cols = _train_layer(cols, wiring, ones, valid)
         layers.append(lut_layer(wiring, tables))
     return LutNetwork(depth, width, lut_size, seed, n_features, layers[:-1], layers[-1][0])
 
@@ -144,18 +139,18 @@ def _live_cone(net: LutNetwork) -> list[np.ndarray]:
     return live[::-1]
 
 
-def _emit_lut(net: nl.Netlist, lut: np.record, prev) -> int:
-    """One LUT gate; ``prev[q]`` is the signal of the previous layer's q-th bit."""
-    code = int.from_bytes(np.packbits(lut.table, bitorder="little").tobytes(), "little")
-    return net.add_gate("LUT", [prev[q] for q in lut.inputs.tolist()], (code, lut.inputs.size))
-
-
 def _emit_logicnet_bit(net: nl.Netlist, feature_sids: list[int], lgn: LutNetwork) -> int:
-    """LUT gates of the output cone, layer by layer, then the output LUT."""
+    """LUT gates of the output cone, layer by layer, then the output LUT; code bit p is table[p]."""
+    stages = [(live.tolist(), luts.inputs[live], luts.table[live])
+              for luts, live in zip(lgn.layers, _live_cone(lgn))]
+    stages.append(([0], lgn.output.inputs[None], lgn.output.table[None]))
     prev = feature_sids
-    for luts, live in zip(lgn.layers, _live_cone(lgn)):
-        prev = {j: _emit_lut(net, luts[j], prev) for j in live.tolist()}
-    return _emit_lut(net, lgn.output, prev)
+    for live, inputs, tables in stages:
+        codes = np.packbits(tables, axis=1, bitorder="little").tolist()
+        prev = {j: net.add_gate("LUT", [prev[q] for q in wiring],
+                                (int.from_bytes(bytes(code), "little"), len(wiring)))
+                for j, wiring, code in zip(live, inputs.tolist(), codes)}
+    return prev[0]
 
 
 def logicnet_module(nets: list[LutNetwork], word_width: int):

@@ -472,7 +472,9 @@ def find_onset_vector(g: AigGraph, output_index: int = 0) -> list[int] | None:
 def check_equivalence(g1: AigGraph, g2: AigGraph) -> list[int] | None:
     """Miter-based equivalence: None if equivalent, else a verified witness."""
     if len(g1.inputs) != len(g2.inputs) or len(g1.outputs) != len(g2.outputs):
-        raise ValueError("graphs must agree on input and output counts")
+        raise ValueError(f"graphs must agree on input and output counts, not {len(g1.inputs)} "
+                         f"and {len(g2.inputs)} inputs, {len(g1.outputs)} and "
+                         f"{len(g2.outputs)} outputs")
     miter = AigGraph()
     ins = [miter.add_input(name) for name in g1.input_names]
     outs1 = import_graph(miter, g1, ins)

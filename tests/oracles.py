@@ -188,6 +188,34 @@ def live_cone_reference(net) -> list[set[int]]:
     return live
 
 
+def logicnet_lut_gates_reference(lgn, feature_sids: list[int], next_sid: int):
+    """The LUT gates one LUT network emits into a netlist, walked one record at a time.
+
+    Returns ``(gates, next_sid)``.  A gate is ``(operands, (code, k))``: code bit
+    p is ``table[p]``, and operand j is the signal of the LUT's input j, a
+    feature bit (``feature_sids[q]``) or a live LUT of the layer before.  The
+    live LUTs of each layer, in ascending order, then the output LUT, take the
+    signal ids from ``next_sid`` on.
+    """
+    stages = [[(j, layer[j]) for j in sorted(live)]
+              for layer, live in zip(lgn.layers, live_cone_reference(lgn))]
+    stages.append([(0, lgn.output)])
+    gates = []
+    prev = dict(enumerate(feature_sids))
+    for stage in stages:
+        sids = {}
+        for j, lut in stage:
+            code = 0
+            for p, bit in enumerate(lut.table.tolist()):
+                code |= bit << p
+            operands = tuple(prev[q] for q in lut.inputs.tolist())
+            gates.append((operands, (code, len(operands))))
+            sids[j] = next_sid
+            next_sid += 1
+        prev = sids
+    return gates, next_sid
+
+
 def lut_cofactor_reference(g: AigGraph, table: int, sels: list[int], memo: dict) -> int:
     """The fixed-order LUT lowering: a Shannon mux tree split on ``sels[-1]`` first.
 

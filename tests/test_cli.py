@@ -252,8 +252,46 @@ def test_evaluate_rejects_a_bad_format_record_at_its_line(trained, rf_6_4, tmp_p
     assert capsys.readouterr().err == f"error: {bad}:{line}: {message}\n"
 
 
-@pytest.mark.parametrize("command", [["evaluate", "{}", "data.csv", "weights.txt"], ["sat", "{}"]],
-                         ids=["evaluate", "sat"])
+def test_equiv_compares_circuits_of_one_recorded_format(trained, rf_6_4, tmp_path, capsys):
+    """Equal records, or a circuit with none, are compared as they stand."""
+    aag, lines = rf_6_4
+    bare = tmp_path / "bare.aag"
+    bare.write_text("\n".join(lines[:-2]) + "\n")
+    assert cli.main(["equiv", aag, str(bare)]) == 0
+    assert capsys.readouterr().out == "EQUIVALENT\n"
+    out = str(tmp_path / "lgn64")
+    assert cli.main(["compile", trained["csv"], trained["weights"], "--split", trained["split"],
+                     "--config", trained["cfg"], "--pipeline", "logicnet", "--bits", "6",
+                     "--frac", "4", "--out", out]) == 0
+    capsys.readouterr()
+    other = os.path.join(out, "logicnet.aag")
+    assert cli.main(["equiv", aag, other]) == 1
+    witness = [int(c) for c in capsys.readouterr().out.split()[1]]
+    assert simulate_aig(read_aiger(aag), witness) != simulate_aig(read_aiger(other), witness)
+
+
+@pytest.mark.parametrize("case", ["fractional-bits", "input-count"])
+def test_equiv_rejects_circuits_it_cannot_compare(rf_6_4, decision_aiger, tmp_path, case, capsys):
+    """Other fixed-point formats give equal input bits other feature values; exit 2."""
+    aag, lines = rf_6_4
+    if case == "fractional-bits":
+        other = str(tmp_path / "six3.aag")
+        with open(other, "w") as fh:
+            fh.write("\n".join(lines[:-1] + ["nn2logic pipeline=rf total_bits=6 fractional_bits=3"])
+                     + "\n")
+        message = (f"{aag} records total_bits=6 fractional_bits=4, "
+                   f"but {other} records total_bits=6 fractional_bits=3")
+    else:
+        other = decision_aiger[1]
+        message = (f"{aag} and {other}: graphs must agree on input and output counts, "
+                   "not 24 and 4 inputs, 13 and 3 outputs")
+    assert cli.main(["equiv", aag, other]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", [["evaluate", "{}", "data.csv", "weights.txt"], ["sat", "{}"],
+                                     ["equiv", "{}", "{}"]],
+                         ids=["evaluate", "sat", "equiv"])
 def test_a_circuit_with_no_outputs_is_rejected(tmp_path, command, capsys):
     path = tmp_path / "none.aag"
     path.write_text("aag 40 40 0 0 0\n" + "".join(f"{2 * v}\n" for v in range(1, 41)))

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from nn2logic import lutnet
 from nn2logic.aig import lower_netlist, simulate_batch
+from nn2logic.datasets import sorted_choices
 from nn2logic.lutnet import (
     LutNetwork,
     eval_logicnet_batch,
@@ -16,9 +17,11 @@ from nn2logic.lutnet import (
     lut_layer,
     train_logicnets,
 )
+from nn2logic.netlist import Netlist
 
 from oracles import (
     live_cone_reference,
+    logicnet_lut_gates_reference,
     lut_counts_reference,
     lut_output_reference,
     module_netlist,
@@ -202,6 +205,41 @@ def test_module_cross_simulation_m4():
         assert np.array_equal(got, want)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    lut_size=st.integers(1, 8),
+    depth=st.integers(0, 2),
+    spare=st.integers(0, 2),
+    m=st.integers(2, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_module_luts_match_per_record_walk(lut_size, depth, spare, m, seed):
+    """Each LUT gate's code, operands and signal equal the per-record walk's, K = 1..8."""
+    rng = np.random.default_rng(seed)
+    n_words = -(-lut_size // m)
+    n_features, width = n_words * m, lut_size + spare
+    nets = []
+    for _ in range(m):
+        layers, pool = [], n_features
+        for _ in range(depth):
+            tables = rng.integers(0, 2, size=(width, 1 << lut_size), dtype=np.uint8)
+            layers.append(lut_layer(sorted_choices(rng, pool, lut_size, width), tables))
+            pool = width
+        k = min(lut_size, pool)
+        tables = rng.integers(0, 2, size=(1, 1 << k), dtype=np.uint8)
+        output = lut_layer(sorted_choices(rng, pool, k, 1), tables)[0]
+        nets.append(LutNetwork(depth, width, lut_size, seed, n_features, layers, output))
+    net = Netlist()
+    words = [net.add_input(m) for _ in range(n_words)]
+    feature_sids = [net.bit(word, m - 1 - j) for word in words for j in range(m)]
+    want, next_sid = [], len(net.widths)
+    for lgn in nets:
+        gates, next_sid = logicnet_lut_gates_reference(lgn, feature_sids, next_sid)
+        want += gates
+    logicnet_module(nets, m)(net, words)
+    assert [(g.operands, g.params) for g in net.gates if g.kind == "LUT"] == want
+
+
 def test_output_stage_shrinks_to_pool():
     x = np.array([[0, 0], [0, 1], [1, 0], [1, 1]] * 3, dtype=np.uint8)
     y = (x[:, 0] & x[:, 1]).astype(int)
@@ -285,6 +323,8 @@ def test_tables_and_outputs_match_per_sample_oracle(
         outs = [lut_output_reference(rows, lut.inputs, lut.table) for lut in luts]
         rows = [list(r) for r in zip(*outs)]
         assert _unpack(packed, n) == rows
+        # no output column holds a padding bit past sample n - 1
+        assert not np.unpackbits(packed.view(np.uint8), axis=-1, bitorder="little")[:, n:].any()
     assert eval_logicnet_batch(net, x).tolist() == [r[0] for r in rows]
 
 
